@@ -158,7 +158,7 @@ def _cmd_query(args) -> int:
 
 def _cmd_bench(args) -> int:
     m = _load_model(args.model)
-    d = graphops.decompose(m, method="greedy")
+    d = graphops.decompose(m, method=args.fill, opts=_anneal_opts(args))
     report, _, _ = engine.bench(m, d, mce.SolverOptions(tolerance=args.tol or 1e-4))
     print(engine.format_bench(report), end="")
     return 0
@@ -175,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_solver_flags(p, default_tol=None):
         p.add_argument("--tol", type=float, default=default_tol)
         p.add_argument("--max-iterations", type=int, default=500, dest="max_iterations")
-        p.add_argument("--max-cycles", type=int, default=100, dest="max_cycles")
+        p.add_argument("--max-cycles", type=int, default=1000, dest="max_cycles")
         p.add_argument("--schedule", choices=[mce.SCHEDULE_GRADIENT, mce.SCHEDULE_ROUND_ROBIN],
                        default=mce.SCHEDULE_GRADIENT)
 
@@ -233,6 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="time the dual solve against decomposed updating")
     p.add_argument("model")
     p.add_argument("--tol", type=float, default=1e-4)
+    p.add_argument("--fill", choices=["greedy", "anneal"], default="greedy")
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_bench)
 
     return parser

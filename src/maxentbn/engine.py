@@ -201,9 +201,11 @@ def solve_decomposed(model: Model, d: Decomposition,
     """Successive updating over the cliques of a decomposition.
 
     One cycle is one constraint application per constraint in the model;
-    at every step the solver picks the largest-residual constraint (ties
-    by declaration order), applies its closed-form update to its clique,
-    and eagerly re-calibrates the other cliques along the join tree.
+    at every step the solver picks a constraint, applies its closed-form
+    update to its clique, and eagerly re-calibrates the other cliques
+    along the join tree.  The gradient schedule picks the largest-residual
+    constraint (ties by declaration order); round-robin applies step s of
+    each cycle to the s-th constraint in declaration order.
     With record=False the trace and per-cycle snapshots are skipped.
     """
     opts = opts or SolverOptions()
@@ -276,7 +278,7 @@ def solve_decomposed(model: Model, d: Decomposition,
     while cycle < opts.max_cycles and not converged and error is None:
         cycle += 1
         applied_this_cycle = 0
-        for _ in range(n):
+        for step in range(n):
             best, best_mag, best_resid = -1, -1.0, None
             for j, k in enumerate(kernels):
                 r = k.residual(probs[k.clique])
@@ -286,6 +288,9 @@ def solve_decomposed(model: Model, d: Decomposition,
             if best_mag <= tol:
                 converged = True
                 break
+            if opts.schedule == mce.SCHEDULE_ROUND_ROBIN:
+                best = step
+                best_resid = kernels[step].residual(probs[kernels[step].clique])
             k = kernels[best]
             try:
                 k.apply(probs[k.clique])

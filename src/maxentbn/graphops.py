@@ -1,10 +1,13 @@
 """Structural algorithms on the model's graphs.
 
 Covers maximal-clique enumeration, acyclicity of hypergraphs (Graham
-reduction and running-intersection orderings), fill-in search that makes
-the neighbor graph chordal while keeping the total clique state space
-small, and a generalized d-separation test that remains valid when the
-directed network contains cycles.
+reduction, and running-intersection orderings by maximum cardinality
+search), triangulation of the neighbor graph by vertex elimination --
+greedy minimum fill, or simulated annealing over elimination orderings --
+that keeps the total clique state space small, and a generalized
+d-separation test that remains valid when the directed network contains
+cycles.  Apart from d-separation, every routine here is polynomial in the
+size of its graph.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -140,113 +143,78 @@ def graham_acyclic(h: Hypergraph) -> bool:
 def rip_order(h: Hypergraph) -> RipOrder | None:
     """An ordering with the running-intersection property, or None.
 
-    Searched by breadth-first extension over subsets of hyperedges: a set
-    may be appended when its overlap with the union of the chosen ones
-    lies inside a single chosen set.  Existence coincides with Graham
-    reducibility.
+    Maximum cardinality search over hyperedges (Tarjan & Yannakakis 1984,
+    SIAM J. Comput. 13(3)): repeatedly take the unchosen hyperedge with
+    the most vertices already covered by the chosen ones, ties going to
+    input position.  The order is then checked: each hyperedge's overlap
+    with the earlier ones must lie inside an earlier hyperedge, the first
+    such being its anchor.  The search finds a running-intersection order
+    exactly when the hypergraph is acyclic, so None coincides with Graham
+    irreducibility.
     """
-    edges = list(h.hyperedges)
-    n = len(edges)
-    if n == 0:
-        return RipOrder((), ())
-    unions: dict[int, frozenset[str]] = {0: frozenset()}
-    parent: dict[int, tuple[int, int, int | None]] = {}  # state -> (prev, edge, anchor)
-    frontier = [0]
-    full = (1 << n) - 1
-    seen = {0}
-    while frontier:
-        nxt = []
-        for state in frontier:
-            if state == full:
-                break
-            union = unions[state]
-            for i in range(n):
-                bit = 1 << i
-                if state & bit or (state | bit) in seen:
-                    continue
-                inter = edges[i] & union
-                anchor = None
-                if state == 0:
-                    ok = True
-                else:
-                    ok = False
-                    for j in range(n):
-                        if state & (1 << j) and inter <= edges[j]:
-                            anchor, ok = j, True
-                            break
-                if ok:
-                    new = state | bit
-                    seen.add(new)
-                    unions[new] = union | edges[i]
-                    parent[new] = (state, i, anchor)
-                    nxt.append(new)
-        if full in seen:
-            break
-        frontier = nxt
-    if full not in seen:
-        return None
-    chain: list[tuple[int, int | None]] = []
-    state = full
-    while state:
-        prev, i, anchor = parent[state]
-        chain.append((i, anchor))
-        state = prev
-    chain.reverse()
-    index_of = {edge_i: pos for pos, (edge_i, _) in enumerate(chain)}
-    order = tuple(edges[i] for i, _ in chain)
-    anchors = tuple(None if a is None else index_of[a] for _, a in chain)
-    return RipOrder(order, anchors)
+    left = list(h.hyperedges)
+    order: list[frozenset[str]] = []
+    covered: set[str] = set()
+    while left:
+        e = left.pop(max(range(len(left)), key=lambda i: len(left[i] & covered)))
+        order.append(e)
+        covered |= e
+    anchors: list[int | None] = []
+    earlier: set[str] = set()
+    for i, e in enumerate(order):
+        sep = e & earlier
+        anchor = next((j for j in range(i) if sep <= order[j]), None)
+        if i and anchor is None:
+            return None
+        anchors.append(anchor)
+        earlier |= e
+    return RipOrder(tuple(order), tuple(anchors))
 
 
-def _is_complete(adj: dict[str, set[str]], vs: Iterable[str]) -> bool:
-    vs = list(vs)
-    return all(v in adj[u] for u, v in itertools.combinations(vs, 2))
+def _eliminate(adj: dict[str, set[str]], next_vertex: Callable[[dict[str, set[str]]], str]
+               ) -> tuple[list[str], frozenset[frozenset[str]], list[frozenset[str]]]:
+    """Eliminate every vertex, each time the one `next_vertex` picks from
+    the remaining graph, joining its remaining neighbours pairwise.
 
-
-def is_chordal(adj: dict[str, set[str]]) -> bool:
-    """Simplicial-elimination test."""
+    Returns the elimination order, the fill edges, and the maximal cliques
+    of the filled graph.  The order is a perfect elimination order of the
+    filled graph, so those cliques are the maximal sets among the vertices
+    taken with their remaining neighbours.
+    """
     work = {v: set(ns) for v, ns in adj.items()}
+    order: list[str] = []
+    fill: set[frozenset[str]] = set()
+    cliques: list[frozenset[str]] = []
     while work:
-        for v in sorted(work):
-            if _is_complete(work, work[v]):
-                for u in work[v]:
-                    work[u].discard(v)
-                del work[v]
-                break
-        else:
-            return False
-    return True
+        v = next_vertex(work)
+        ns = work.pop(v)
+        for u in ns:
+            work[u].discard(v)
+        for u, w in itertools.combinations(ns, 2):
+            if w not in work[u]:
+                work[u].add(w)
+                work[w].add(u)
+                fill.add(frozenset((u, w)))
+        order.append(v)
+        cliques.append(frozenset(ns) | {v})
+    # a vertex's clique can lie only inside that of a vertex eliminated earlier
+    maximal = [c for i, c in enumerate(cliques) if not any(c < d for d in cliques[:i])]
+    return order, frozenset(fill), maximal
 
 
-def chordless_cycles(adj: dict[str, set[str]]) -> list[tuple[str, ...]]:
-    """All chordless cycles of length >= 4, each reported once."""
-    cycles = []
-    vertices = sorted(adj)
-    for s in vertices:
-        # grow chordless paths from s through vertices > s
-        stack: list[list[str]] = [[s, u] for u in sorted(adj[s]) if u > s]
-        while stack:
-            path = stack.pop()
-            last = path[-1]
-            for w in sorted(adj[last]):
-                if w <= s or w in path:
-                    continue
-                # chordless: w may touch only the path tip (and s at closure)
-                touches = adj[w].intersection(path[:-1])
-                if touches - {s}:
-                    continue
-                if s in adj[w] and len(path) >= 3:
-                    if path[1] < w:  # canonical direction
-                        cycles.append(tuple(path + [w]))
-                    continue
-                stack.append(path + [w])
-    return cycles
+def _min_fill(work: dict[str, set[str]]) -> str:
+    """The vertex whose elimination adds the fewest fill edges, ties by
+    name."""
+    def fill_needed(v: str) -> int:
+        ns = work[v]
+        return sum(len(ns - work[u]) - 1 for u in ns) // 2
+
+    return min(sorted(work), key=fill_needed)
 
 
-def _decomposition_from_fill(g: NeighborGraph, fill: Iterable[frozenset[str]]) -> Decomposition:
-    fill = frozenset(fill)
-    filled = NeighborGraph(g.nodes, frozenset(g.edges | fill))
-    cliques = tuple(maximal_cliques(filled))
+def _decomposition(g: NeighborGraph, fill: frozenset[frozenset[str]],
+                   cliques: Iterable[frozenset[str]]) -> Decomposition:
+    cliques = tuple(sorted(cliques, key=_edge_key))
     rip = rip_order(Hypergraph(g.nodes, cliques))
     if rip is None:
         raise ValueError("fill-in did not produce an acyclic clique cover")
@@ -256,92 +224,67 @@ def _decomposition_from_fill(g: NeighborGraph, fill: Iterable[frozenset[str]]) -
 def fill_in_greedy(g: NeighborGraph) -> Decomposition:
     """Minimum-fill elimination (ties by vertex name); chordal inputs get
     an empty fill."""
-    adj = g.adjacency()
-    work = {v: set(ns) for v, ns in adj.items()}
-    fill: set[frozenset[str]] = set()
-
-    def fill_needed(v: str) -> int:
-        ns = sorted(work[v])
-        return sum(1 for u, w in itertools.combinations(ns, 2) if w not in work[u])
-
-    while work:
-        v = min(sorted(work), key=fill_needed)
-        ns = sorted(work[v])
-        for u, w in itertools.combinations(ns, 2):
-            if w not in work[u]:
-                work[u].add(w)
-                work[w].add(u)
-                fill.add(frozenset({u, w}))
-        for u in work[v]:
-            work[u].discard(v)
-        del work[v]
-    return _decomposition_from_fill(g, fill)
+    _, fill, cliques = _eliminate(g.adjacency(), _min_fill)
+    return _decomposition(g, fill, cliques)
 
 
-def _candidate_edges(g: NeighborGraph) -> list[frozenset[str]]:
-    return sorted(
-        (frozenset({u, v}) for u, v in itertools.combinations(sorted(g.nodes), 2)
-         if frozenset({u, v}) not in g.edges),
-        key=_edge_key)
-
-
-def _fill_state_cost(g: NeighborGraph, fill: set[frozenset[str]]) -> tuple[int, bool]:
-    """Objective for annealing: clique cost, plus a penalty for each
-    chordless cycle (its vertex set priced as one clique)."""
-    filled = NeighborGraph(g.nodes, frozenset(g.edges | fill))
-    adj = filled.adjacency()
-    cost = clique_cost(maximal_cliques(filled))
-    chordal = is_chordal(adj)
-    if not chordal:
-        cost += sum(1 << len(cyc) for cyc in chordless_cycles(adj))
-    return cost, chordal
+def _fill_key(cost: int, fill: frozenset[frozenset[str]]) -> tuple:
+    return (cost, len(fill), tuple(sorted(map(_edge_key, fill))))
 
 
 def fill_in_anneal(g: NeighborGraph, opts: AnnealOptions | None = None) -> Decomposition:
-    """Simulated-annealing search over fill-edge subsets.
+    """Simulated annealing over elimination orderings (Kjærulff 1992,
+    Statistics and Computing 2:7-17).
 
-    Moves toggle one candidate edge; non-chordal states are admitted but
-    penalized.  The search starts from the greedy solution and keeps the
-    best chordal state seen, so the result never costs more than greedy.
-    Deterministic for a fixed seed.
+    A state is an ordering of the vertices, scored by the clique cost of
+    its elimination; every state is therefore chordal.  Each restart
+    starts from the greedy min-fill ordering, a move swaps two positions,
+    and an unset initial temperature is the cost spread of 20 random
+    orderings.  The result is the state with the least (cost, fill size,
+    sorted fill edges), so it never costs more than greedy.  A chordal
+    input returns greedy's empty fill at once: adding edges to a chordal
+    graph never lowers its clique cost.  Deterministic for a fixed seed.
     """
     opts = opts or AnnealOptions()
-    greedy = fill_in_greedy(g)
-    candidates = _candidate_edges(g)
-    best_fill = set(greedy.fill_in)
-    best_key = (greedy.cost, len(best_fill), tuple(sorted(map(_edge_key, best_fill))))
-    if not candidates:
-        return greedy
+    adj = g.adjacency()
+    greedy_order, fill, cliques = _eliminate(adj, _min_fill)
+    if not fill:  # g is chordal, and no triangulation of it costs less
+        return _decomposition(g, fill, cliques)
+    greedy_cost = clique_cost(cliques)
+    best_key, best = _fill_key(greedy_cost, fill), (fill, cliques)
+    n = len(greedy_order)
+
+    def evaluate(order: list[str]) -> tuple[int, frozenset[frozenset[str]], list[frozenset[str]]]:
+        it = iter(order)
+        _, fill, cliques = _eliminate(adj, lambda work: next(it))
+        return clique_cost(cliques), fill, cliques
+
     master = np.random.SeedSequence(opts.seed)
     for child in master.spawn(opts.restarts):
         rng = np.random.default_rng(child)
-        state = set(greedy.fill_in)
-        cur_cost, _ = _fill_state_cost(g, state)
+        state = list(greedy_order)
+        cur_cost = greedy_cost
         if opts.initial_temperature is None:
-            probes = []
-            for _ in range(20):
-                probe = {e for e in candidates if rng.random() < 0.5}
-                probes.append(_fill_state_cost(g, probe)[0])
+            probes = [evaluate([state[k] for k in rng.permutation(n)])[0] for _ in range(20)]
             t = float(max(probes) - min(probes)) or 1.0
         else:
             t = opts.initial_temperature
         t_floor = max(t * 1e-3, 1e-6)
         while t > t_floor:
             for _ in range(opts.moves_per_temperature):
-                e = candidates[rng.integers(len(candidates))]
-                state.symmetric_difference_update([e])
-                new_cost, chordal = _fill_state_cost(g, state)
+                i, j = int(rng.integers(n)), int(rng.integers(n - 1))
+                j += j >= i
+                state[i], state[j] = state[j], state[i]
+                new_cost, fill, cliques = evaluate(state)
                 if new_cost <= cur_cost or rng.random() < math.exp((cur_cost - new_cost) / t):
                     cur_cost = new_cost
-                    if chordal:
-                        key = (new_cost, len(state), tuple(sorted(map(_edge_key, state))))
-                        if key < best_key:
-                            best_key = key
-                            best_fill = set(state)
+                    key = _fill_key(new_cost, fill)
+                    if key < best_key:
+                        best_key, best = key, (fill, cliques)
                 else:
-                    state.symmetric_difference_update([e])  # reject
+                    state[i], state[j] = state[j], state[i]  # reject
             t *= opts.cooling
-    return _decomposition_from_fill(g, best_fill)
+    return _decomposition(g, *best)
 
 
 def descendants(net: BeliefNetwork, x: str) -> frozenset[str]:

@@ -45,7 +45,7 @@ class UnreachableConstraintError(ValueError):
 class SolverOptions:
     tolerance: float | None = None      # None: 1e-8 dual, 1e-4 successive
     max_iterations: int = 500           # dual optimizer iterations
-    max_cycles: int = 100               # successive-updating cycles
+    max_cycles: int = 1000              # successive-updating cycles
     schedule: str = SCHEDULE_GRADIENT
 
     def __post_init__(self):

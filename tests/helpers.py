@@ -1,5 +1,6 @@
-"""Shared fixtures: canonical models, frozen oracle values, and random
-generators used by the property suites.
+"""Shared fixtures: canonical models, frozen oracle values, random
+generators used by the property suites, and slow reference algorithms
+the fast ones are checked against.
 
 Frozen tables were computed by independent routes (direct primal
 maximization with SLSQP for the max-entropy joints; 30-digit closed-form
@@ -10,11 +11,13 @@ the package's own solvers in the tests.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
 from maxentbn import (ConditionalConstraint, ConstraintSet, Literal,
-                      MarginalConstraint, Model, Variable, parse_model)
+                      MarginalConstraint, Model, RipOrder, Variable,
+                      parse_model)
 
 # Directed 2-cycle model: P(A|B)=0.7, P(B|A)=0.8.
 FIG21_TEXT = "vars A B\nP(A|B)=0.7\nP(B|A)=0.8\n"
@@ -196,3 +199,106 @@ def random_hypergraph(rng: np.random.Generator, max_vertices: int = 8,
     g = NeighborGraph(names, chosen)
     cliques = tuple(maximal_cliques(g))[:max_edges]
     return Hypergraph(names, cliques)
+
+
+def ring_model(n: int, seed: int = 0) -> Model:
+    """Pairwise MRF on a ring of n >= 3 binary variables X0..X{n-1},
+    stated by its exact conditionals, so consistent by construction.
+
+    With spins s = +1 (true) / -1 (false), p(x) is proportional to
+    exp(sum_i h_i s_i + J_i s_i s_{i+1}), indices mod n, where h and J are
+    drawn from U(-1, 1) by a generator seeded with `seed`.  Each variable
+    gets the four constraints P(X_i | +-X_{i-1}, +-X_{i+1}), whose values
+    the MRF fixes in closed form: the logistic function of twice the
+    local field h_i + J_{i-1} s_{i-1} + J_i s_{i+1}.
+    """
+    rng = np.random.default_rng(seed)
+    h = rng.uniform(-1.0, 1.0, n)
+    coupling = rng.uniform(-1.0, 1.0, n)  # coupling[i] joins i and i+1
+    names = [f"X{i}" for i in range(n)]
+    constraints = []
+    for i in range(n):
+        left, right = (i - 1) % n, (i + 1) % n
+        for s_left, s_right in itertools.product((1, -1), repeat=2):
+            field = h[i] + coupling[left] * s_left + coupling[i] * s_right
+            constraints.append(ConditionalConstraint(
+                Literal(names[i]),
+                (Literal(names[left], s_left > 0), Literal(names[right], s_right > 0)),
+                1.0 / (1.0 + math.exp(-2.0 * field))))
+    vars_ = tuple(Variable(nm, i) for i, nm in enumerate(names))
+    return Model(vars_, ConstraintSet(tuple(constraints)))
+
+
+def rip_order_bfs(h):
+    """Reference running-intersection search: breadth-first extension over
+    subsets of hyperedges, appending a set when its overlap with the
+    union of the chosen ones lies inside a single chosen set.
+    Exponential in the number of hyperedges."""
+    edges = list(h.hyperedges)
+    n = len(edges)
+    if n == 0:
+        return RipOrder((), ())
+    unions: dict[int, frozenset[str]] = {0: frozenset()}
+    parent: dict[int, tuple[int, int, int | None]] = {}  # state -> (prev, edge, anchor)
+    frontier = [0]
+    full = (1 << n) - 1
+    seen = {0}
+    while frontier:
+        nxt = []
+        for state in frontier:
+            if state == full:
+                break
+            union = unions[state]
+            for i in range(n):
+                bit = 1 << i
+                if state & bit or (state | bit) in seen:
+                    continue
+                inter = edges[i] & union
+                anchor = None
+                if state == 0:
+                    ok = True
+                else:
+                    ok = False
+                    for j in range(n):
+                        if state & (1 << j) and inter <= edges[j]:
+                            anchor, ok = j, True
+                            break
+                if ok:
+                    new = state | bit
+                    seen.add(new)
+                    unions[new] = union | edges[i]
+                    parent[new] = (state, i, anchor)
+                    nxt.append(new)
+        if full in seen:
+            break
+        frontier = nxt
+    if full not in seen:
+        return None
+    chain: list[tuple[int, int | None]] = []
+    state = full
+    while state:
+        prev, i, anchor = parent[state]
+        chain.append((i, anchor))
+        state = prev
+    chain.reverse()
+    index_of = {edge_i: pos for pos, (edge_i, _) in enumerate(chain)}
+    order = tuple(edges[i] for i, _ in chain)
+    anchors = tuple(None if a is None else index_of[a] for _, a in chain)
+    return RipOrder(order, anchors)
+
+
+def is_chordal(adj: dict[str, set[str]]) -> bool:
+    """Reference chordality test: a graph is chordal iff repeatedly
+    deleting a simplicial vertex (one whose neighbours are pairwise
+    adjacent) empties it."""
+    work = {v: set(ns) for v, ns in adj.items()}
+    while work:
+        for v in sorted(work):
+            if all(w in work[u] for u, w in itertools.combinations(work[v], 2)):
+                for u in work[v]:
+                    work[u].discard(v)
+                del work[v]
+                break
+        else:
+            return False
+    return True

@@ -130,6 +130,21 @@ class TestSolve:
         assert code == 1
         assert "converged: no" in out
 
+    def test_decomposed_schedules_differ(self, capsys):
+        outs = {}
+        for schedule in ("gradient", "round-robin"):
+            code, outs[schedule], _ = invoke(capsys, "solve", "models/mining.cn",
+                                             "--method", "decomposed", "--trace",
+                                             "--schedule", schedule)
+            assert code == 0
+        assert outs["gradient"] != outs["round-robin"]
+
+    def test_default_cycle_cap(self):
+        from maxentbn.cli import build_parser
+        from maxentbn.mce import SolverOptions
+        args = build_parser().parse_args(["solve", "models/mining.cn"])
+        assert args.max_cycles == SolverOptions().max_cycles == 1000
+
     def test_inconsistent_dual_exit_1(self, capsys):
         code, _, err = invoke(capsys, "solve", "models/inconsistent-quad.cn",
                               "--method", "dual", "--max-iterations", "60")
@@ -162,6 +177,12 @@ class TestBenchVerb:
         assert code == 0
         assert "speedup:" in out
         assert "max marginal deviation:" in out
+
+    def test_anneal_fill(self, capsys):
+        code, out, _ = invoke(capsys, "bench", "models/mining.cn",
+                              "--fill", "anneal", "--seed", "3")
+        assert code == 0
+        assert "speedup:" in out
 
 
 class TestDeterminism:

@@ -7,7 +7,8 @@ from maxentbn import (JointTable, Literal, SolverOptions, bench, check_ci,
                       mce_dual_solve, neighbor_graph, query, solve_decomposed,
                       subset_marginal_update, successive_solve, uniform)
 from maxentbn.dist import residuals
-from maxentbn.mce import UnreachableConstraintError, apply_constraint
+from maxentbn.mce import (SCHEDULE_ROUND_ROBIN, UnreachableConstraintError,
+                         apply_constraint)
 from maxentbn.model import ConstraintSet
 
 
@@ -101,6 +102,44 @@ class TestSolveDecomposed:
         np.testing.assert_allclose(report.cliques[0].table.probs, table.probs,
                                    atol=1e-12)
         assert report.converged == trace.converged
+
+    def test_single_clique_round_robin_equals_successive(self):
+        # c02's reference: two interleaved applications of each constraint
+        m = helpers.fig21()
+        opts = SolverOptions(schedule=SCHEDULE_ROUND_ROBIN, max_cycles=2)
+        report = solve_decomposed(m, decompose(m), opts)
+        table, trace = successive_solve(uniform(("A", "B")), m.constraints, opts)
+        np.testing.assert_allclose(report.cliques[0].table.probs, table.probs,
+                                   atol=1e-12)
+        assert ([str(e.constraint) for e in report.trace.events]
+                == [str(e.constraint) for e in trace.events]
+                == ["P(A|B)=0.7", "P(B|A)=0.8", "P(A|B)=0.7", "P(B|A)=0.8"])
+        np.testing.assert_allclose([e.residual_before for e in report.trace.events],
+                                   [e.residual_before for e in trace.events], atol=1e-12)
+
+    def test_generated_ring_is_consistent_by_construction(self):
+        n = 6
+        m = helpers.ring_model(n, seed=3)
+        rng = np.random.default_rng(3)
+        h, coupling = rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n)
+        states = np.arange(1 << n)
+        spins = np.array([2 * ((states >> (n - 1 - i)) & 1) - 1 for i in range(n)])
+        energy = (h @ spins + sum(coupling[i] * spins[i] * spins[(i + 1) % n]
+                                  for i in range(n)))
+        mrf = np.exp(energy)
+        joint = JointTable(m.names, mrf / mrf.sum())
+        assert len(m.constraints) == 4 * n
+        assert residuals(joint, m.constraints).max_magnitude <= 1e-12
+
+    def test_generated_ring10_solves_under_default_options(self):
+        m = helpers.ring_model(10, seed=10)
+        report = solve_decomposed(m, decompose(m))
+        assert report.converged
+        assert report.cycles > 100  # beyond the former default cap
+        exact = mce_dual_solve(uniform(m.names), m.constraints)
+        for state in report.cliques:
+            np.testing.assert_allclose(
+                state.table.probs, marginalize(exact, state.scope).probs, atol=5e-3)
 
     def test_empty_constraint_set(self):
         m = helpers.model_of("AB")  # no constraints at all

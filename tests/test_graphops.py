@@ -9,6 +9,7 @@ from maxentbn import (AnnealOptions, Hypergraph, NeighborGraph, build_network,
                       fill_in_anneal, fill_in_greedy, graham_acyclic,
                       maximal_cliques, mce_dual_solve, neighbor_graph,
                       parse_graph_text, rip_order, uniform)
+from maxentbn import graphops
 from maxentbn.consistency import global_consistent
 from maxentbn.graphops import clique_cost, format_decomposition
 from maxentbn.mce import SolverOptions
@@ -123,6 +124,48 @@ class TestRipOrder:
             cyclic += not reducible
         assert acyclic >= 40 and cyclic >= 40
 
+    def test_matches_bfs_oracle_and_graham(self):
+        rng = np.random.default_rng(36)
+        acyclic = cyclic = oracle_runs = 0
+        for _ in range(2000):
+            h = helpers.random_hypergraph(rng, max_edges=14)
+            r = rip_order(h)
+            assert (r is not None) == graham_acyclic(h)
+            if len(h.hyperedges) <= 10:
+                assert (r is None) == (helpers.rip_order_bfs(h) is None)
+                oracle_runs += 1
+            if r is None:
+                cyclic += 1
+                continue
+            acyclic += 1
+            assert sorted(map(sorted, r.order)) == sorted(map(sorted, h.hyperedges))
+            assert r.anchors[0] is None
+            for i in range(1, len(r.order)):
+                assert r.anchors[i] < i
+                assert r.separator(i) <= r.order[r.anchors[i]]
+        assert acyclic >= 300 and cyclic >= 300 and oracle_runs >= 1000
+
+    def test_generated_rings_decompose(self):
+        for n in range(6, 25):
+            m = helpers.ring_model(n, seed=n)
+            d = decompose(m)
+            r = d.rip
+            assert sorted(map(sorted, r.order)) == sorted(map(sorted, d.cliques))
+            for i in range(1, len(r.order)):
+                assert r.anchors[i] < i
+                assert r.separator(i) <= r.order[r.anchors[i]]
+            assert graham_acyclic(Hypergraph(m.names, d.cliques))
+
+
+def temperature_steps(t0: float, cooling: float) -> int:
+    """Temperatures the annealing schedule visits from t0: it cools until
+    the temperature falls to 1e-3 of t0, or to 1e-6 if that is higher."""
+    t, floor, steps = t0, max(t0 * 1e-3, 1e-6), 0
+    while t > floor:
+        t *= cooling
+        steps += 1
+    return steps
+
 
 class TestFillIn:
     def test_mining_no_fill(self):
@@ -182,6 +225,44 @@ class TestFillIn:
             assert da.cost <= dg.cost
             assert graham_acyclic(Hypergraph(nodes, da.cliques))
             assert da.cost == clique_cost(da.cliques)
+            filled = NeighborGraph(nodes, edges | da.fill_in)
+            assert helpers.is_chordal(filled.adjacency())
+            assert da.cliques == tuple(maximal_cliques(filled))
+
+    def test_anneal_options_set_states_evaluated(self, monkeypatch):
+        # one elimination for the greedy start, then per restart: 20
+        # probes when the temperature is unset, and one per move
+        calls = []
+        eliminate = graphops._eliminate
+
+        def counted(*args):
+            calls.append(1)
+            return eliminate(*args)
+
+        monkeypatch.setattr(graphops, "_eliminate", counted)
+
+        def states(**kw):
+            calls.clear()
+            fill_in_anneal(sixring(), AnnealOptions(**kw))
+            return len(calls)
+
+        base = dict(initial_temperature=1.0, cooling=0.9, moves_per_temperature=5,
+                    restarts=1)
+        variants = [{}, {"restarts": 2}, {"moves_per_temperature": 7},
+                    {"cooling": 0.8}, {"initial_temperature": 1e-5},
+                    {"initial_temperature": None}]
+        counts = []
+        for change in variants:
+            o = {**base, **change}
+            probes = 20 if o["initial_temperature"] is None else 0
+            # a probed start is an integer cost spread or 1.0, so it cools
+            # through as many temperatures as 1.0 does
+            t0 = o["initial_temperature"] or 1.0
+            want = 1 + o["restarts"] * (
+                probes + o["moves_per_temperature"] * temperature_steps(t0, o["cooling"]))
+            counts.append(states(**o))
+            assert counts[-1] == want, change
+        assert len(set(counts)) == len(counts)
 
 
 class TestDescendants:
