@@ -48,7 +48,7 @@ def _anneal_opts(args) -> graphops.AnnealOptions:
 def _solver_opts(args) -> mce.SolverOptions:
     return mce.SolverOptions(
         tolerance=args.tol,
-        max_iterations=args.max_iterations,
+        max_iterations=getattr(args, "max_iterations", mce.SolverOptions.max_iterations),
         max_cycles=args.max_cycles,
         schedule=args.schedule)
 
@@ -172,9 +172,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "checking, and separation queries.")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add_solver_flags(p, default_tol=None):
-        p.add_argument("--tol", type=float, default=default_tol)
-        p.add_argument("--max-iterations", type=int, default=500, dest="max_iterations")
+    def add_solver_flags(p):
+        p.add_argument("--tol", type=float, default=None)
         p.add_argument("--max-cycles", type=int, default=1000, dest="max_cycles")
         p.add_argument("--schedule", choices=[mce.SCHEDULE_GRADIENT, mce.SCHEDULE_ROUND_ROBIN],
                        default=mce.SCHEDULE_GRADIENT)
@@ -218,6 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trace", action="store_true")
     p.add_argument("--format", choices=["text", "tsv"], default="text")
+    p.add_argument("--max-iterations", type=int, default=500, dest="max_iterations",
+                   help="dual optimizer iterations (--method dual)")
     add_solver_flags(p)
     p.set_defaults(func=_cmd_solve)
 

@@ -19,10 +19,9 @@ import scipy.linalg
 import scipy.optimize
 
 from . import dist
-from .dist import SCOPE_CAP, JointTable, event_mask
+from .dist import SCOPE_CAP, JointTable
 from .graphops import Decomposition, Hypergraph, graham_acyclic
-from .model import (ConditionalConstraint, Constraint, ConstraintSet,
-                    MarginalConstraint, Model)
+from .model import Constraint, ConstraintSet, Model
 
 FEASIBILITY_TOL = 1e-9
 NULLSPACE_TOL = 1e-10
@@ -60,28 +59,22 @@ class LinearSystem:
 
 
 def to_linear(cs: ConstraintSet, scope: Sequence[str]) -> LinearSystem:
-    """Encode every constraint whose variables fit in `scope`.
+    """Encode every constraint whose variables fit in `scope` as the row
+    (1-v)*sum(a) - v*sum(b) = 0, with (a, b) from `dist.constraint_sides`.
 
-    Conditional P(x|E)=mu:  (1-mu)*sum(E&x) - mu*sum(E&~x) = 0.
-    Marginal  P(E)=v:       sum(E) - v*sum(all) = 0.
+    Conditional P(x|E)=v:  (1-v)*sum(E&x) - v*sum(E&~x) = 0.
+    Cell P(E)=v:           sum(E) - v*sum(all) = 0.
     """
     scope = tuple(scope)
     scope_set = set(scope)
-    n = 1 << len(scope)
     rows = []
     for c in cs:
         if not c.scope <= scope_set:
             continue
-        if isinstance(c, ConditionalConstraint):
-            cond = event_mask(scope, c.condition)
-            tgt = event_mask(scope, [c.target])
-            coeffs = np.zeros(n)
-            coeffs[cond & tgt] = 1.0 - c.value
-            coeffs[cond & ~tgt] = -c.value
-        else:
-            ev = event_mask(scope, c.literals)
-            coeffs = np.full(n, -c.value)
-            coeffs[ev] += 1.0
+        a, b = dist.constraint_sides(scope, c)
+        coeffs = np.zeros(1 << len(scope))
+        coeffs[a] = 1.0 - c.value
+        coeffs[b] = -c.value
         rows.append(LinearRow(coeffs, 0.0, c))
     return LinearSystem(scope, tuple(rows))
 
@@ -111,16 +104,9 @@ def solution_space(ls: LinearSystem) -> SolutionSpace:
 
 def marginalization_matrix(scope: Sequence[str], subscope: Sequence[str]) -> np.ndarray:
     """0/1 matrix summing full states down to subscope states."""
-    scope = tuple(scope)
-    subscope = tuple(subscope)
-    k = len(scope)
-    idx = np.arange(1 << k)
-    sub = np.zeros(1 << k, dtype=np.int64)
-    for name in subscope:
-        pos = scope.index(name)
-        sub = (sub << 1) | ((idx >> (k - 1 - pos)) & 1)
-    m = np.zeros((1 << len(subscope), 1 << k))
-    m[sub, idx] = 1.0
+    sub = dist.project_index(scope, subscope)
+    m = np.zeros((1 << len(tuple(subscope)), sub.size))
+    m[sub, np.arange(sub.size)] = 1.0
     return m
 
 
@@ -170,13 +156,41 @@ def nonneg_feasible(ls: LinearSystem) -> np.ndarray | None:
 
     Phase-one style feasibility via linear programming.
     """
-    a_eq = np.vstack([ls.matrix(), ls.universal_row()])
-    b_eq = np.zeros(a_eq.shape[0])
-    b_eq[-1] = 1.0
-    p = _solve_feasible(a_eq, b_eq, ls.size)
-    if p is None:
+    sol = _tree_witnesses([ls], [None])
+    return None if sol is None else sol[0]
+
+
+def _tree_witnesses(systems: Sequence[LinearSystem], anchors: Sequence[int | None]
+                    ) -> list[np.ndarray] | None:
+    """One feasibility problem over several tables jointly: table i is a
+    distribution over `systems[i].scope` satisfying that system's rows,
+    and agrees with table `anchors[i]` (None for none) on their shared
+    variables.  Along a running-intersection order solutions glue into a
+    full joint distribution, so existence matches global consistency.
+    Returns the normalized tables, or None when infeasible."""
+    offs = np.cumsum([0] + [ls.size for ls in systems])
+
+    def block(i: int, m: np.ndarray) -> np.ndarray:
+        out = np.zeros((m.shape[0], int(offs[-1])))
+        out[:, offs[i]:offs[i + 1]] = m
+        return out
+
+    rows, rhs = [], []
+    for i, ls in enumerate(systems):
+        rows += [block(i, ls.matrix()), block(i, ls.universal_row()[None, :])]
+        rhs += [0.0] * len(ls.rows) + [1.0]
+    for i, j in enumerate(anchors):
+        si = systems[i].scope
+        sep = () if j is None else tuple(n for n in si if n in systems[j].scope)
+        if sep:
+            rows.append(block(i, marginalization_matrix(si, sep))
+                        - block(j, marginalization_matrix(systems[j].scope, sep)))
+            rhs += [0.0] * (1 << len(sep))
+    x = _solve_feasible(np.vstack(rows), np.array(rhs), int(offs[-1]))
+    if x is None:
         return None
-    return p / p.sum()
+    parts = [x[offs[i]:offs[i + 1]] for i in range(len(systems))]
+    return [p / p.sum() for p in parts]
 
 
 @dataclass(frozen=True)
@@ -191,10 +205,6 @@ class ConsistencyReport:
     @property
     def verdict(self) -> str:
         return "consistent" if self.consistent else "inconsistent"
-
-
-def _clique_scope(model: Model, clique: frozenset[str]) -> tuple[str, ...]:
-    return model.ordered_scope(clique)
 
 
 def global_consistent(model: Model) -> ConsistencyReport:
@@ -216,94 +226,24 @@ def global_consistent(model: Model) -> ConsistencyReport:
                              witnesses=((frozenset(scope), witness),))
 
 
-def _pairwise_lp(model: Model, clique_i: frozenset[str], clique_j: frozenset[str]
-                 ) -> tuple[np.ndarray, np.ndarray] | None:
-    scope_i = _clique_scope(model, clique_i)
-    scope_j = _clique_scope(model, clique_j)
-    ls_i = to_linear(model.constraints, scope_i)
-    ls_j = to_linear(model.constraints, scope_j)
-    ni, nj = ls_i.size, ls_j.size
-    rows = []
-    rhs = []
-    for r in ls_i.rows:
-        rows.append(np.concatenate([r.coeffs, np.zeros(nj)]))
-        rhs.append(0.0)
-    for r in ls_j.rows:
-        rows.append(np.concatenate([np.zeros(ni), r.coeffs]))
-        rhs.append(0.0)
-    rows.append(np.concatenate([np.ones(ni), np.zeros(nj)]))
-    rhs.append(1.0)
-    rows.append(np.concatenate([np.zeros(ni), np.ones(nj)]))
-    rhs.append(1.0)
-    sep = model.ordered_scope(clique_i & clique_j)
-    if sep:
-        mi = marginalization_matrix(scope_i, sep)
-        mj = marginalization_matrix(scope_j, sep)
-        for s in range(mi.shape[0]):
-            rows.append(np.concatenate([mi[s], -mj[s]]))
-            rhs.append(0.0)
-    x = _solve_feasible(np.array(rows), np.array(rhs), ni + nj)
-    if x is None:
-        return None
-    pi, pj = x[:ni], x[ni:]
-    return pi / pi.sum(), pj / pj.sum()
-
-
 def pairwise_consistent(model: Model, clique_i: frozenset[str], clique_j: frozenset[str]
                         ) -> tuple[bool, tuple[JointTable, JointTable] | None]:
     """True iff each clique admits a distribution satisfying its own
     constraints such that the two agree on the shared variables; decided
     as one joint feasibility problem."""
-    sol = _pairwise_lp(model, frozenset(clique_i), frozenset(clique_j))
-    if sol is None:
+    wits = _clique_witnesses(model, [clique_i, clique_j], (None, 0))
+    if wits is None:
         return False, None
-    pi, pj = sol
-    wi = JointTable(_clique_scope(model, frozenset(clique_i)), pi)
-    wj = JointTable(_clique_scope(model, frozenset(clique_j)), pj)
-    return True, (wi, wj)
+    return True, (wits[0], wits[1])
 
 
-def _tree_witnesses(model: Model, d: Decomposition) -> tuple[tuple[frozenset[str], JointTable], ...] | None:
-    """One feasibility problem over all cliques jointly, agreement imposed
-    along the running-intersection anchor edges.  Solutions glue into a
-    full joint distribution, so existence matches global consistency."""
-    order = d.rip.order
-    scopes = [_clique_scope(model, c) for c in order]
-    systems = [to_linear(model.constraints, s) for s in scopes]
-    sizes = [ls.size for ls in systems]
-    offs = np.cumsum([0] + sizes)
-    total = int(offs[-1])
-    rows, rhs = [], []
-
-    def embed(vec: np.ndarray, i: int) -> np.ndarray:
-        out = np.zeros(total)
-        out[offs[i]:offs[i] + sizes[i]] = vec
-        return out
-
-    for i, ls in enumerate(systems):
-        for r in ls.rows:
-            rows.append(embed(r.coeffs, i))
-            rhs.append(0.0)
-        rows.append(embed(np.ones(sizes[i]), i))
-        rhs.append(1.0)
-    for i in range(1, len(order)):
-        j = d.rip.anchors[i]
-        sep = model.ordered_scope(order[i] & order[j])
-        if not sep:
-            continue
-        mi = marginalization_matrix(scopes[i], sep)
-        mj = marginalization_matrix(scopes[j], sep)
-        for s in range(mi.shape[0]):
-            rows.append(embed(mi[s], i) - embed(mj[s], j))
-            rhs.append(0.0)
-    x = _solve_feasible(np.array(rows), np.array(rhs), total)
-    if x is None:
+def _clique_witnesses(model: Model, cliques, anchors) -> list[JointTable] | None:
+    """`_tree_witnesses` over the cliques' own constraints, as tables."""
+    systems = [to_linear(model.constraints, model.ordered_scope(c)) for c in cliques]
+    sol = _tree_witnesses(systems, anchors)
+    if sol is None:
         return None
-    out = []
-    for i, c in enumerate(order):
-        p = x[offs[i]:offs[i] + sizes[i]]
-        out.append((c, JointTable(scopes[i], p / p.sum())))
-    return tuple(out)
+    return [JointTable(ls.scope, p) for ls, p in zip(systems, sol)]
 
 
 def local_check(model: Model, d: Decomposition) -> ConsistencyReport:
@@ -320,7 +260,7 @@ def local_check(model: Model, d: Decomposition) -> ConsistencyReport:
         raise ValueError("decomposition is not acyclic; local check inapplicable")
     order = d.rip.order
     s0 = order[0]
-    ls0 = to_linear(model.constraints, _clique_scope(model, s0))
+    ls0 = to_linear(model.constraints, model.ordered_scope(s0))
     if nonneg_feasible(ls0) is None:
         return ConsistencyReport(False, rank_ok=None, feasible=False, witnesses=(),
                                  culprit=(s0, s0))
@@ -330,13 +270,14 @@ def local_check(model: Model, d: Decomposition) -> ConsistencyReport:
         if not ok:
             return ConsistencyReport(False, rank_ok=None, feasible=False, witnesses=(),
                                      culprit=(order[i], anchor))
-    wits = _tree_witnesses(model, d)
-    if wits is None:
+    tables = _clique_witnesses(model, order, d.rip.anchors)
+    if tables is None:
         return ConsistencyReport(
             False, rank_ok=None, feasible=False, witnesses=(), culprit=None,
             note="anchor-pairwise checks passed but no jointly calibrated "
                  "per-clique tables exist")
-    return ConsistencyReport(True, rank_ok=None, feasible=True, witnesses=wits)
+    return ConsistencyReport(True, rank_ok=None, feasible=True,
+                             witnesses=tuple(zip(order, tables)))
 
 
 def format_report(report: ConsistencyReport, model: Model | None = None,

@@ -89,17 +89,38 @@ def probability(table: JointTable, literals: Iterable[Literal]) -> float:
     return float(table.probs[event_mask(table.scope, literals)].sum())
 
 
+def constraint_sides(scope: Sequence[str], c: Constraint) -> tuple[np.ndarray, np.ndarray]:
+    """Masks (a, b) over the states of `scope` that put any constraint in
+    the form P(a | a or b) = v: a conditional P(x|E)=v has a = E&x and
+    b = E&~x, a cell P(E)=v has a = E and b = ~E."""
+    if isinstance(c, ConditionalConstraint):
+        cond = event_mask(scope, c.condition)
+        tgt = event_mask(scope, [c.target])
+        return cond & tgt, cond & ~tgt
+    ev = event_mask(scope, c.literals)
+    return ev, ~ev
+
+
+def project_index(scope: Sequence[str], sub: Sequence[str]) -> np.ndarray:
+    """For each state of `scope`, the index of its restriction to `sub`
+    (a state of `sub`, in the order given)."""
+    scope = tuple(scope)
+    k = len(scope)
+    idx = np.arange(1 << k)
+    out = np.zeros(1 << k, dtype=np.int64)
+    for name in sub:
+        if name not in scope:
+            raise ValueError(f"variable {name!r} not in scope {scope}")
+        out = (out << 1) | ((idx >> (k - 1 - scope.index(name))) & 1)
+    return out
+
+
 def marginalize(table: JointTable, subscope: Sequence[str]) -> JointTable:
     """Sum the table down to `subscope`, in the order given."""
     subscope = tuple(subscope)
     if not subscope:
         raise ValueError("empty subscope")
-    k = len(table.scope)
-    idx = np.arange(table.size)
-    sub = np.zeros(table.size, dtype=np.int64)
-    for name in subscope:
-        pos = table.index(name)
-        sub = (sub << 1) | ((idx >> (k - 1 - pos)) & 1)
+    sub = project_index(table.scope, subscope)
     out = np.bincount(sub, weights=table.probs, minlength=1 << len(subscope))
     return JointTable(subscope, out)
 

@@ -4,10 +4,15 @@ Two routes to the same distribution:
 
 * `mce_dual_solve` — exact convex optimization of the dual of the
   cross-entropy objective, constraints encoded as linear equalities.
-* closed-form single-constraint updates — Jeffrey's rule for marginal
-  (cell) constraints and the exponential-tilt rule for conditional
-  constraints — composed by `successive_solve` under a gradient-threshold
-  or round-robin schedule.
+* successive updating — one closed-form rule, `Kernel.apply`, projects a
+  table onto a single constraint, and one loop, `_successive`, applies
+  it under a gradient-threshold or round-robin schedule.  Both
+  constraint kinds read P(a | a or b) = v over index lists (a, b): a
+  conditional tilts the two halves of its conditioning event, and for a
+  cell (b the complement of a) the same tilt gives Jeffrey's rule.
+  `successive_solve` runs the loop on one full-joint table;
+  `engine.solve_decomposed` runs it on clique tables, with propagation
+  across the join tree after each update.
 
 Both assume strictly positive priors away from constraint boundaries;
 boundary values (0 or 1) are applied as hard conditioning.
@@ -17,12 +22,13 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import scipy.optimize
 
-from . import dist
-from .dist import JointTable, PROB_FLOOR, event_mask, residuals
+from . import consistency, dist
+from .dist import JointTable, PROB_FLOOR, residuals
 from .model import (ConditionalConstraint, Constraint, ConstraintSet,
                     MarginalConstraint)
 
@@ -79,123 +85,120 @@ class UpdateTrace:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-def array_checksum(probs: np.ndarray) -> str:
-    return hashlib.sha1(np.round(probs, 12).tobytes()).hexdigest()[:12]
+def array_checksum(probs) -> str:
+    rounded = np.round(np.asarray(probs, dtype=float), 12)
+    return hashlib.sha1(rounded.tobytes()).hexdigest()[:12]
 
 
-def table_checksum(table: JointTable) -> str:
-    return array_checksum(table.probs)
+class Kernel:
+    """One constraint against one table held as a flat list of floats:
+    the state indices `a` where the constraint's event holds and `b`
+    where it fails (see `dist.constraint_sides`).  `table` says which of
+    the solver's tables the constraint lives on."""
 
+    __slots__ = ("constraint", "table", "value", "a", "b")
 
-def jeffrey_raw(probs: np.ndarray, mask: np.ndarray, v: float, label: str = "") -> np.ndarray:
-    """Jeffrey update on a raw probability array; `mask` selects the event."""
-    pe = float(probs[mask].sum())
-    out = np.array(probs)
-    if v > 0.0 and pe < PROB_FLOOR:
-        raise UnreachableConstraintError(f"{label}: event has zero prior probability")
-    if v < 1.0 and 1.0 - pe < PROB_FLOOR:
-        raise UnreachableConstraintError(f"{label}: complement has zero prior probability")
-    if v > 0.0:
-        out[mask] *= v / pe
-    else:
-        out[mask] = 0.0
-    if v < 1.0:
-        out[~mask] *= (1.0 - v) / (1.0 - pe)
-    else:
-        out[~mask] = 0.0
-    return out / out.sum()
+    def __init__(self, c: Constraint, scope: tuple[str, ...], table: int = 0):
+        a, b = dist.constraint_sides(scope, c)
+        self.constraint = c
+        self.table = table
+        self.value = c.value
+        self.a = np.flatnonzero(a).tolist()
+        self.b = np.flatnonzero(b).tolist()
 
+    def residual(self, p: list[float]) -> float | None:
+        """Signed residual, or None when the event has (near) zero mass."""
+        s1 = 0.0
+        for i in self.a:
+            s1 += p[i]
+        s0 = 0.0
+        for i in self.b:
+            s0 += p[i]
+        if s1 + s0 < PROB_FLOOR:
+            return None
+        return s1 / (s1 + s0) - self.value
 
-def conditional_raw(probs: np.ndarray, m1_mask: np.ndarray, m0_mask: np.ndarray,
-                    mu: float, label: str = "") -> np.ndarray:
-    """Exponential-tilt update on a raw array; m1/m0 select the event
-    states where the target holds / fails."""
-    m1 = float(probs[m1_mask].sum())
-    m0 = float(probs[m0_mask].sum())
-    if m1 + m0 < PROB_FLOOR:
-        raise UnreachableConstraintError(
-            f"{label}: conditioning event has zero prior probability")
-    out = np.array(probs)
-    if mu >= 1.0 or mu <= 0.0:
-        # hard conditioning: zero out the excluded half
-        keep_mass, drop = (m1, m0_mask) if mu >= 1.0 else (m0, m1_mask)
-        if keep_mass < PROB_FLOOR:
+    def apply(self, p: list[float]) -> None:
+        """In-place cross-entropy projection onto the constraint.
+
+        States outside a and b keep their relative weights; b is scaled
+        by t^v and a by t^(v-1), where t = ((1-v) * mass(a)) / (v * mass(b)),
+        then the table is renormalized.  Boundary v is hard conditioning.
+        """
+        label = str(self.constraint)
+        s1 = 0.0
+        for i in self.a:
+            s1 += p[i]
+        s0 = 0.0
+        for i in self.b:
+            s0 += p[i]
+        v = self.value
+        if s1 + s0 < PROB_FLOOR:
             raise UnreachableConstraintError(
-                f"{label}: required half of the event has zero mass")
-        out[drop] = 0.0
-        return out / out.sum()
-    if m1 < PROB_FLOOR or m0 < PROB_FLOOR:
-        raise UnreachableConstraintError(
-            f"{label}: prior cannot reach an interior conditional value")
-    t = ((1.0 - mu) * m1) / (mu * m0)
-    out[m0_mask] *= t ** mu
-    out[m1_mask] *= t ** (mu - 1.0)
-    return out / out.sum()
-
-
-def jeffrey_update(prior: JointTable, mc: MarginalConstraint) -> JointTable:
-    """Rescale the event block to mass v and its complement to 1-v.
-
-    This is the cross-entropy projection of the prior onto the single
-    marginal constraint; the constraint holds exactly afterwards.
-    """
-    mask = event_mask(prior.scope, mc.literals)
-    return JointTable(prior.scope, jeffrey_raw(prior.probs, mask, mc.value, str(mc)))
-
-
-def conditional_update(prior: JointTable, cc: ConditionalConstraint) -> JointTable:
-    """Closed-form cross-entropy projection onto P(target|condition) = mu.
-
-    States outside the conditioning event keep their relative weights;
-    inside it, the two halves (target false / target true) are tilted by
-    t^mu and t^(mu-1) where t = ((1-mu) * mass_true) / (mu * mass_false),
-    then everything is renormalized.  Boundary mu is hard conditioning.
-    """
-    scope = prior.scope
-    cond_mask = event_mask(scope, cc.condition)
-    tgt_mask = event_mask(scope, [cc.target])
-    out = conditional_raw(prior.probs, cond_mask & tgt_mask, cond_mask & ~tgt_mask,
-                          cc.value, str(cc))
-    return JointTable(scope, out)
+                f"{label}: conditioning event has zero prior probability")
+        if v >= 1.0 or v <= 0.0:
+            keep_mass, drop = (s1, self.b) if v >= 1.0 else (s0, self.a)
+            if keep_mass < PROB_FLOOR:
+                raise UnreachableConstraintError(
+                    f"{label}: required half of the event has zero mass")
+            for i in drop:
+                p[i] = 0.0
+        else:
+            if s1 < PROB_FLOOR or s0 < PROB_FLOOR:
+                raise UnreachableConstraintError(
+                    f"{label}: prior cannot reach an interior conditional value")
+            t = ((1.0 - v) * s1) / (v * s0)
+            f0 = t ** v
+            f1 = t ** (v - 1.0)
+            for i in self.b:
+                p[i] *= f0
+            for i in self.a:
+                p[i] *= f1
+        total = 0.0
+        for x in p:
+            total += x
+        inv = 1.0 / total
+        for i in range(len(p)):
+            p[i] *= inv
 
 
 def apply_constraint(prior: JointTable, c: Constraint) -> JointTable:
-    if isinstance(c, ConditionalConstraint):
-        return conditional_update(prior, c)
-    return jeffrey_update(prior, c)
+    """Closed-form cross-entropy projection of the prior onto one
+    constraint; the constraint holds exactly afterwards."""
+    p = prior.probs.tolist()
+    Kernel(c, prior.scope).apply(p)
+    return JointTable(prior.scope, p)
+
+
+def jeffrey_update(prior: JointTable, mc: MarginalConstraint) -> JointTable:
+    """Jeffrey's rule: the event block gets mass v and its complement
+    1-v, each rescaled proportionally."""
+    return apply_constraint(prior, mc)
+
+
+def conditional_update(prior: JointTable, cc: ConditionalConstraint) -> JointTable:
+    """Exponential-tilt projection onto P(target|condition) = v; states
+    outside the conditioning event keep their relative weights."""
+    return apply_constraint(prior, cc)
 
 
 class DualProblem:
     """Dual of: minimize KL(p || prior) subject to the constraint set.
 
-    Conditional constraints become homogeneous rows
-    (1-mu)*sum(E & x) - mu*sum(E & ~x) = 0; marginal constraints keep
-    their value on the right-hand side (sum(E) = v).  Normalization is
-    folded into the partition function, so the dual over the row
-    multipliers is smooth and concave with gradient equal to the
-    linear-scale constraint residual.
+    Each constraint is the homogeneous row of `consistency.to_linear`,
+    (1-v)*sum(a) - v*sum(b) = 0.  Normalization is folded into the
+    partition function, so the dual over the row multipliers is smooth
+    and concave with gradient equal to the linear-scale constraint
+    residual.
     """
 
     def __init__(self, prior: JointTable, cs: ConstraintSet):
         self.prior = prior
         self.cs = cs
-        rows, rhs = [], []
-        scope = prior.scope
-        for c in cs:
-            if isinstance(c, ConditionalConstraint):
-                cond = event_mask(scope, c.condition)
-                tgt = event_mask(scope, [c.target])
-                row = np.zeros(prior.size)
-                row[cond & tgt] = 1.0 - c.value
-                row[cond & ~tgt] = -c.value
-                rows.append(row)
-                rhs.append(0.0)
-            else:
-                row = event_mask(scope, c.literals).astype(float)
-                rows.append(row)
-                rhs.append(c.value)
-        self.matrix = np.array(rows) if rows else np.zeros((0, prior.size))
-        self.rhs = np.array(rhs)
+        ls = consistency.to_linear(cs, prior.scope)
+        if len(ls.rows) != len(cs):
+            raise ValueError(f"constraints mention variables outside {prior.scope}")
+        self.matrix = ls.matrix()
 
     def _weights(self, lam: np.ndarray) -> np.ndarray:
         expo = -(self.matrix.T @ lam)
@@ -211,12 +214,12 @@ class DualProblem:
         expo = -(self.matrix.T @ lam)
         shift = expo.max()
         z = np.log(np.sum(self.prior.probs * np.exp(expo - shift))) + shift
-        return float(-(lam @ self.rhs) - z)
+        return float(-z)
 
     def gradient(self, lam: np.ndarray) -> np.ndarray:
         w = self._weights(lam)
         p = w / w.sum()
-        return self.matrix @ p - self.rhs
+        return self.matrix @ p
 
     def hessian(self, lam: np.ndarray) -> np.ndarray:
         """Hessian of the dual: minus the covariance of the rows under
@@ -297,40 +300,87 @@ def mce_dual_solve(prior: JointTable, cs: ConstraintSet,
     return table
 
 
+@dataclass
+class _Run:
+    events: list[TraceEvent]
+    converged: bool
+    cycles: int                     # last cycle that applied an update
+    magnitudes: tuple[float, ...]   # final residual magnitudes, kernel order
+    error: UnreachableConstraintError | None
+
+
+def _successive(probs: list[list[float]], kernels: list[Kernel], opts: SolverOptions,
+                record: bool = True, propagate: Callable[[int], None] | None = None,
+                on_cycle: Callable[[], None] | None = None) -> _Run:
+    """The successive-updating loop over the tables `probs`, in place.
+
+    One cycle is one update per kernel.  The gradient schedule applies
+    the kernel with the largest residual magnitude (ties by kernel
+    order); round-robin applies kernel s at step s of each cycle.  After
+    each update `propagate(table)` may re-calibrate the other tables, and
+    `on_cycle` runs after every cycle that applied an update.  An
+    unreachable constraint stops the loop and is returned, not raised.
+    """
+    tol = opts.tolerance if opts.tolerance is not None else DEFAULT_SUCCESSIVE_TOL
+    round_robin = opts.schedule == SCHEDULE_ROUND_ROBIN
+    n = len(kernels)
+    events: list[TraceEvent] = []
+    converged = n == 0
+    error = None
+    cycle = 0
+    cycles_used = 0
+    while cycle < opts.max_cycles and not converged and error is None:
+        cycle += 1
+        applied_this_cycle = 0
+        for step in range(n):
+            best, best_mag, best_resid = -1, -1.0, None
+            for j, k in enumerate(kernels):
+                r = k.residual(probs[k.table])
+                mag = 1.0 if r is None else abs(r)
+                if mag > best_mag:
+                    best, best_mag, best_resid = j, mag, r
+            if best_mag <= tol:
+                converged = True
+                break
+            if round_robin:
+                best = step
+                best_resid = kernels[step].residual(probs[kernels[step].table])
+            k = kernels[best]
+            try:
+                k.apply(probs[k.table])
+                if propagate is not None:
+                    propagate(k.table)
+            except UnreachableConstraintError as exc:
+                error = exc
+                break
+            applied_this_cycle += 1
+            if record:
+                events.append(TraceEvent(cycle, k.constraint, best_resid,
+                                         array_checksum(probs[k.table])))
+        if applied_this_cycle:
+            cycles_used = cycle
+            if on_cycle is not None:
+                on_cycle()
+    final = [k.residual(probs[k.table]) for k in kernels]
+    mags = tuple(1.0 if r is None else abs(r) for r in final)
+    if error is None and not converged:
+        converged = max(mags, default=0.0) <= tol
+    return _Run(events, converged, cycles_used, mags, error)
+
+
 def successive_solve(prior: JointTable, cs: ConstraintSet,
                      opts: SolverOptions | None = None) -> tuple[JointTable, UpdateTrace]:
-    """Repeatedly apply single-constraint updates until every residual is
-    within tolerance or the cycle limit is hit.
+    """Repeatedly apply single-constraint updates to the full joint until
+    every residual is within tolerance or the cycle limit is hit.
 
     The gradient-threshold schedule picks the constraint with the largest
     current residual magnitude (ties by declaration order); round-robin
     applies constraints in declaration order.  One cycle is one update
-    per constraint.
+    per constraint.  Raises UnreachableConstraintError when an update
+    meets zero mass where its constraint needs some.
     """
-    opts = opts or SolverOptions()
-    tol = opts.tolerance if opts.tolerance is not None else DEFAULT_SUCCESSIVE_TOL
-    table = prior
-    events: list[TraceEvent] = []
-    n = len(cs)
-    if n == 0:
-        return table, UpdateTrace((), True, 0)
-    converged = False
-    cycle = 0
-    while cycle < opts.max_cycles and not converged:
-        cycle += 1
-        for step in range(n):
-            rep = residuals(table, cs)
-            if rep.max_magnitude <= tol:
-                converged = True
-                break
-            if opts.schedule == SCHEDULE_ROUND_ROBIN:
-                entry = rep.entries[step]
-            else:
-                entry = max(rep.entries, key=lambda e: e.magnitude)
-            table = apply_constraint(table, entry.constraint)
-            events.append(TraceEvent(cycle, entry.constraint, entry.residual,
-                                     table_checksum(table)))
-    if not converged:
-        converged = residuals(table, cs).max_magnitude <= tol
-    cycles_used = events[-1].cycle if events else 0
-    return table, UpdateTrace(tuple(events), converged, cycles_used)
+    p = prior.probs.tolist()
+    run = _successive([p], [Kernel(c, prior.scope) for c in cs], opts or SolverOptions())
+    if run.error is not None:
+        raise run.error
+    return JointTable(prior.scope, p), UpdateTrace(tuple(run.events), run.converged, run.cycles)

@@ -15,9 +15,13 @@ import math
 
 import numpy as np
 
-from maxentbn import (ConditionalConstraint, ConstraintSet, Literal,
-                      MarginalConstraint, Model, RipOrder, Variable,
+from maxentbn import (ConditionalConstraint, ConstraintSet, JointTable, Literal,
+                      MarginalConstraint, Model, RipOrder, SolverOptions,
+                      UnreachableConstraintError, UpdateTrace, Variable,
                       parse_model)
+from maxentbn.dist import PROB_FLOOR, event_mask, residuals
+from maxentbn.mce import (DEFAULT_SUCCESSIVE_TOL, SCHEDULE_ROUND_ROBIN,
+                          TraceEvent, array_checksum)
 
 # Directed 2-cycle model: P(A|B)=0.7, P(B|A)=0.8.
 FIG21_TEXT = "vars A B\nP(A|B)=0.7\nP(B|A)=0.8\n"
@@ -302,3 +306,95 @@ def is_chordal(adj: dict[str, set[str]]) -> bool:
         else:
             return False
     return True
+
+
+def jeffrey_raw(probs: np.ndarray, mask: np.ndarray, v: float, label: str = "") -> np.ndarray:
+    """Reference Jeffrey update on a raw array: the event `mask` gets mass
+    v and its complement 1-v, each rescaled proportionally."""
+    pe = float(probs[mask].sum())
+    out = np.array(probs)
+    if v > 0.0 and pe < PROB_FLOOR:
+        raise UnreachableConstraintError(f"{label}: event has zero prior probability")
+    if v < 1.0 and 1.0 - pe < PROB_FLOOR:
+        raise UnreachableConstraintError(f"{label}: complement has zero prior probability")
+    if v > 0.0:
+        out[mask] *= v / pe
+    else:
+        out[mask] = 0.0
+    if v < 1.0:
+        out[~mask] *= (1.0 - v) / (1.0 - pe)
+    else:
+        out[~mask] = 0.0
+    return out / out.sum()
+
+
+def conditional_raw(probs: np.ndarray, m1_mask: np.ndarray, m0_mask: np.ndarray,
+                    mu: float, label: str = "") -> np.ndarray:
+    """Reference exponential-tilt update on a raw array; m1/m0 select the
+    conditioning-event states where the target holds / fails."""
+    m1 = float(probs[m1_mask].sum())
+    m0 = float(probs[m0_mask].sum())
+    if m1 + m0 < PROB_FLOOR:
+        raise UnreachableConstraintError(
+            f"{label}: conditioning event has zero prior probability")
+    out = np.array(probs)
+    if mu >= 1.0 or mu <= 0.0:
+        keep_mass, drop = (m1, m0_mask) if mu >= 1.0 else (m0, m1_mask)
+        if keep_mass < PROB_FLOOR:
+            raise UnreachableConstraintError(
+                f"{label}: required half of the event has zero mass")
+        out[drop] = 0.0
+        return out / out.sum()
+    if m1 < PROB_FLOOR or m0 < PROB_FLOOR:
+        raise UnreachableConstraintError(
+            f"{label}: prior cannot reach an interior conditional value")
+    t = ((1.0 - mu) * m1) / (mu * m0)
+    out[m0_mask] *= t ** mu
+    out[m1_mask] *= t ** (mu - 1.0)
+    return out / out.sum()
+
+
+def oracle_update(prior, c):
+    """Reference single-constraint update: Jeffrey's rule for a cell
+    constraint, the exponential tilt for a conditional one."""
+    scope = prior.scope
+    if isinstance(c, ConditionalConstraint):
+        cond = event_mask(scope, c.condition)
+        tgt = event_mask(scope, [c.target])
+        out = conditional_raw(prior.probs, cond & tgt, cond & ~tgt, c.value, str(c))
+    else:
+        out = jeffrey_raw(prior.probs, event_mask(scope, c.literals), c.value, str(c))
+    return JointTable(scope, out)
+
+
+def successive_solve_oracle(prior, cs, opts=None):
+    """Reference successive updating on the full joint: recompute every
+    residual with `dist.residuals` before each step and apply
+    `oracle_update`.  Returns (table, UpdateTrace)."""
+    opts = opts or SolverOptions()
+    tol = opts.tolerance if opts.tolerance is not None else DEFAULT_SUCCESSIVE_TOL
+    table = prior
+    events = []
+    n = len(cs)
+    if n == 0:
+        return table, UpdateTrace((), True, 0)
+    converged = False
+    cycle = 0
+    while cycle < opts.max_cycles and not converged:
+        cycle += 1
+        for step in range(n):
+            rep = residuals(table, cs)
+            if rep.max_magnitude <= tol:
+                converged = True
+                break
+            if opts.schedule == SCHEDULE_ROUND_ROBIN:
+                entry = rep.entries[step]
+            else:
+                entry = max(rep.entries, key=lambda e: e.magnitude)
+            table = oracle_update(table, entry.constraint)
+            events.append(TraceEvent(cycle, entry.constraint, entry.residual,
+                                     array_checksum(table.probs)))
+    if not converged:
+        converged = residuals(table, cs).max_magnitude <= tol
+    cycles_used = events[-1].cycle if events else 0
+    return table, UpdateTrace(tuple(events), converged, cycles_used)

@@ -170,6 +170,13 @@ class TestQueryVerb:
         assert code == 2
         assert "span multiple cliques" in err
 
+    def test_max_iterations_is_a_usage_error(self, capsys):
+        # query never runs the dual optimizer, so it takes no iteration cap
+        code, _, err = invoke(capsys, "query", "models/mining.cn",
+                              "--event", "A", "--max-iterations", "1")
+        assert code == 2
+        assert "--max-iterations" in err
+
 
 class TestBenchVerb:
     def test_report_shape(self, capsys):

@@ -7,7 +7,7 @@ import helpers
 from maxentbn import (ConstraintSet, JointTable, Literal, NeighborGraph,
                       check_ci, check_mrf, conditional, marginalize,
                       neighbor_graph, residuals, serialize_table, uniform)
-from maxentbn.dist import event_mask, probability
+from maxentbn.dist import constraint_sides, event_mask, probability, project_index
 
 
 def table(scope, values):
@@ -87,6 +87,35 @@ class TestMarginalize:
         via = marginalize(marginalize(t, ("A", "B", "C")), ("A", "C"))
         direct = marginalize(t, ("A", "C"))
         np.testing.assert_allclose(via.probs, direct.probs, atol=1e-12)
+
+
+class TestProjectIndex:
+    def test_matches_bit_by_bit_restriction(self):
+        scope = ("A", "B", "C", "D")
+        for sub in [("C",), ("D", "A"), ("B", "C", "D"), ("D", "C", "B", "A")]:
+            got = project_index(scope, sub)
+            for state in range(16):
+                bits = dict(zip(scope, f"{state:04b}"))
+                assert got[state] == int("".join(bits[n] for n in sub), 2)
+
+    def test_empty_sub_maps_to_zero(self):
+        assert project_index(("A", "B"), ()).tolist() == [0, 0, 0, 0]
+
+    def test_unknown_variable(self):
+        with pytest.raises(ValueError, match="not in scope"):
+            project_index(("A",), ("B",))
+
+
+class TestConstraintSides:
+    def test_conditional_splits_its_event(self):
+        a, b = constraint_sides(("A", "B"), helpers.cc("A", "B", 0.7))
+        assert a.tolist() == [False, False, False, True]
+        assert b.tolist() == [False, True, False, False]
+
+    def test_cell_splits_everything(self):
+        a, b = constraint_sides(("A", "B"), helpers.mc("A,~B", 0.3))
+        assert a.tolist() == [False, False, True, False]
+        assert (b == ~a).all()
 
 
 class TestConditional:

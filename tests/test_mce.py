@@ -275,3 +275,95 @@ class TestOracleEquivalence:
             assert out.probs.min() >= 0.0
             assert out.probs.sum() == pytest.approx(1.0, abs=1e-12)
             assert residuals(out, ConstraintSet((c,))).max_magnitude <= 1e-12
+
+
+class TestKernelAgainstOracle:
+    """The one closed-form rule against the former numpy rules, kept in
+    helpers as oracles: Jeffrey's rule for cells, the tilt for
+    conditionals."""
+
+    @staticmethod
+    def _random_constraint(rng, scope):
+        k = len(scope)
+        value = float(rng.choice([0.0, 1.0, rng.uniform(0.02, 0.98)]))
+        names = list(rng.choice(scope, size=int(rng.integers(1, k + 1)), replace=False))
+        lits = ",".join(("" if rng.integers(2) else "~") + v for v in names)
+        if len(names) == 1 or rng.integers(3) == 0:
+            return helpers.mc(lits, value)
+        target, cond = lits.split(",", 1)
+        return helpers.cc(target, cond, value)
+
+    @staticmethod
+    def _outcome(update, prior, c):
+        try:
+            return update(prior, c).probs
+        except UnreachableConstraintError:
+            return None
+
+    def test_positive_tables(self):
+        rng = np.random.default_rng(41)
+        kinds = set()
+        for trial in range(400):
+            k = int(rng.integers(1, 5))
+            scope = tuple("WXYZ"[:k])
+            prior = JointTable(scope, helpers.random_positive_table(rng, k))
+            c = self._random_constraint(rng, scope)
+            kinds.add((type(c).__name__, c.value in (0.0, 1.0)))
+            got = apply_constraint(prior, c)
+            want = helpers.oracle_update(prior, c)
+            np.testing.assert_allclose(got.probs, want.probs, rtol=0, atol=1e-12,
+                                       err_msg=f"trial {trial}: {c}")
+        assert len(kinds) == 4  # both kinds, interior and boundary values
+
+    def test_tables_with_zeros_raise_alike(self):
+        rng = np.random.default_rng(42)
+        raised = agreed = 0
+        for trial in range(600):
+            k = int(rng.integers(1, 4))
+            scope = tuple("XYZ"[:k])
+            p = helpers.random_positive_table(rng, k)
+            p[rng.random(p.size) < 0.5] = 0.0
+            if p.sum() == 0.0:
+                continue
+            prior = JointTable(scope, p / p.sum())
+            c = self._random_constraint(rng, scope)
+            got = self._outcome(apply_constraint, prior, c)
+            want = self._outcome(helpers.oracle_update, prior, c)
+            assert (got is None) == (want is None), f"trial {trial}: {c} on {p}"
+            if got is None:
+                raised += 1
+            else:
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+                agreed += 1
+        assert raised > 50 and agreed > 50
+
+
+class TestSuccessiveAgainstOracle:
+    """`successive_solve` against the former residuals()-driven loop."""
+
+    @pytest.mark.parametrize("schedule", ["gradient", SCHEDULE_ROUND_ROBIN])
+    @pytest.mark.parametrize("name,max_cycles", [
+        ("fig21", 1000), ("mining", 1000), ("quad", 40),
+        ("ring6/0", 15), ("ring6/1", 15)])
+    def test_trace_matches(self, name, max_cycles, schedule):
+        if name.startswith("ring6"):
+            m = helpers.ring_model(6, int(name.split("/")[1]))
+        else:
+            m = getattr(helpers, name)()
+        opts = SolverOptions(schedule=schedule, max_cycles=max_cycles)
+        prior = uniform(m.names)
+        t, trace = successive_solve(prior, m.constraints, opts)
+        t_ref, trace_ref = helpers.successive_solve_oracle(prior, m.constraints, opts)
+        assert trace.to_tsv() == trace_ref.to_tsv()
+        assert (trace.converged, trace.cycles) == (trace_ref.converged, trace_ref.cycles)
+        np.testing.assert_allclose(t.probs, t_ref.probs, rtol=0, atol=1e-12)
+
+    def test_unreachable_raises(self):
+        m = helpers.contradiction()
+        for schedule in ("gradient", SCHEDULE_ROUND_ROBIN):
+            opts = SolverOptions(schedule=schedule)
+            with pytest.raises(UnreachableConstraintError) as ref:
+                helpers.successive_solve_oracle(uniform(m.names), m.constraints, opts)
+            with pytest.raises(UnreachableConstraintError) as got:
+                successive_solve(uniform(m.names), m.constraints, opts)
+            assert str(got.value) == str(ref.value)
