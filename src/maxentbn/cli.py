@@ -164,8 +164,32 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+# Flags some mode leaves unread parse to None when absent, so that a given
+# one can be refused.  Their defaults; `check --method` is the fill-in search.
+_DEFAULTS = {"trace": False, "schedule": mce.SCHEDULE_GRADIENT, "max_cycles": 1000,
+             "max_iterations": 500, "fill": "greedy", "method": "greedy", "seed": 0}
+_UNREAD = {"solve --method dual": ("trace", "schedule", "max_cycles", "fill", "seed"),
+           "solve --method successive": ("max_iterations", "fill", "seed"),
+           "solve --method decomposed": ("max_iterations",),
+           "check without --local": ("method", "seed")}
+
+
+class _Parser(argparse.ArgumentParser):
+    def parse_args(self, args=None, namespace=None):
+        """Parse, refuse the flags the chosen mode does not read, then fill
+        in the defaults of those left unset."""
+        ns = super().parse_args(args, namespace)
+        mode = (f"solve --method {ns.method}" if ns.verb == "solve" else
+                "check without --local" if ns.verb == "check" and not ns.local else "")
+        given = [f for f in _UNREAD.get(mode, ()) if getattr(ns, f) is not None]
+        if given:
+            self.error(f"{mode} does not read --{', --'.join(given).replace('_', '-')}")
+        vars(ns).update((f, v) for f, v in _DEFAULTS.items() if getattr(ns, f, v) is None)
+        return ns
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="maxentbn",
         description="Max-entropy distributions for constraint networks with "
                     "directed cycles: solving, decomposition, consistency "
@@ -174,9 +198,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_solver_flags(p):
         p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--max-cycles", type=int, default=1000, dest="max_cycles")
+        p.add_argument("--max-cycles", type=int, default=None, dest="max_cycles")
         p.add_argument("--schedule", choices=[mce.SCHEDULE_GRADIENT, mce.SCHEDULE_ROUND_ROBIN],
-                       default=mce.SCHEDULE_GRADIENT)
+                       default=None)
 
     p = sub.add_parser("validate", help="parse a model and report scope-rule warnings")
     p.add_argument("model")
@@ -189,8 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="full state-space check (default)")
     mode.add_argument("--local", dest="local", action="store_true",
                       help="clique-local check over a decomposition")
-    p.add_argument("--method", choices=["greedy", "anneal"], default="greedy")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--method", choices=["greedy", "anneal"], default=None)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--witness", action="store_true", help="print witness tables")
     p.set_defaults(func=_cmd_check)
 
@@ -213,11 +237,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("--method", choices=["dual", "successive", "decomposed"],
                    default="decomposed")
-    p.add_argument("--fill", choices=["greedy", "anneal"], default="greedy")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trace", action="store_true")
+    p.add_argument("--fill", choices=["greedy", "anneal"], default=None)
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--trace", action="store_true", default=None)
     p.add_argument("--format", choices=["text", "tsv"], default="text")
-    p.add_argument("--max-iterations", type=int, default=500, dest="max_iterations",
+    p.add_argument("--max-iterations", type=int, default=None, dest="max_iterations",
                    help="dual optimizer iterations (--method dual)")
     add_solver_flags(p)
     p.set_defaults(func=_cmd_solve)

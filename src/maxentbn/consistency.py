@@ -126,26 +126,32 @@ def project_space(ss: SolutionSpace, subscope: Sequence[str]) -> SolutionSpace:
 
 def rank_nontrivial(ls: LinearSystem) -> bool:
     """The necessary condition: the homogeneous system admits a nonzero
-    solution (otherwise no distribution can satisfy the constraints)."""
-    return solution_space(ls).dimension > 0
+    solution (otherwise no distribution can satisfy the constraints).
+    Decided as `solution_space` would, from the singular values alone: the
+    rank, counted above NULLSPACE_TOL times the largest, is below the
+    number of states."""
+    s = scipy.linalg.svdvals(ls.matrix())
+    return int(np.sum(s > NULLSPACE_TOL * np.amax(s, initial=0.0))) < ls.size
 
 
-def _solve_feasible(a_eq: np.ndarray, b_eq: np.ndarray, n: int) -> np.ndarray | None:
+def _solve_feasible(a_eq: np.ndarray, b_eq: np.ndarray) -> np.ndarray | None:
     """Nonnegative solution of a_eq x = b_eq, or None.
 
-    Among feasible points, maximizes the smallest entry so witnesses stay
-    interior whenever the constraints allow it (a pure vertex solution
-    may park whole conditioning events at zero mass).
+    Among feasible points, maximizes the smallest entry t so witnesses
+    stay interior whenever the constraints allow it (a pure vertex
+    solution may park whole conditioning events at zero mass).  Written
+    as x = y + t*1 with y >= 0, the bounds t <= x_j need no rows: the LP
+    is a_eq y + (a_eq 1) t = b_eq with 0 <= t <= 1, and x is y + t.
     """
-    a_aug = np.hstack([a_eq, np.zeros((a_eq.shape[0], 1))])
-    a_ub = np.hstack([-np.eye(n), np.ones((n, 1))])  # t <= x_j for all j
+    n = a_eq.shape[1]
+    a_aug = np.hstack([a_eq, a_eq.sum(axis=1, keepdims=True)])
     c = np.zeros(n + 1)
     c[-1] = -1.0
     res = scipy.optimize.linprog(
-        c=c, A_eq=a_aug, b_eq=b_eq, A_ub=a_ub, b_ub=np.zeros(n),
+        c=c, A_eq=a_aug, b_eq=b_eq,
         bounds=[(0.0, None)] * n + [(0.0, 1.0)], method="highs")
     if res.status == 0:
-        return np.maximum(res.x[:n], 0.0)
+        return np.maximum(res.x[:n] + res.x[-1], 0.0)
     if res.status == 2:
         return None
     raise RuntimeError(f"feasibility solve failed: {res.message}")
@@ -186,7 +192,7 @@ def _tree_witnesses(systems: Sequence[LinearSystem], anchors: Sequence[int | Non
             rows.append(block(i, marginalization_matrix(si, sep))
                         - block(j, marginalization_matrix(systems[j].scope, sep)))
             rhs += [0.0] * (1 << len(sep))
-    x = _solve_feasible(np.vstack(rows), np.array(rhs), int(offs[-1]))
+    x = _solve_feasible(np.vstack(rows), np.array(rhs))
     if x is None:
         return None
     parts = [x[offs[i]:offs[i + 1]] for i in range(len(systems))]

@@ -6,8 +6,7 @@ search), triangulation of the neighbor graph by vertex elimination --
 greedy minimum fill, or simulated annealing over elimination orderings --
 that keeps the total clique state space small, and a generalized
 d-separation test that remains valid when the directed network contains
-cycles.  Apart from d-separation, every routine here is polynomial in the
-size of its graph.
+cycles.  Every routine here is polynomial in the size of its graph.
 """
 
 from __future__ import annotations
@@ -287,31 +286,34 @@ def fill_in_anneal(g: NeighborGraph, opts: AnnealOptions | None = None) -> Decom
     return _decomposition(g, *best)
 
 
+def _reach(start: Iterable, step: Callable[[object], set]) -> set:
+    """`start` and everything reached from it by repeated `step`s."""
+    seen, frontier = set(start), list(start)
+    while frontier:
+        new = step(frontier.pop()) - seen
+        seen |= new
+        frontier += new
+    return seen
+
+
 def descendants(net: BeliefNetwork, x: str) -> frozenset[str]:
     """All variables reachable from x along directed paths of length >= 1;
     includes x itself only when x lies on a directed cycle."""
     if x not in net.nodes:
         raise ValueError(f"unknown variable {x!r}")
-    out: set[str] = set()
-    frontier = list(net.children(x))
-    while frontier:
-        v = frontier.pop()
-        if v in out:
-            continue
-        out.add(v)
-        frontier.extend(net.children(v))
-    return frozenset(out)
+    return frozenset(_reach(net.children(x), net.children))
 
 
 def d_separated(net: BeliefNetwork, x: str, y: str, se: Iterable[str] = ()) -> bool:
     """Generalized d-separation, valid on graphs with directed cycles.
 
-    Paths are simple undirected node sequences; where both arc directions
-    exist between consecutive nodes, each choice counts as a distinct
-    path.  A path is blocked when some pair of successive links is
-    blocked: head-to-tail or tail-to-tail at z needs z in the separating
-    set, head-to-head at z needs z and all its descendants outside it.
-    Single-link paths have no link pair and are never blocked.
+    True when no trail joins x and y on which every head-to-head node is
+    in `se` or an ancestor of a node in it and every other inner node is
+    outside `se` (each arc of a two-way pair is a link; self-arcs change
+    nothing).  Decided in linear time by Bayes-ball (Shachter 1998, UAI;
+    valid on cyclic graphs by Spirtes 1995, UAI): a walk from x over
+    states (node, entered along an arc into it), passing a head-to-head
+    ancestor of `se` by the detour down to `se` and back.
     """
     se = frozenset(se)
     if x == y:
@@ -322,54 +324,21 @@ def d_separated(net: BeliefNetwork, x: str, y: str, se: Iterable[str] = ()) -> b
         if v not in net.nodes:
             raise ValueError(f"unknown variable {v!r}")
 
-    und: dict[str, set[str]] = {v: set() for v in net.nodes}
+    parents: dict[str, set[str]] = {v: set() for v in net.nodes}
+    children: dict[str, set[str]] = {v: set() for v in net.nodes}
     for u, v in net.edges:
-        und[u].add(v)
-        und[v].add(u)
-    desc_hits = {v: bool(({v} | descendants(net, v)) & se) for v in net.nodes}
+        children[u].add(v)
+        parents[v].add(u)
 
-    def directions(u: str, v: str) -> list[bool]:
-        # True: arrow u -> v (head at v); one entry per existing arc
-        out = []
-        if (u, v) in net.edges:
-            out.append(True)
-        if (v, u) in net.edges:
-            out.append(False)
-        return out
+    def step(state: tuple[str, bool]) -> set[tuple[str, bool]]:
+        # out-arcs are open unless z is in se; in-arcs are open when z in
+        # se was entered along an in-arc, or z outside se was not
+        z, into = state
+        up = {(w, False) for w in parents[z]} if (z in se) == into else set()
+        return up if z in se else up | {(w, True) for w in children[z]}
 
-    def link_path_unblocked(nodes: list[str]) -> bool:
-        options = [directions(nodes[i], nodes[i + 1]) for i in range(len(nodes) - 1)]
-        for combo in itertools.product(*options):
-            blocked = False
-            for i in range(1, len(nodes) - 1):
-                into_z = combo[i - 1]          # previous link points into z
-                out_of_z = combo[i]            # next link points away from z
-                z = nodes[i]
-                if into_z and not out_of_z:    # head-to-head at z
-                    if not desc_hits[z]:
-                        blocked = True
-                        break
-                else:                          # head-to-tail or tail-to-tail
-                    if z in se:
-                        blocked = True
-                        break
-            if not blocked:
-                return True
-        return False
-
-    stack: list[list[str]] = [[x]]
-    while stack:
-        path = stack.pop()
-        last = path[-1]
-        for w in sorted(und[last]):
-            if w in path:
-                continue
-            if w == y:
-                if link_path_unblocked(path + [w]):
-                    return False
-            else:
-                stack.append(path + [w])
-    return True
+    # from (x, False) every link out of x is open, since x is not in se
+    return all(z != y for z, _ in _reach({(x, False)}, step))
 
 
 def decompose(model: Model, method: str = "greedy",

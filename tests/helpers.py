@@ -14,11 +14,14 @@ import itertools
 import math
 
 import numpy as np
+import scipy.linalg
+import scipy.optimize
 
-from maxentbn import (ConditionalConstraint, ConstraintSet, JointTable, Literal,
-                      MarginalConstraint, Model, RipOrder, SolverOptions,
-                      UnreachableConstraintError, UpdateTrace, Variable,
-                      parse_model)
+from maxentbn import (BeliefNetwork, ConditionalConstraint, ConstraintSet,
+                      JointTable, Literal, MarginalConstraint, Model, RipOrder,
+                      SolverOptions, UnreachableConstraintError, UpdateTrace,
+                      Variable, descendants, parse_model)
+from maxentbn.consistency import NULLSPACE_TOL
 from maxentbn.dist import PROB_FLOOR, event_mask, residuals
 from maxentbn.mce import (DEFAULT_SUCCESSIVE_TOL, SCHEDULE_ROUND_ROBIN,
                           TraceEvent, array_checksum)
@@ -398,3 +401,138 @@ def successive_solve_oracle(prior, cs, opts=None):
         converged = residuals(table, cs).max_magnitude <= tol
     cycles_used = events[-1].cycle if events else 0
     return table, UpdateTrace(tuple(events), converged, cycles_used)
+
+
+def d_separated_paths(net, x: str, y: str, se=()) -> bool:
+    """Reference generalized d-separation by enumeration: every simple
+    undirected x-y path, and every arc-direction choice on it where both
+    directions exist, is tested link pair by link pair.  Head-to-head at
+    z needs z or a descendant of z in `se`; any other meeting needs z
+    outside it.  Exponential in the graph's size."""
+    se = frozenset(se)
+    und: dict[str, set[str]] = {v: set() for v in net.nodes}
+    for u, v in net.edges:
+        und[u].add(v)
+        und[v].add(u)
+    desc_hits = {v: bool(({v} | descendants(net, v)) & se) for v in net.nodes}
+
+    def directions(u: str, v: str) -> list[bool]:
+        # True: arrow u -> v (head at v); one entry per existing arc
+        out = []
+        if (u, v) in net.edges:
+            out.append(True)
+        if (v, u) in net.edges:
+            out.append(False)
+        return out
+
+    def link_path_unblocked(nodes: list[str]) -> bool:
+        options = [directions(nodes[i], nodes[i + 1]) for i in range(len(nodes) - 1)]
+        for combo in itertools.product(*options):
+            blocked = False
+            for i in range(1, len(nodes) - 1):
+                into_z = combo[i - 1]          # previous link points into z
+                out_of_z = combo[i]            # next link points away from z
+                z = nodes[i]
+                if into_z and not out_of_z:    # head-to-head at z
+                    if not desc_hits[z]:
+                        blocked = True
+                        break
+                else:                          # head-to-tail or tail-to-tail
+                    if z in se:
+                        blocked = True
+                        break
+            if not blocked:
+                return True
+        return False
+
+    stack: list[list[str]] = [[x]]
+    while stack:
+        path = stack.pop()
+        last = path[-1]
+        for w in sorted(und[last]):
+            if w in path:
+                continue
+            if w == y:
+                if link_path_unblocked(path + [w]):
+                    return False
+            else:
+                stack.append(path + [w])
+    return True
+
+
+def moral_separated(net, x: str, y: str, se=()) -> bool:
+    """Reference separation by the moral-ancestral criterion: `se`
+    separates x from y in the moral graph of the ancestral set of
+    {x, y} and `se` (Lauritzen et al. 1990; Spirtes 1995 for directed
+    graphs with cycles)."""
+    parents: dict[str, set[str]] = {v: set() for v in net.nodes}
+    for u, v in net.edges:
+        if u != v:
+            parents[v].add(u)
+    anc, stack = set(), [x, y, *se]
+    while stack:
+        v = stack.pop()
+        if v not in anc:
+            anc.add(v)
+            stack.extend(parents[v])
+    moral: dict[str, set[str]] = {v: set() for v in anc}
+    for v in anc:
+        for u, w in itertools.combinations(sorted(parents[v] | {v}), 2):
+            moral[u].add(w)
+            moral[w].add(u)
+    seen, stack = {x, *se}, [x]
+    while stack:
+        for w in moral[stack.pop()]:
+            if w == y:
+                return False
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return True
+
+
+def random_digraph(rng: np.random.Generator, n: int):
+    """Random directed graph on n nodes: each pair is unjoined, joined one
+    way, or joined both ways, and a node may carry a self-arc, so
+    directed cycles and nodes that are their own descendants are
+    common."""
+    names = tuple("ABCDEFGH"[:n])
+    edges = set()
+    for u, v in itertools.combinations(names, 2):
+        kind = rng.random()
+        if kind < 0.2:
+            edges |= {(u, v), (v, u)}
+        elif kind < 0.35:
+            edges.add((u, v))
+        elif kind < 0.5:
+            edges.add((v, u))
+    edges |= {(v, v) for v in names if rng.random() < 0.1}
+    return BeliefNetwork(names, frozenset(edges))
+
+
+def solve_feasible_dense(a_eq: np.ndarray, b_eq: np.ndarray) -> np.ndarray | None:
+    """Reference feasibility LP in its first form: maximize t over
+    (x, t) subject to a_eq x = b_eq, the n rows t <= x_j as a dense
+    (-I | 1) block, x >= 0 and 0 <= t <= 1.  Returns x, or None."""
+    n = a_eq.shape[1]
+    a_aug = np.hstack([a_eq, np.zeros((a_eq.shape[0], 1))])
+    a_ub = np.hstack([-np.eye(n), np.ones((n, 1))])
+    c = np.zeros(n + 1)
+    c[-1] = -1.0
+    res = scipy.optimize.linprog(
+        c=c, A_eq=a_aug, b_eq=b_eq, A_ub=a_ub, b_ub=np.zeros(n),
+        bounds=[(0.0, None)] * n + [(0.0, 1.0)], method="highs")
+    if res.status == 0:
+        return np.maximum(res.x[:n], 0.0)
+    if res.status == 2:
+        return None
+    raise RuntimeError(f"feasibility solve failed: {res.message}")
+
+
+def rank_nontrivial_nullspace(ls) -> bool:
+    """Reference rank pre-test: build the full null-space basis and ask
+    whether it has a column."""
+    m = ls.matrix()
+    if m.shape[0] == 0:
+        return True
+    return scipy.linalg.null_space(m, rcond=NULLSPACE_TOL).shape[1] > 0

@@ -151,6 +151,26 @@ class TestSolve:
         assert code == 1
 
 
+class TestUnreadFlags:
+    # each flag is read by some mode, but not by the one chosen here
+    @pytest.mark.parametrize("argv, flags", [
+        (("solve", "models/fig21.cn", "--method", "dual", "--trace"), ("--trace",)),
+        (("solve", "models/fig21.cn", "--method", "dual", "--schedule", "round-robin",
+          "--max-cycles", "1"), ("--schedule", "--max-cycles")),
+        (("solve", "models/mining.cn", "--method", "successive", "--fill", "anneal",
+          "--seed", "3", "--max-iterations", "1"), ("--max-iterations", "--fill", "--seed")),
+        (("solve", "models/mining.cn", "--method", "decomposed", "--max-iterations", "1"),
+         ("--max-iterations",)),
+        (("check", "models/mining.cn", "--method", "anneal", "--seed", "5"),
+         ("--method", "--seed")),
+    ])
+    def test_usage_error_names_the_flags(self, capsys, argv, flags):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert all(f in err for f in flags), err
+
+
 class TestQueryVerb:
     def test_marginal(self, capsys):
         code, out, _ = invoke(capsys, "query", "models/mining.cn",

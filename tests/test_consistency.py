@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 import helpers
+from maxentbn import consistency
 from maxentbn import (ConstraintSet, JointTable, decompose,
                       global_consistent, local_check, pairwise_consistent,
                       project_space, solution_space, to_linear)
-from maxentbn.consistency import (marginalization_matrix, nonneg_feasible,
-                                  rank_nontrivial)
+from maxentbn.consistency import (LinearRow, LinearSystem, marginalization_matrix,
+                                  nonneg_feasible, rank_nontrivial)
 from maxentbn.dist import marginalize, residuals
 
 
@@ -257,3 +258,79 @@ class TestRankPretest:
         report = global_consistent(helpers.quad())
         assert report.rank_ok is False
         assert report.feasible is None  # skipped; verdict already settled
+
+
+class TestDenseOracles:
+    """The feasibility LP without its -I block and the singular-value rank
+    test decide what the former dense forms decide."""
+
+    @staticmethod
+    def models():
+        rng = np.random.default_rng(44)
+        out = [helpers.fig21(), helpers.mining(), helpers.quad(), helpers.contradiction()]
+        out += [helpers.ring_model(6, s) for s in range(3)]
+        out += [helpers.random_model(rng) for _ in range(80)]
+        return out
+
+    def test_reports_and_witnesses_match(self, monkeypatch):
+        verdicts = {True: 0, False: 0}
+        for m in self.models():
+            d = decompose(m)
+            got = [global_consistent(m), local_check(m, d)]
+            with monkeypatch.context() as mp:
+                mp.setattr(consistency, "_solve_feasible", helpers.solve_feasible_dense)
+                mp.setattr(consistency, "rank_nontrivial", helpers.rank_nontrivial_nullspace)
+                want = [global_consistent(m), local_check(m, d)]
+            for g, w in zip(got, want):
+                assert (g.consistent, g.rank_ok, g.feasible, g.culprit) == \
+                    (w.consistent, w.rank_ok, w.feasible, w.culprit)
+                verdicts[g.consistent] += 1
+                if not g.consistent:
+                    continue
+                for _, table in g.witnesses:
+                    # a witness at t = 0 may leave a conditioning event at
+                    # zero mass, so the rows are checked, not the residuals
+                    rows = to_linear(m.constraints, table.scope).matrix()
+                    assert np.abs(rows @ table.probs).max(initial=0.0) < 1e-8
+                    assert table.probs.min() >= 0.0
+                    assert table.probs.sum() == pytest.approx(1.0, abs=1e-12)
+                # the smallest entry is the LP's optimum t on both sides
+                smallest = min(t.probs.min() for _, t in g.witnesses)
+                assert smallest == pytest.approx(
+                    min(t.probs.min() for _, t in w.witnesses), abs=1e-9)
+        assert verdicts[True] >= 20 and verdicts[False] >= 20
+
+    def test_rank_pretest_matches_null_space(self):
+        # row matrices of every rank, with as many rows as states or more
+        # (as quad has) as well as fewer, and the encodings of random models
+        rng = np.random.default_rng(45)
+        systems = [to_linear(helpers.quad().constraints, ("A", "B"))]
+        for _ in range(150):
+            n = int(rng.integers(1, 4))
+            scope = tuple("ABC"[:n])
+            k = int(rng.integers(1, 2 * (1 << n) + 1))
+            r = int(rng.integers(0, min(k, 1 << n) + 1))
+            m = rng.normal(size=(k, r)) @ rng.normal(size=(r, 1 << n))
+            systems.append(LinearSystem(scope, tuple(LinearRow(row, 0.0, None) for row in m)))
+        for _ in range(60):
+            # as many rows as states or more, one singular value 10^-e and
+            # the others in [0.1, 1]: the rank is full iff 10^-e clears the
+            # relative tolerance NULLSPACE_TOL = 1e-10
+            n = int(rng.integers(1, 4))
+            k = (1 << n) + int(rng.integers(0, 3))
+            u, _ = np.linalg.qr(rng.normal(size=(k, 1 << n)))
+            v, _ = np.linalg.qr(rng.normal(size=(1 << n, 1 << n)))
+            sv = rng.uniform(0.1, 1.0, 1 << n)
+            sv[0] = 10.0 ** -float(rng.choice([4, 6, 8, 12, 14]))
+            systems.append(LinearSystem(tuple("ABC"[:n]), tuple(
+                LinearRow(row, 0.0, None) for row in (u * sv) @ v.T)))
+        for _ in range(60):
+            mdl = helpers.random_model(rng, n_vars=int(rng.integers(2, 4)),
+                                       n_conditionals=8, n_marginals=2)
+            systems.append(to_linear(mdl.constraints, mdl.names))
+        outcomes = {True: 0, False: 0}
+        for ls in systems:
+            got = rank_nontrivial(ls)
+            assert got == helpers.rank_nontrivial_nullspace(ls)
+            outcomes[got] += 1
+        assert min(outcomes.values()) >= 50

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import helpers
-from maxentbn import (AnnealOptions, Hypergraph, NeighborGraph, build_network,
-                      check_ci, d_separated, decompose, descendants,
+from maxentbn import (AnnealOptions, BeliefNetwork, Hypergraph, NeighborGraph,
+                      build_network, check_ci, d_separated, decompose, descendants,
                       fill_in_anneal, fill_in_greedy, graham_acyclic,
                       maximal_cliques, mce_dual_solve, neighbor_graph,
                       parse_graph_text, rip_order, uniform)
@@ -347,6 +347,52 @@ class TestDSeparation:
                                 f"{x} vs {y} given {se}"
                             checked += 1
         assert checked >= 10
+
+    def test_reachability_matches_oracles(self):
+        # every (x, y, se) on random directed graphs with two-way arcs,
+        # self-arcs and directed cycles: the reachability walk answers as
+        # path enumeration and the moral-ancestral criterion do
+        rng = np.random.default_rng(35)
+        verdicts = {True: 0, False: 0}
+        for _ in range(150):
+            net = helpers.random_digraph(rng, int(rng.integers(2, 7)))
+            for x, y in itertools.permutations(net.nodes, 2):
+                rest = [v for v in net.nodes if v not in (x, y)]
+                for r in range(len(rest) + 1):
+                    for se in itertools.combinations(rest, r):
+                        got = d_separated(net, x, y, se)
+                        assert got == helpers.d_separated_paths(net, x, y, se), \
+                            (sorted(net.edges), x, y, se)
+                        assert got == helpers.moral_separated(net, x, y, se), \
+                            (sorted(net.edges), x, y, se)
+                        verdicts[got] += 1
+        assert min(verdicts.values()) >= 2000
+
+    def test_large_cyclic_grid_matches_moral_oracle(self):
+        # a 3 x 20 grid with random arc directions, a quarter of them both
+        # ways: far beyond what path enumeration can answer
+        rng = np.random.default_rng(36)
+        names = [f"G{c}_{r}" for r in range(20) for c in range(3)]
+        edges = set()
+        for r in range(20):
+            for c in range(3):
+                for u, v in ((f"G{c}_{r}", f"G{c + 1}_{r}"), (f"G{c}_{r}", f"G{c}_{r + 1}")):
+                    if v not in names:
+                        continue
+                    kind = rng.random()
+                    if kind < 0.25:
+                        edges |= {(u, v), (v, u)}
+                    else:
+                        edges.add((u, v) if kind < 0.625 else (v, u))
+        net = BeliefNetwork(tuple(names), frozenset(edges))
+        verdicts = {True: 0, False: 0}
+        for _ in range(200):
+            x, y = (str(v) for v in rng.choice(names, size=2, replace=False))
+            se = [v for v in names if v not in (x, y) and rng.random() < 0.3]
+            got = d_separated(net, x, y, se)
+            assert got == helpers.moral_separated(net, x, y, se), (x, y, se)
+            verdicts[got] += 1
+        assert min(verdicts.values()) >= 20
 
     def test_headtohead_overclaims_on_cycles(self):
         # With the C<->D cycle, the max-entropy joint factors over the
