@@ -18,8 +18,8 @@ from .dist import (JointTable, ResidualEntry, ResidualReport, check_ci,
                    check_mrf, conditional, marginalize, probability,
                    residuals, serialize_table, uniform)
 from .mce import (ConvergenceError, SolverOptions, UnreachableConstraintError,
-                  UpdateTrace, conditional_update, jeffrey_update,
-                  mce_dual_solve, successive_solve)
+                  UpdateTrace, conditional_update, mce_dual_solve,
+                  successive_solve)
 from .graphops import (AnnealOptions, Decomposition, Hypergraph, RipOrder,
                        d_separated, decompose, descendants, fill_in_anneal,
                        fill_in_greedy, graham_acyclic, maximal_cliques,
@@ -27,7 +27,6 @@ from .graphops import (AnnealOptions, Decomposition, Hypergraph, RipOrder,
 from .consistency import (ConsistencyReport, LinearSystem, SolutionSpace,
                           global_consistent, local_check, pairwise_consistent,
                           project_space, solution_space, to_linear)
-from .engine import (BenchReport, SolveReport, bench, query, solve_decomposed,
-                     subset_marginal_update)
+from .engine import BenchReport, SolveReport, bench, query, solve_decomposed
 
 __version__ = "0.1.0"

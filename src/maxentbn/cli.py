@@ -165,13 +165,15 @@ def _cmd_bench(args) -> int:
 
 
 # Flags some mode leaves unread parse to None when absent, so that a given
-# one can be refused.  Their defaults; `check --method` is the fill-in search.
+# one can be refused.  Their defaults; `check --method` and `decompose
+# --method` are the fill-in search, which reads --seed only when annealing.
 _DEFAULTS = {"trace": False, "schedule": mce.SCHEDULE_GRADIENT, "max_cycles": 1000,
              "max_iterations": 500, "fill": "greedy", "method": "greedy", "seed": 0}
 _UNREAD = {"solve --method dual": ("trace", "schedule", "max_cycles", "fill", "seed"),
            "solve --method successive": ("max_iterations", "fill", "seed"),
            "solve --method decomposed": ("max_iterations",),
-           "check without --local": ("method", "seed")}
+           "check without --local": ("method", "seed"),
+           "greedy fill-in": ("seed",)}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -181,9 +183,11 @@ class _Parser(argparse.ArgumentParser):
         ns = super().parse_args(args, namespace)
         mode = (f"solve --method {ns.method}" if ns.verb == "solve" else
                 "check without --local" if ns.verb == "check" and not ns.local else "")
-        given = [f for f in _UNREAD.get(mode, ()) if getattr(ns, f) is not None]
-        if given:
-            self.error(f"{mode} does not read --{', --'.join(given).replace('_', '-')}")
+        search = ns.fill if "fill" in ns else getattr(ns, "method", None)
+        for m in (mode, "greedy fill-in" if search in (None, "greedy") else ""):
+            given = [f for f in _UNREAD.get(m, ()) if getattr(ns, f, None) is not None]
+            if given:
+                self.error(f"{m} does not read --{', --'.join(given).replace('_', '-')}")
         vars(ns).update((f, v) for f, v in _DEFAULTS.items() if getattr(ns, f, v) is None)
         return ns
 
@@ -221,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose", help="fill-in, cliques, and RIP order")
     p.add_argument("model")
     p.add_argument("--method", choices=["greedy", "anneal"], default="greedy")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--graph", action="store_true",
                    help="input is a graph file (nodes/edge lines), not a model")
     p.set_defaults(func=_cmd_decompose)
@@ -251,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--event", required=True, help="comma-separated literals, e.g. A,~B")
     p.add_argument("--given", default="")
     p.add_argument("--fill", choices=["greedy", "anneal"], default="greedy")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None)
     add_solver_flags(p)
     p.set_defaults(func=_cmd_query)
 
@@ -259,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("--tol", type=float, default=1e-4)
     p.add_argument("--fill", choices=["greedy", "anneal"], default="greedy")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=_cmd_bench)
 
     return parser

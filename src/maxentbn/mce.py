@@ -6,13 +6,16 @@ Two routes to the same distribution:
   cross-entropy objective, constraints encoded as linear equalities.
 * successive updating — one closed-form rule, `Kernel.apply`, projects a
   table onto a single constraint, and one loop, `_successive`, applies
-  it under a gradient-threshold or round-robin schedule.  Both
-  constraint kinds read P(a | a or b) = v over index lists (a, b): a
-  conditional tilts the two halves of its conditioning event, and for a
-  cell (b the complement of a) the same tilt gives Jeffrey's rule.
-  `successive_solve` runs the loop on one full-joint table;
-  `engine.solve_decomposed` runs it on clique tables, with propagation
-  across the join tree after each update.
+  it under a gradient-threshold or round-robin schedule.  Every table of
+  a solve is a slice of one flat float64 state vector, and every
+  constraint reads P(a | a or b) = v over a pair of index arrays (a, b)
+  into that vector: a conditional tilts the two halves of its
+  conditioning event, and for a cell (b the complement of a) the same
+  tilt gives Jeffrey's rule.  Before each step the loop reads all
+  residuals off one `bincount` over the concatenated index arrays.
+  `successive_solve` runs the loop on a vector that is the full joint;
+  `engine.solve_decomposed` on one that holds the clique tables, with
+  Hugin propagation across the join tree after each update.
 
 Both assume strictly positive priors away from constraint boundaries;
 boundary values (0 or 1) are applied as hard conditioning.
@@ -29,8 +32,7 @@ import scipy.optimize
 
 from . import consistency, dist
 from .dist import JointTable, PROB_FLOOR, residuals
-from .model import (ConditionalConstraint, Constraint, ConstraintSet,
-                    MarginalConstraint)
+from .model import ConditionalConstraint, Constraint, ConstraintSet
 
 DEFAULT_DUAL_TOL = 1e-8
 DEFAULT_SUCCESSIVE_TOL = 1e-4
@@ -91,89 +93,61 @@ def array_checksum(probs) -> str:
 
 
 class Kernel:
-    """One constraint against one table held as a flat list of floats:
-    the state indices `a` where the constraint's event holds and `b`
+    """One constraint on one table, held as the slice `lo:hi` of the
+    solver's flat float64 state vector: `a` and `b` are the vector
+    indices of the table's states where the constraint's event holds and
     where it fails (see `dist.constraint_sides`).  `table` says which of
-    the solver's tables the constraint lives on."""
+    the solver's tables the slice is."""
 
-    __slots__ = ("constraint", "table", "value", "a", "b")
+    __slots__ = ("constraint", "table", "value", "a", "b", "lo", "hi")
 
-    def __init__(self, c: Constraint, scope: tuple[str, ...], table: int = 0):
+    def __init__(self, c: Constraint, scope: tuple[str, ...], table: int = 0,
+                 offset: int = 0):
         a, b = dist.constraint_sides(scope, c)
         self.constraint = c
         self.table = table
         self.value = c.value
-        self.a = np.flatnonzero(a).tolist()
-        self.b = np.flatnonzero(b).tolist()
+        self.lo, self.hi = offset, offset + a.size
+        self.a = np.flatnonzero(a) + offset
+        self.b = np.flatnonzero(b) + offset
 
-    def residual(self, p: list[float]) -> float | None:
-        """Signed residual, or None when the event has (near) zero mass."""
-        s1 = 0.0
-        for i in self.a:
-            s1 += p[i]
-        s0 = 0.0
-        for i in self.b:
-            s0 += p[i]
-        if s1 + s0 < PROB_FLOOR:
-            return None
-        return s1 / (s1 + s0) - self.value
-
-    def apply(self, p: list[float]) -> None:
+    def apply(self, p: np.ndarray) -> None:
         """In-place cross-entropy projection onto the constraint.
 
         States outside a and b keep their relative weights; b is scaled
         by t^v and a by t^(v-1), where t = ((1-v) * mass(a)) / (v * mass(b)),
-        then the table is renormalized.  Boundary v is hard conditioning.
+        then the table's slice is renormalized.  Boundary v is hard
+        conditioning.
         """
-        label = str(self.constraint)
-        s1 = 0.0
-        for i in self.a:
-            s1 += p[i]
-        s0 = 0.0
-        for i in self.b:
-            s0 += p[i]
+        s1 = float(np.add.reduce(p[self.a]))
+        s0 = float(np.add.reduce(p[self.b]))
         v = self.value
         if s1 + s0 < PROB_FLOOR:
             raise UnreachableConstraintError(
-                f"{label}: conditioning event has zero prior probability")
+                f"{self.constraint}: conditioning event has zero prior probability")
         if v >= 1.0 or v <= 0.0:
             keep_mass, drop = (s1, self.b) if v >= 1.0 else (s0, self.a)
             if keep_mass < PROB_FLOOR:
                 raise UnreachableConstraintError(
-                    f"{label}: required half of the event has zero mass")
-            for i in drop:
-                p[i] = 0.0
+                    f"{self.constraint}: required half of the event has zero mass")
+            p[drop] = 0.0
         else:
             if s1 < PROB_FLOOR or s0 < PROB_FLOOR:
                 raise UnreachableConstraintError(
-                    f"{label}: prior cannot reach an interior conditional value")
+                    f"{self.constraint}: prior cannot reach an interior conditional value")
             t = ((1.0 - v) * s1) / (v * s0)
-            f0 = t ** v
-            f1 = t ** (v - 1.0)
-            for i in self.b:
-                p[i] *= f0
-            for i in self.a:
-                p[i] *= f1
-        total = 0.0
-        for x in p:
-            total += x
-        inv = 1.0 / total
-        for i in range(len(p)):
-            p[i] *= inv
+            p[self.b] *= t ** v
+            p[self.a] *= t ** (v - 1.0)
+        table = p[self.lo:self.hi]
+        table *= 1.0 / np.add.reduce(table)
 
 
 def apply_constraint(prior: JointTable, c: Constraint) -> JointTable:
     """Closed-form cross-entropy projection of the prior onto one
     constraint; the constraint holds exactly afterwards."""
-    p = prior.probs.tolist()
+    p = np.array(prior.probs)
     Kernel(c, prior.scope).apply(p)
     return JointTable(prior.scope, p)
-
-
-def jeffrey_update(prior: JointTable, mc: MarginalConstraint) -> JointTable:
-    """Jeffrey's rule: the event block gets mass v and its complement
-    1-v, each rescaled proportionally."""
-    return apply_constraint(prior, mc)
 
 
 def conditional_update(prior: JointTable, cc: ConditionalConstraint) -> JointTable:
@@ -309,21 +283,38 @@ class _Run:
     error: UnreachableConstraintError | None
 
 
-def _successive(probs: list[list[float]], kernels: list[Kernel], opts: SolverOptions,
+def _successive(p: np.ndarray, kernels: list[Kernel], opts: SolverOptions,
                 record: bool = True, propagate: Callable[[int], None] | None = None,
                 on_cycle: Callable[[], None] | None = None) -> _Run:
-    """The successive-updating loop over the tables `probs`, in place.
+    """The successive-updating loop over the state vector `p`, in place.
 
-    One cycle is one update per kernel.  The gradient schedule applies
-    the kernel with the largest residual magnitude (ties by kernel
-    order); round-robin applies kernel s at step s of each cycle.  After
-    each update `propagate(table)` may re-calibrate the other tables, and
-    `on_cycle` runs after every cycle that applied an update.  An
-    unreachable constraint stops the loop and is returned, not raised.
+    One cycle is one update per kernel.  Before each step one scan
+    computes every kernel's residual: the masses of all a and all b
+    sides are two bins per kernel of one `bincount`.  The gradient
+    schedule applies the kernel with the largest residual magnitude
+    (ties by kernel order); round-robin applies kernel s at step s of
+    each cycle.  After each update `propagate(table)` may re-calibrate
+    the other tables, and `on_cycle` runs after every cycle that applied
+    an update.  An unreachable constraint stops the loop and is
+    returned, not raised.
     """
     tol = opts.tolerance if opts.tolerance is not None else DEFAULT_SUCCESSIVE_TOL
     round_robin = opts.schedule == SCHEDULE_ROUND_ROBIN
     n = len(kernels)
+    sides = [k.a for k in kernels] + [k.b for k in kernels]
+    index = np.concatenate(sides) if sides else np.zeros(0, np.intp)
+    bins = np.repeat(np.arange(2 * n), [s.size for s in sides])
+    values = np.array([k.value for k in kernels])
+
+    def scan() -> tuple[np.ndarray, np.ndarray]:
+        """Signed residuals (NaN where undefined) and their magnitudes,
+        1.0 where the event has (near) zero mass."""
+        mass = np.bincount(bins, p[index], 2 * n)
+        s1, total = mass[:n], mass[:n] + mass[n:]
+        defined = total >= PROB_FLOOR
+        r = np.where(defined, s1 / np.maximum(total, PROB_FLOOR) - values, np.nan)
+        return r, np.where(defined, np.abs(r), 1.0)
+
     events: list[TraceEvent] = []
     converged = n == 0
     error = None
@@ -333,21 +324,16 @@ def _successive(probs: list[list[float]], kernels: list[Kernel], opts: SolverOpt
         cycle += 1
         applied_this_cycle = 0
         for step in range(n):
-            best, best_mag, best_resid = -1, -1.0, None
-            for j, k in enumerate(kernels):
-                r = k.residual(probs[k.table])
-                mag = 1.0 if r is None else abs(r)
-                if mag > best_mag:
-                    best, best_mag, best_resid = j, mag, r
-            if best_mag <= tol:
+            r, mags = scan()
+            best = int(mags.argmax())
+            if mags[best] <= tol:
                 converged = True
                 break
             if round_robin:
                 best = step
-                best_resid = kernels[step].residual(probs[kernels[step].table])
             k = kernels[best]
             try:
-                k.apply(probs[k.table])
+                k.apply(p)
                 if propagate is not None:
                     propagate(k.table)
             except UnreachableConstraintError as exc:
@@ -355,14 +341,14 @@ def _successive(probs: list[list[float]], kernels: list[Kernel], opts: SolverOpt
                 break
             applied_this_cycle += 1
             if record:
-                events.append(TraceEvent(cycle, k.constraint, best_resid,
-                                         array_checksum(probs[k.table])))
+                resid = None if np.isnan(r[best]) else float(r[best])
+                events.append(TraceEvent(cycle, k.constraint, resid,
+                                         array_checksum(p[k.lo:k.hi])))
         if applied_this_cycle:
             cycles_used = cycle
             if on_cycle is not None:
                 on_cycle()
-    final = [k.residual(probs[k.table]) for k in kernels]
-    mags = tuple(1.0 if r is None else abs(r) for r in final)
+    mags = tuple(scan()[1].tolist())
     if error is None and not converged:
         converged = max(mags, default=0.0) <= tol
     return _Run(events, converged, cycles_used, mags, error)
@@ -379,8 +365,8 @@ def successive_solve(prior: JointTable, cs: ConstraintSet,
     per constraint.  Raises UnreachableConstraintError when an update
     meets zero mass where its constraint needs some.
     """
-    p = prior.probs.tolist()
-    run = _successive([p], [Kernel(c, prior.scope) for c in cs], opts or SolverOptions())
+    p = np.array(prior.probs)
+    run = _successive(p, [Kernel(c, prior.scope) for c in cs], opts or SolverOptions())
     if run.error is not None:
         raise run.error
     return JointTable(prior.scope, p), UpdateTrace(tuple(run.events), run.converged, run.cycles)

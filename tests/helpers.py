@@ -20,11 +20,13 @@ import scipy.optimize
 from maxentbn import (BeliefNetwork, ConditionalConstraint, ConstraintSet,
                       JointTable, Literal, MarginalConstraint, Model, RipOrder,
                       SolverOptions, UnreachableConstraintError, UpdateTrace,
-                      Variable, descendants, parse_model)
+                      Variable, descendants, parse_model, uniform)
 from maxentbn.consistency import NULLSPACE_TOL
-from maxentbn.dist import PROB_FLOOR, event_mask, residuals
+from maxentbn.dist import (PROB_FLOOR, constraint_sides, event_mask, project_index,
+                           residuals)
+from maxentbn.engine import _assign_constraints, _join_edges
 from maxentbn.mce import (DEFAULT_SUCCESSIVE_TOL, SCHEDULE_ROUND_ROBIN,
-                          TraceEvent, array_checksum)
+                          TraceEvent, apply_constraint, array_checksum)
 
 # Directed 2-cycle model: P(A|B)=0.7, P(B|A)=0.8.
 FIG21_TEXT = "vars A B\nP(A|B)=0.7\nP(B|A)=0.8\n"
@@ -401,6 +403,156 @@ def successive_solve_oracle(prior, cs, opts=None):
         converged = residuals(table, cs).max_magnitude <= tol
     cycles_used = events[-1].cycle if events else 0
     return table, UpdateTrace(tuple(events), converged, cycles_used)
+
+
+def jeffrey_update(prior, mc):
+    """Jeffrey's rule by the package's update rule: the event block gets
+    mass v and its complement 1-v, each rescaled proportionally."""
+    return apply_constraint(prior, mc)
+
+
+def subset_marginal_update(table, new_marginal):
+    """Reference partial Jeffrey update: scale each block of the table so
+    its marginal on the subscope equals `new_marginal`; conditionals
+    within each block are untouched."""
+    sub = new_marginal.scope
+    if not set(sub) <= set(table.scope):
+        raise ValueError(f"{sub} is not a subscope of {table.scope}")
+    subidx = project_index(table.scope, sub)
+    current = np.bincount(subidx, weights=table.probs, minlength=new_marginal.probs.size)
+    target = new_marginal.probs
+    if np.any((target > PROB_FLOOR) & (current < PROB_FLOOR)):
+        raise UnreachableConstraintError(
+            "new marginal is positive where the current marginal is zero")
+    factors = np.divide(target, current, out=np.zeros_like(target),
+                        where=current > 0.0)
+    out = table.probs * factors[subidx]
+    return JointTable(table.scope, out / out.sum())
+
+
+class _ListKernel:
+    """Reference single-constraint update on a table held as a list of
+    floats, with index lists (a, b) from `dist.constraint_sides`."""
+
+    def __init__(self, c, scope, table):
+        a, b = constraint_sides(scope, c)
+        self.constraint, self.table, self.value = c, table, c.value
+        self.a = np.flatnonzero(a).tolist()
+        self.b = np.flatnonzero(b).tolist()
+
+    def masses(self, p):
+        s1 = 0.0
+        for i in self.a:
+            s1 += p[i]
+        s0 = 0.0
+        for i in self.b:
+            s0 += p[i]
+        return s1, s0
+
+    def residual(self, p):
+        s1, s0 = self.masses(p)
+        return None if s1 + s0 < PROB_FLOOR else s1 / (s1 + s0) - self.value
+
+    def apply(self, p):
+        s1, s0 = self.masses(p)
+        v, label = self.value, str(self.constraint)
+        if s1 + s0 < PROB_FLOOR:
+            raise UnreachableConstraintError(
+                f"{label}: conditioning event has zero prior probability")
+        if v >= 1.0 or v <= 0.0:
+            keep_mass, drop = (s1, self.b) if v >= 1.0 else (s0, self.a)
+            if keep_mass < PROB_FLOOR:
+                raise UnreachableConstraintError(
+                    f"{label}: required half of the event has zero mass")
+            for i in drop:
+                p[i] = 0.0
+        else:
+            if s1 < PROB_FLOOR or s0 < PROB_FLOOR:
+                raise UnreachableConstraintError(
+                    f"{label}: prior cannot reach an interior conditional value")
+            t = ((1.0 - v) * s1) / (v * s0)
+            f0, f1 = t ** v, t ** (v - 1.0)
+            for i in self.b:
+                p[i] *= f0
+            for i in self.a:
+                p[i] *= f1
+        inv = 1.0 / sum(p)
+        p[:] = [x * inv for x in p]
+
+
+def solve_decomposed_oracle(model, d, opts=None):
+    """Reference decomposed successive updating on lists of floats: every
+    residual recomputed before each step, and after each update a
+    depth-first pass that marginalizes both cliques of every separator
+    afresh, skips a separator whose two marginals agree to 1e-15 (and
+    the subtree behind it), and renormalizes each receiving clique.
+    Returns (clique tables, UpdateTrace without checksums, error or
+    None)."""
+    opts = opts or SolverOptions()
+    tol = opts.tolerance if opts.tolerance is not None else DEFAULT_SUCCESSIVE_TOL
+    scopes = [model.ordered_scope(c) for c in d.rip.order]
+    probs = [uniform(s).probs.tolist() for s in scopes]
+    kernels = [_ListKernel(c, scopes[h], h)
+               for c, h in zip(model.constraints, _assign_constraints(model, d))]
+    adjacency = {}
+    for e in _join_edges(model, d):
+        if e.separator:
+            sub_c = project_index(scopes[e.child], e.separator).tolist()
+            sub_p = project_index(scopes[e.parent], e.separator).tolist()
+            ns = 1 << len(e.separator)
+            adjacency.setdefault(e.child, []).append((e.parent, sub_c, sub_p, ns))
+            adjacency.setdefault(e.parent, []).append((e.child, sub_p, sub_c, ns))
+
+    def propagate(start):
+        stack = [(start, -1)]
+        while stack:
+            node, came = stack.pop()
+            for other, sub_n, sub_o, ns in adjacency.get(node, ()):
+                if other == came:
+                    continue
+                marg_n, marg_o = [0.0] * ns, [0.0] * ns
+                for i, s in enumerate(sub_n):
+                    marg_n[s] += probs[node][i]
+                for i, s in enumerate(sub_o):
+                    marg_o[s] += probs[other][i]
+                if max(abs(a - b) for a, b in zip(marg_n, marg_o)) <= 1e-15:
+                    continue
+                for a, b in zip(marg_n, marg_o):
+                    if a > PROB_FLOOR and b < PROB_FLOOR:
+                        raise UnreachableConstraintError(
+                            "separator marginal is positive where the "
+                            "receiving clique has zero mass")
+                factors = [a / b if b > 0.0 else 0.0 for a, b in zip(marg_n, marg_o)]
+                po = [x * factors[s] for x, s in zip(probs[other], sub_o)]
+                inv = 1.0 / sum(po)
+                probs[other] = [x * inv for x in po]
+                stack.append((other, node))
+
+    events, error, converged = [], None, not kernels
+    cycle = cycles_used = 0
+    while cycle < opts.max_cycles and not converged and error is None:
+        cycle += 1
+        for step in range(len(kernels)):
+            resids = [k.residual(probs[k.table]) for k in kernels]
+            mags = [1.0 if r is None else abs(r) for r in resids]
+            best = step if opts.schedule == SCHEDULE_ROUND_ROBIN else mags.index(max(mags))
+            if max(mags) <= tol:
+                converged = True
+                break
+            k = kernels[best]
+            try:
+                k.apply(probs[k.table])
+                propagate(k.table)
+            except UnreachableConstraintError as exc:
+                error = str(exc)
+                break
+            events.append(TraceEvent(cycle, k.constraint, resids[best], ""))
+            cycles_used = cycle
+    if error is None and not converged:
+        converged = all((1.0 if r is None else abs(r)) <= tol
+                        for r in (k.residual(probs[k.table]) for k in kernels))
+    tables = [JointTable(s, np.array(p) / sum(p)) for s, p in zip(scopes, probs)]
+    return tables, UpdateTrace(tuple(events), converged, cycles_used), error
 
 
 def d_separated_paths(net, x: str, y: str, se=()) -> bool:

@@ -170,6 +170,20 @@ class TestUnreadFlags:
         assert out == ""
         assert all(f in err for f in flags), err
 
+    # only annealing reads --seed
+    @pytest.mark.parametrize("argv", [
+        ("solve", "models/mining.cn", "--seed", "3"),
+        ("query", "models/mining.cn", "--event", "A", "--fill", "greedy", "--seed", "3"),
+        ("bench", "models/fig21.cn", "--seed", "3"),
+        ("decompose", "models/mining.cn", "--seed", "9"),
+        ("check", "models/mining.cn", "--local", "--method", "greedy", "--seed", "5"),
+    ])
+    def test_seed_with_greedy_fill_in(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "greedy fill-in does not read --seed" in err
+
 
 class TestQueryVerb:
     def test_marginal(self, capsys):

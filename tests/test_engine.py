@@ -1,11 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import helpers
+from helpers import subset_marginal_update
 from maxentbn import (JointTable, Literal, SolverOptions, bench, check_ci,
                       check_mrf, decompose, global_consistent, marginalize,
                       mce_dual_solve, neighbor_graph, query, solve_decomposed,
-                      subset_marginal_update, successive_solve, uniform)
+                      successive_solve, uniform)
 from maxentbn.dist import residuals
 from maxentbn.mce import (SCHEDULE_ROUND_ROBIN, UnreachableConstraintError,
                          apply_constraint)
@@ -14,6 +17,13 @@ from maxentbn.model import ConstraintSet
 
 def fs(*names):
     return frozenset(names)
+
+
+def unreachable_model():
+    return helpers.model_of(
+        "ABC",
+        helpers.cc("B", "A", 1.0), helpers.cc("B", "~A", 1.0),
+        helpers.cc("C", "~B", 0.5), helpers.mc("~B", 0.0))
 
 
 class TestSubsetMarginalUpdate:
@@ -268,13 +278,69 @@ class TestSolveDecomposed:
         assert check_ci(joint, "A", "B", ("C", "D"), tol=1e-6)
 
     def test_unreachable_constraint_reported(self):
-        m = helpers.model_of(
-            "ABC",
-            helpers.cc("B", "A", 1.0), helpers.cc("B", "~A", 1.0),
-            helpers.cc("C", "~B", 0.5), helpers.mc("~B", 0.0))
+        m = unreachable_model()
         d = decompose(m)
         report = solve_decomposed(m, d, SolverOptions(max_cycles=50))
         assert report.error is not None or not report.converged
+
+
+class TestDecomposedAgainstOracle:
+    """`solve_decomposed` against the former list loop, which marginalizes
+    both cliques of every separator afresh after each update."""
+
+    @staticmethod
+    def agree(m, opts):
+        d = decompose(m)
+        report = solve_decomposed(m, d, opts)
+        tables, trace, error = helpers.solve_decomposed_oracle(m, d, opts)
+        got, want = report.trace.events, trace.events
+        assert [str(e.constraint) for e in got] == [str(e.constraint) for e in want]
+        assert ((report.cycles, report.converged, report.error)
+                == (trace.cycles, trace.converged, error))
+        assert ([e.residual_before is None for e in got]
+                == [e.residual_before is None for e in want])
+        for a, b in zip(got, want):
+            if a.residual_before is not None:
+                assert a.residual_before == pytest.approx(b.residual_before, rel=0, abs=1e-12)
+        for state, table in zip(report.cliques, tables):
+            np.testing.assert_allclose(state.table.probs, table.probs, rtol=0, atol=1e-12)
+        return report
+
+    @pytest.mark.parametrize("schedule", ["gradient", SCHEDULE_ROUND_ROBIN])
+    @pytest.mark.parametrize("name,max_cycles", [
+        ("fig21", 1000), ("mining", 1000), ("quad", 40), ("contradiction", 1000),
+        ("unreachable", 50), ("ring6/0", 80), ("ring6/1", 15), ("ring6/2", 15),
+        ("ring8/0", 10), ("ring8/1", 10), ("ring8/2", 10)])
+    def test_trace_matches(self, name, max_cycles, schedule):
+        if name.startswith("ring"):
+            n, seed = name[4:].split("/")
+            m = helpers.ring_model(int(n), int(seed))
+        elif name == "unreachable":
+            m = unreachable_model()
+        else:
+            m = getattr(helpers, name)()
+        report = self.agree(m, SolverOptions(schedule=schedule, max_cycles=max_cycles))
+        if report.error is None:
+            for e in report.join_edges:
+                child = marginalize(report.cliques[e.child].table, e.separator)
+                parent = marginalize(report.cliques[e.parent].table, e.separator)
+                np.testing.assert_allclose(child.probs, parent.probs, rtol=0, atol=1e-12)
+
+    def test_random_models(self):
+        # every third model has one value moved to the boundary, 0 or 1
+        rng = np.random.default_rng(61)
+        outcomes = set()
+        for i in range(50):
+            m = helpers.random_model(rng)
+            if i % 3 == 0:
+                cs = list(m.constraints)
+                j = int(rng.integers(len(cs)))
+                cs[j] = dataclasses.replace(cs[j], value=float(rng.integers(2)))
+                m = helpers.Model(m.variables, ConstraintSet(tuple(cs)))
+            for schedule in ("gradient", SCHEDULE_ROUND_ROBIN):
+                report = self.agree(m, SolverOptions(schedule=schedule, max_cycles=20))
+                outcomes.add("error" if report.error else report.converged)
+        assert outcomes == {"error", True, False}
 
 
 class TestQuery:

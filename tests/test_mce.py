@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 import helpers
+from helpers import jeffrey_update
 from maxentbn import (ConstraintSet, ConvergenceError, JointTable, Literal,
                       SolverOptions, UnreachableConstraintError,
-                      conditional_update, jeffrey_update, mce_dual_solve,
+                      conditional_update, mce_dual_solve,
                       residuals, successive_solve, uniform)
 from maxentbn.dist import conditional, probability
 from maxentbn.mce import DualProblem, SCHEDULE_ROUND_ROBIN, apply_constraint
