@@ -24,9 +24,8 @@ from .graphops import (AnnealOptions, Decomposition, Hypergraph, RipOrder,
                        d_separated, decompose, descendants, fill_in_anneal,
                        fill_in_greedy, graham_acyclic, maximal_cliques,
                        parse_graph_text, rip_order)
-from .consistency import (ConsistencyReport, LinearSystem, SolutionSpace,
-                          global_consistent, local_check, pairwise_consistent,
-                          project_space, solution_space, to_linear)
+from .consistency import (ConsistencyReport, LinearSystem, global_consistent,
+                          local_check, pairwise_consistent, to_linear)
 from .engine import BenchReport, SolveReport, bench, query, solve_decomposed
 
 __version__ = "0.1.0"

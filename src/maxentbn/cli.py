@@ -41,10 +41,6 @@ def _names(spec: str | None) -> list[str]:
     return [p.strip() for p in spec.split(",") if p.strip()]
 
 
-def _anneal_opts(args) -> graphops.AnnealOptions:
-    return graphops.AnnealOptions(seed=args.seed)
-
-
 def _solver_opts(args) -> mce.SolverOptions:
     return mce.SolverOptions(
         tolerance=args.tol,
@@ -76,7 +72,7 @@ def _cmd_validate(args) -> int:
 def _cmd_check(args) -> int:
     m = _load_model(args.model)
     if args.local:
-        d = graphops.decompose(m, method=args.method, opts=_anneal_opts(args))
+        d = graphops.decompose(m, method=args.fill, opts=graphops.AnnealOptions(seed=args.seed))
         report = consistency.local_check(m, d)
     else:
         report = consistency.global_consistent(m)
@@ -87,13 +83,13 @@ def _cmd_check(args) -> int:
 def _cmd_decompose(args) -> int:
     if args.graph:
         g = graphops.parse_graph_text(_read(args.model)).as_neighbor_graph()
-        if args.method == "anneal":
-            d = graphops.fill_in_anneal(g, _anneal_opts(args))
+        if args.fill == "anneal":
+            d = graphops.fill_in_anneal(g, graphops.AnnealOptions(seed=args.seed))
         else:
             d = graphops.fill_in_greedy(g)
     else:
         m = _load_model(args.model)
-        d = graphops.decompose(m, method=args.method, opts=_anneal_opts(args))
+        d = graphops.decompose(m, method=args.fill, opts=graphops.AnnealOptions(seed=args.seed))
     print(graphops.format_decomposition(d), end="")
     return 0
 
@@ -122,7 +118,7 @@ def _cmd_solve(args) -> int:
         if args.trace:
             print(trace.to_tsv(), end="")
         return 0 if trace.converged else 1
-    d = graphops.decompose(m, method=args.fill, opts=_anneal_opts(args))
+    d = graphops.decompose(m, method=args.fill, opts=graphops.AnnealOptions(seed=args.seed))
     report = engine.solve_decomposed(m, d, opts)
     for state in report.cliques:
         _print_table(state.table, args.format, label="clique " + ",".join(state.scope))
@@ -139,7 +135,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_query(args) -> int:
     m = _load_model(args.model)
-    d = graphops.decompose(m, method=args.fill, opts=_anneal_opts(args))
+    d = graphops.decompose(m, method=args.fill, opts=graphops.AnnealOptions(seed=args.seed))
     report = engine.solve_decomposed(m, d, _solver_opts(args))
     if not report.converged:
         print("error: solve did not converge", file=sys.stderr)
@@ -158,21 +154,21 @@ def _cmd_query(args) -> int:
 
 def _cmd_bench(args) -> int:
     m = _load_model(args.model)
-    d = graphops.decompose(m, method=args.fill, opts=_anneal_opts(args))
+    d = graphops.decompose(m, method=args.fill, opts=graphops.AnnealOptions(seed=args.seed))
     report, _, _ = engine.bench(m, d, mce.SolverOptions(tolerance=args.tol or 1e-4))
     print(engine.format_bench(report), end="")
     return 0
 
 
 # Flags some mode leaves unread parse to None when absent, so that a given
-# one can be refused.  Their defaults; `check --method` and `decompose
-# --method` are the fill-in search, which reads --seed only when annealing.
+# one can be refused.  Their defaults; the fill-in search reads --seed only
+# when annealing.
 _DEFAULTS = {"trace": False, "schedule": mce.SCHEDULE_GRADIENT, "max_cycles": 1000,
-             "max_iterations": 500, "fill": "greedy", "method": "greedy", "seed": 0}
+             "max_iterations": 500, "fill": "greedy", "seed": 0}
 _UNREAD = {"solve --method dual": ("trace", "schedule", "max_cycles", "fill", "seed"),
            "solve --method successive": ("max_iterations", "fill", "seed"),
            "solve --method decomposed": ("max_iterations",),
-           "check without --local": ("method", "seed"),
+           "check without --local": ("fill", "seed"),
            "greedy fill-in": ("seed",)}
 
 
@@ -183,7 +179,7 @@ class _Parser(argparse.ArgumentParser):
         ns = super().parse_args(args, namespace)
         mode = (f"solve --method {ns.method}" if ns.verb == "solve" else
                 "check without --local" if ns.verb == "check" and not ns.local else "")
-        search = ns.fill if "fill" in ns else getattr(ns, "method", None)
+        search = getattr(ns, "fill", None)
         for m in (mode, "greedy fill-in" if search in (None, "greedy") else ""):
             given = [f for f in _UNREAD.get(m, ()) if getattr(ns, f, None) is not None]
             if given:
@@ -217,14 +213,14 @@ def build_parser() -> argparse.ArgumentParser:
                       help="full state-space check (default)")
     mode.add_argument("--local", dest="local", action="store_true",
                       help="clique-local check over a decomposition")
-    p.add_argument("--method", choices=["greedy", "anneal"], default=None)
+    p.add_argument("--fill", choices=["greedy", "anneal"], default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--witness", action="store_true", help="print witness tables")
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("decompose", help="fill-in, cliques, and RIP order")
     p.add_argument("model")
-    p.add_argument("--method", choices=["greedy", "anneal"], default="greedy")
+    p.add_argument("--fill", choices=["greedy", "anneal"], default="greedy")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--graph", action="store_true",
                    help="input is a graph file (nodes/edge lines), not a model")

@@ -79,29 +79,6 @@ def to_linear(cs: ConstraintSet, scope: Sequence[str]) -> LinearSystem:
     return LinearSystem(scope, tuple(rows))
 
 
-@dataclass(frozen=True)
-class SolutionSpace:
-    scope: tuple[str, ...]
-    basis: np.ndarray  # orthonormal columns spanning the homogeneous solutions
-
-    @property
-    def dimension(self) -> int:
-        return self.basis.shape[1]
-
-    def contains(self, vector: np.ndarray, tol: float = 1e-9) -> bool:
-        v = np.asarray(vector, dtype=float)
-        resid = v - self.basis @ (self.basis.T @ v)
-        return bool(np.abs(resid).max() <= tol * max(1.0, np.abs(v).max()))
-
-
-def solution_space(ls: LinearSystem) -> SolutionSpace:
-    m = ls.matrix()
-    if m.shape[0] == 0:
-        return SolutionSpace(ls.scope, np.eye(ls.size))
-    basis = scipy.linalg.null_space(m, rcond=NULLSPACE_TOL)
-    return SolutionSpace(ls.scope, basis)
-
-
 def marginalization_matrix(scope: Sequence[str], subscope: Sequence[str]) -> np.ndarray:
     """0/1 matrix summing full states down to subscope states."""
     sub = dist.project_index(scope, subscope)
@@ -110,26 +87,11 @@ def marginalization_matrix(scope: Sequence[str], subscope: Sequence[str]) -> np.
     return m
 
 
-def project_space(ss: SolutionSpace, subscope: Sequence[str]) -> SolutionSpace:
-    """Image of the solution space under marginalization to subscope."""
-    subscope = tuple(subscope)
-    if not set(subscope) <= set(ss.scope):
-        raise ValueError("subscope must be contained in the scope")
-    m = marginalization_matrix(ss.scope, subscope)
-    image = m @ ss.basis
-    if image.size == 0:
-        return SolutionSpace(subscope, np.zeros((1 << len(subscope), 0)))
-    u, s, _ = np.linalg.svd(image, full_matrices=False)
-    rank = int(np.sum(s > NULLSPACE_TOL * max(1.0, s[0] if s.size else 0.0)))
-    return SolutionSpace(subscope, u[:, :rank])
-
-
 def rank_nontrivial(ls: LinearSystem) -> bool:
     """The necessary condition: the homogeneous system admits a nonzero
     solution (otherwise no distribution can satisfy the constraints).
-    Decided as `solution_space` would, from the singular values alone: the
-    rank, counted above NULLSPACE_TOL times the largest, is below the
-    number of states."""
+    Decided from the singular values alone: the rank, counted above
+    NULLSPACE_TOL times the largest, is below the number of states."""
     s = scipy.linalg.svdvals(ls.matrix())
     return int(np.sum(s > NULLSPACE_TOL * np.amax(s, initial=0.0))) < ls.size
 
@@ -255,16 +217,21 @@ def _clique_witnesses(model: Model, cliques, anchors) -> list[JointTable] | None
 def local_check(model: Model, d: Decomposition) -> ConsistencyReport:
     """Consistency over an acyclic decomposition, checked clique-locally.
 
-    The first clique is checked alone; each later clique is checked
-    pairwise against its anchor.  When every check passes, one joint
-    per-clique feasibility pass produces witnesses that calibrate on the
-    separators (and conclusively settles the rare case where the chain of
-    pairwise checks misses a longer-range contradiction).
+    One joint per-clique feasibility problem along the running-intersection
+    order decides, and yields witnesses that calibrate on the separators.
+    When it is infeasible, the culprit is the first failing relaxation of
+    it: the first clique alone, then each later clique paired with its
+    anchor.  All of these pass only when the chain of pairwise checks
+    misses a longer-range contradiction.
     """
     hg = Hypergraph(tuple(sorted(set().union(*d.cliques))), d.cliques)
     if not graham_acyclic(hg):
         raise ValueError("decomposition is not acyclic; local check inapplicable")
     order = d.rip.order
+    tables = _clique_witnesses(model, order, d.rip.anchors)
+    if tables is not None:
+        return ConsistencyReport(True, rank_ok=None, feasible=True,
+                                 witnesses=tuple(zip(order, tables)))
     s0 = order[0]
     ls0 = to_linear(model.constraints, model.ordered_scope(s0))
     if nonneg_feasible(ls0) is None:
@@ -276,14 +243,10 @@ def local_check(model: Model, d: Decomposition) -> ConsistencyReport:
         if not ok:
             return ConsistencyReport(False, rank_ok=None, feasible=False, witnesses=(),
                                      culprit=(order[i], anchor))
-    tables = _clique_witnesses(model, order, d.rip.anchors)
-    if tables is None:
-        return ConsistencyReport(
-            False, rank_ok=None, feasible=False, witnesses=(), culprit=None,
-            note="anchor-pairwise checks passed but no jointly calibrated "
-                 "per-clique tables exist")
-    return ConsistencyReport(True, rank_ok=None, feasible=True,
-                             witnesses=tuple(zip(order, tables)))
+    return ConsistencyReport(
+        False, rank_ok=None, feasible=False, witnesses=(), culprit=None,
+        note="anchor-pairwise checks passed but no jointly calibrated "
+             "per-clique tables exist")
 
 
 def format_report(report: ConsistencyReport, model: Model | None = None,

@@ -58,21 +58,19 @@ class Decomposition:
     cost: int  # sum over cliques of 2^|clique|
 
 
+ANNEAL_PROBES = 20     # random orderings whose cost spread is the start temperature
+ANNEAL_MOVES = 50      # swaps tried per temperature level
+ANNEAL_COOLING = 0.95  # temperature factor from one level to the next
+
+
 @dataclass(frozen=True)
 class AnnealOptions:
     seed: int = 0
-    initial_temperature: float | None = None  # None: set from random probes
-    cooling: float = 0.95
-    moves_per_temperature: int = 50
     restarts: int = 3
 
     def __post_init__(self):
-        if self.initial_temperature is not None and not self.initial_temperature > 0:
-            raise ValueError("initial temperature must be positive")
-        if not 0.0 < self.cooling < 1.0:
-            raise ValueError("cooling factor must be in (0, 1)")
-        if self.moves_per_temperature < 1 or self.restarts < 1:
-            raise ValueError("moves and restarts must be at least 1")
+        if self.restarts < 1:
+            raise ValueError("restarts must be at least 1")
 
 
 def _edge_key(e: frozenset[str]) -> tuple[str, ...]:
@@ -236,13 +234,16 @@ def fill_in_anneal(g: NeighborGraph, opts: AnnealOptions | None = None) -> Decom
     Statistics and Computing 2:7-17).
 
     A state is an ordering of the vertices, scored by the clique cost of
-    its elimination; every state is therefore chordal.  Each restart
-    starts from the greedy min-fill ordering, a move swaps two positions,
-    and an unset initial temperature is the cost spread of 20 random
-    orderings.  The result is the state with the least (cost, fill size,
-    sorted fill edges), so it never costs more than greedy.  A chordal
-    input returns greedy's empty fill at once: adding edges to a chordal
-    graph never lowers its clique cost.  Deterministic for a fixed seed.
+    its elimination, so every state is chordal.  Each restart starts from
+    the greedy min-fill ordering at the cost spread of ANNEAL_PROBES
+    random orderings (or 1) and tries ANNEAL_MOVES swaps of two positions
+    per temperature level, cooling by ANNEAL_COOLING; it ends after the
+    first level in which its current cost never changed (it has frozen),
+    or at 1e-3 of its start temperature.  The result is the least (cost,
+    fill size, sorted fill edges) seen, so it never costs more than
+    greedy.  A chordal input returns greedy's empty fill at once: adding
+    edges to a chordal graph never lowers its clique cost.
+    Deterministic for a fixed seed.
     """
     opts = opts or AnnealOptions()
     adj = g.adjacency()
@@ -263,26 +264,27 @@ def fill_in_anneal(g: NeighborGraph, opts: AnnealOptions | None = None) -> Decom
         rng = np.random.default_rng(child)
         state = list(greedy_order)
         cur_cost = greedy_cost
-        if opts.initial_temperature is None:
-            probes = [evaluate([state[k] for k in rng.permutation(n)])[0] for _ in range(20)]
-            t = float(max(probes) - min(probes)) or 1.0
-        else:
-            t = opts.initial_temperature
-        t_floor = max(t * 1e-3, 1e-6)
-        while t > t_floor:
-            for _ in range(opts.moves_per_temperature):
+        probes = [evaluate([state[k] for k in rng.permutation(n)])[0]
+                  for _ in range(ANNEAL_PROBES)]
+        t = float(max(probes) - min(probes)) or 1.0
+        t_floor = t * 1e-3
+        frozen = False
+        while t > t_floor and not frozen:
+            frozen = True
+            for _ in range(ANNEAL_MOVES):
                 i, j = int(rng.integers(n)), int(rng.integers(n - 1))
                 j += j >= i
                 state[i], state[j] = state[j], state[i]
                 new_cost, fill, cliques = evaluate(state)
                 if new_cost <= cur_cost or rng.random() < math.exp((cur_cost - new_cost) / t):
+                    frozen = frozen and new_cost == cur_cost
                     cur_cost = new_cost
                     key = _fill_key(new_cost, fill)
                     if key < best_key:
                         best_key, best = key, (fill, cliques)
                 else:
                     state[i], state[j] = state[j], state[i]  # reject
-            t *= opts.cooling
+            t *= ANNEAL_COOLING
     return _decomposition(g, *best)
 
 

@@ -23,7 +23,6 @@ boundary values (0 or 1) are applied as hard conditioning.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Callable
 
@@ -51,6 +50,10 @@ class UnreachableConstraintError(ValueError):
 
 @dataclass(frozen=True)
 class SolverOptions:
+    """Solver settings.  Round-robin can need several times the gradient
+    schedule's cycles: 910 against 436 decomposed on the test helpers'
+    `ring_model(6, 1)`, and over the 1000-cycle cap on `ring_model(8, 1)`."""
+
     tolerance: float | None = None      # None: 1e-8 dual, 1e-4 successive
     max_iterations: int = 500           # dual optimizer iterations
     max_cycles: int = 1000              # successive-updating cycles
@@ -70,7 +73,6 @@ class TraceEvent:
     cycle: int
     constraint: Constraint
     residual_before: float | None  # signed; None if undefined at selection
-    checksum: str                  # digest of the table after the update
 
 
 @dataclass(frozen=True)
@@ -85,11 +87,6 @@ class UpdateTrace:
             r = "undefined" if e.residual_before is None else f"{e.residual_before:.6g}"
             lines.append(f"{e.cycle}\t{e.constraint}\t{r}")
         return "\n".join(lines) + ("\n" if lines else "")
-
-
-def array_checksum(probs) -> str:
-    rounded = np.round(np.asarray(probs, dtype=float), 12)
-    return hashlib.sha1(rounded.tobytes()).hexdigest()[:12]
 
 
 class Kernel:
@@ -342,8 +339,7 @@ def _successive(p: np.ndarray, kernels: list[Kernel], opts: SolverOptions,
             applied_this_cycle += 1
             if record:
                 resid = None if np.isnan(r[best]) else float(r[best])
-                events.append(TraceEvent(cycle, k.constraint, resid,
-                                         array_checksum(p[k.lo:k.hi])))
+                events.append(TraceEvent(cycle, k.constraint, resid))
         if applied_this_cycle:
             cycles_used = cycle
             if on_cycle is not None:

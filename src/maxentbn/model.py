@@ -132,9 +132,6 @@ class BeliefNetwork:
     nodes: tuple[str, ...]
     edges: frozenset[tuple[str, str]]
 
-    def parents(self, x: str) -> set[str]:
-        return {u for (u, v) in self.edges if v == x}
-
     def children(self, x: str) -> set[str]:
         return {v for (u, v) in self.edges if u == x}
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -21,12 +22,12 @@ from maxentbn import (BeliefNetwork, ConditionalConstraint, ConstraintSet,
                       JointTable, Literal, MarginalConstraint, Model, RipOrder,
                       SolverOptions, UnreachableConstraintError, UpdateTrace,
                       Variable, descendants, parse_model, uniform)
-from maxentbn.consistency import NULLSPACE_TOL
+from maxentbn.consistency import NULLSPACE_TOL, marginalization_matrix
 from maxentbn.dist import (PROB_FLOOR, constraint_sides, event_mask, project_index,
                            residuals)
 from maxentbn.engine import _assign_constraints, _join_edges
 from maxentbn.mce import (DEFAULT_SUCCESSIVE_TOL, SCHEDULE_ROUND_ROBIN,
-                          TraceEvent, apply_constraint, array_checksum)
+                          TraceEvent, apply_constraint)
 
 # Directed 2-cycle model: P(A|B)=0.7, P(B|A)=0.8.
 FIG21_TEXT = "vars A B\nP(A|B)=0.7\nP(B|A)=0.8\n"
@@ -397,8 +398,7 @@ def successive_solve_oracle(prior, cs, opts=None):
             else:
                 entry = max(rep.entries, key=lambda e: e.magnitude)
             table = oracle_update(table, entry.constraint)
-            events.append(TraceEvent(cycle, entry.constraint, entry.residual,
-                                     array_checksum(table.probs)))
+            events.append(TraceEvent(cycle, entry.constraint, entry.residual))
     if not converged:
         converged = residuals(table, cs).max_magnitude <= tol
     cycles_used = events[-1].cycle if events else 0
@@ -486,8 +486,7 @@ def solve_decomposed_oracle(model, d, opts=None):
     depth-first pass that marginalizes both cliques of every separator
     afresh, skips a separator whose two marginals agree to 1e-15 (and
     the subtree behind it), and renormalizes each receiving clique.
-    Returns (clique tables, UpdateTrace without checksums, error or
-    None)."""
+    Returns (clique tables, UpdateTrace, error or None)."""
     opts = opts or SolverOptions()
     tol = opts.tolerance if opts.tolerance is not None else DEFAULT_SUCCESSIVE_TOL
     scopes = [model.ordered_scope(c) for c in d.rip.order]
@@ -546,7 +545,7 @@ def solve_decomposed_oracle(model, d, opts=None):
             except UnreachableConstraintError as exc:
                 error = str(exc)
                 break
-            events.append(TraceEvent(cycle, k.constraint, resids[best], ""))
+            events.append(TraceEvent(cycle, k.constraint, resids[best]))
             cycles_used = cycle
     if error is None and not converged:
         converged = all((1.0 if r is None else abs(r)) <= tol
@@ -688,3 +687,44 @@ def rank_nontrivial_nullspace(ls) -> bool:
     if m.shape[0] == 0:
         return True
     return scipy.linalg.null_space(m, rcond=NULLSPACE_TOL).shape[1] > 0
+
+
+@dataclass(frozen=True)
+class SolutionSpace:
+    """Reference null-space view of a constraint system: the subspace of
+    state vectors its homogeneous rows admit."""
+
+    scope: tuple[str, ...]
+    basis: np.ndarray  # orthonormal columns spanning the homogeneous solutions
+
+    @property
+    def dimension(self) -> int:
+        return self.basis.shape[1]
+
+    def contains(self, vector: np.ndarray, tol: float = 1e-9) -> bool:
+        v = np.asarray(vector, dtype=float)
+        resid = v - self.basis @ (self.basis.T @ v)
+        return bool(np.abs(resid).max() <= tol * max(1.0, np.abs(v).max()))
+
+
+def solution_space(ls) -> SolutionSpace:
+    """Orthonormal basis of the homogeneous solutions of a linear system."""
+    m = ls.matrix()
+    if m.shape[0] == 0:
+        return SolutionSpace(ls.scope, np.eye(ls.size))
+    basis = scipy.linalg.null_space(m, rcond=NULLSPACE_TOL)
+    return SolutionSpace(ls.scope, basis)
+
+
+def project_space(ss: SolutionSpace, subscope) -> SolutionSpace:
+    """Image of the solution space under marginalization to subscope."""
+    subscope = tuple(subscope)
+    if not set(subscope) <= set(ss.scope):
+        raise ValueError("subscope must be contained in the scope")
+    m = marginalization_matrix(ss.scope, subscope)
+    image = m @ ss.basis
+    if image.size == 0:
+        return SolutionSpace(subscope, np.zeros((1 << len(subscope), 0)))
+    u, s, _ = np.linalg.svd(image, full_matrices=False)
+    rank = int(np.sum(s > NULLSPACE_TOL * max(1.0, s[0] if s.size else 0.0)))
+    return SolutionSpace(subscope, u[:, :rank])

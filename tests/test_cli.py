@@ -72,7 +72,7 @@ class TestDecompose:
 
     def test_graph_file_anneal(self, capsys):
         code, out, _ = invoke(capsys, "decompose", "models/sixring.graph",
-                              "--graph", "--method", "anneal", "--seed", "1")
+                              "--graph", "--fill", "anneal", "--seed", "1")
         assert code == 0
         assert "cost: 32" in out
 
@@ -161,8 +161,8 @@ class TestUnreadFlags:
           "--seed", "3", "--max-iterations", "1"), ("--max-iterations", "--fill", "--seed")),
         (("solve", "models/mining.cn", "--method", "decomposed", "--max-iterations", "1"),
          ("--max-iterations",)),
-        (("check", "models/mining.cn", "--method", "anneal", "--seed", "5"),
-         ("--method", "--seed")),
+        (("check", "models/mining.cn", "--fill", "anneal", "--seed", "5"),
+         ("--fill", "--seed")),
     ])
     def test_usage_error_names_the_flags(self, capsys, argv, flags):
         code, out, err = invoke(capsys, *argv)
@@ -176,13 +176,24 @@ class TestUnreadFlags:
         ("query", "models/mining.cn", "--event", "A", "--fill", "greedy", "--seed", "3"),
         ("bench", "models/fig21.cn", "--seed", "3"),
         ("decompose", "models/mining.cn", "--seed", "9"),
-        ("check", "models/mining.cn", "--local", "--method", "greedy", "--seed", "5"),
+        ("check", "models/mining.cn", "--local", "--fill", "greedy", "--seed", "5"),
     ])
     def test_seed_with_greedy_fill_in(self, capsys, argv):
         code, out, err = invoke(capsys, *argv)
         assert code == 2
         assert out == ""
         assert "greedy fill-in does not read --seed" in err
+
+    # the fill-in search is --fill on every verb; --method picks the solver
+    @pytest.mark.parametrize("argv", [
+        ("decompose", "models/mining.cn", "--method", "anneal"),
+        ("check", "models/mining.cn", "--local", "--method", "greedy"),
+    ])
+    def test_method_is_not_the_fill_in_search(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments: --method" in err
 
 
 class TestQueryVerb:
@@ -232,7 +243,7 @@ class TestDeterminism:
         ("check", "models/mining.cn"),
         ("check", "models/mining.cn", "--local"),
         ("decompose", "models/mining.cn"),
-        ("decompose", "models/sixring.graph", "--graph", "--method", "anneal",
+        ("decompose", "models/sixring.graph", "--graph", "--fill", "anneal",
          "--seed", "11"),
         ("dsep", "models/mining.cn", "--x", "A", "--y", "B", "--given", "C,D"),
         ("solve", "models/mining.cn", "--method", "decomposed", "--trace"),

@@ -3,9 +3,10 @@ import pytest
 
 import helpers
 from maxentbn import consistency
+from helpers import project_space, solution_space
 from maxentbn import (ConstraintSet, JointTable, decompose,
                       global_consistent, local_check, pairwise_consistent,
-                      project_space, solution_space, to_linear)
+                      to_linear)
 from maxentbn.consistency import (LinearRow, LinearSystem, marginalization_matrix,
                                   nonneg_feasible, rank_nontrivial)
 from maxentbn.dist import marginalize, residuals
@@ -220,6 +221,27 @@ class TestLocalCheck:
         report = local_check(m, decompose(m))
         assert not report.consistent
         assert set(report.culprit) == {fs("A", "B"), fs("B", "C")}
+
+    def test_joint_lp_decides(self, monkeypatch):
+        # a consistent decomposition needs only the joint LP; the clique
+        # and pairwise LPs run after an infeasible one, to name the culprit
+        calls = []
+        tree_witnesses = consistency._tree_witnesses
+
+        def counted(*args):
+            calls.append(1)
+            return tree_witnesses(*args)
+
+        monkeypatch.setattr(consistency, "_tree_witnesses", counted)
+        for m in (helpers.mining(), helpers.ring_model(6, 0)):
+            calls.clear()
+            assert local_check(m, decompose(m)).consistent
+            assert len(calls) == 1
+        calls.clear()
+        m = helpers.contradiction()
+        report = local_check(m, decompose(m))
+        assert report.culprit == (fs("B", "C"), fs("A", "B")) and report.note == ""
+        assert len(calls) == 3  # joint, first clique, second against its anchor
 
     def test_single_clique_matches_global(self):
         m = helpers.fig21()

@@ -5,6 +5,7 @@ import pytest
 
 import helpers
 from helpers import subset_marginal_update
+from maxentbn import mce
 from maxentbn import (JointTable, Literal, SolverOptions, bench, check_ci,
                       check_mrf, decompose, global_consistent, marginalize,
                       mce_dual_solve, neighbor_graph, query, solve_decomposed,
@@ -166,13 +167,23 @@ class TestSolveDecomposed:
         assert not report.converged
         assert report.cycles == 1
 
-    def test_monotone_greedy_schedule_replay(self):
+    def test_monotone_greedy_schedule_replay(self, monkeypatch):
         # replay the trace with reference operations: the applied
         # constraint must carry the largest residual magnitude each step,
-        # and eager propagation reproduces the recorded tables
-        from maxentbn.mce import array_checksum
+        # and eager propagation reproduces each updated table, captured
+        # right after its update
+        updated = []
+        apply = mce.Kernel.apply
+
+        def captured(kernel, p):
+            apply(kernel, p)
+            updated.append(p[kernel.lo:kernel.hi].copy())
+
+        monkeypatch.setattr(mce.Kernel, "apply", captured)
         report = solve_decomposed(self.model, self.d,
                                   SolverOptions(max_cycles=3))
+        monkeypatch.undo()
+        assert len(updated) == len(report.trace.events)
         states = {i: uniform(s.scope) for i, s in enumerate(report.cliques)}
         home = {}
         for i, s in enumerate(report.cliques):
@@ -182,7 +193,7 @@ class TestSolveDecomposed:
         for e in report.join_edges:
             neighbors.setdefault(e.child, []).append((e.parent, e.separator))
             neighbors.setdefault(e.parent, []).append((e.child, e.separator))
-        for ev in report.trace.events:
+        for ev, table in zip(report.trace.events, updated):
             mags = {}
             for key, i in home.items():
                 cs = ConstraintSet(tuple(
@@ -209,7 +220,7 @@ class TestSolveDecomposed:
                     if np.abs(new.probs - old.probs).max() > 1e-15:
                         states[other] = subset_marginal_update(states[other], new)
                         stack.append((other, node))
-            assert array_checksum(states[i].probs) == ev.checksum
+            np.testing.assert_allclose(states[i].probs, table, rtol=0, atol=1e-12)
 
     def test_matches_full_joint_marginals(self):
         # converged clique tables sit on the exact joint's marginals

@@ -158,9 +158,9 @@ class TestRipOrder:
 
 
 def temperature_steps(t0: float, cooling: float) -> int:
-    """Temperatures the annealing schedule visits from t0: it cools until
-    the temperature falls to 1e-3 of t0, or to 1e-6 if that is higher."""
-    t, floor, steps = t0, max(t0 * 1e-3, 1e-6), 0
+    """Temperatures an unfrozen anneal visits from t0: it cools until the
+    temperature falls to 1e-3 of t0."""
+    t, floor, steps = t0, t0 * 1e-3, 0
     while t > floor:
         t *= cooling
         steps += 1
@@ -229,9 +229,9 @@ class TestFillIn:
             assert helpers.is_chordal(filled.adjacency())
             assert da.cliques == tuple(maximal_cliques(filled))
 
-    def test_anneal_options_set_states_evaluated(self, monkeypatch):
-        # one elimination for the greedy start, then per restart: 20
-        # probes when the temperature is unset, and one per move
+    def test_anneal_stops_when_frozen(self, monkeypatch):
+        # one elimination for the greedy start, then per restart 20 probes
+        # and 50 moves per temperature level
         calls = []
         eliminate = graphops._eliminate
 
@@ -241,28 +241,20 @@ class TestFillIn:
 
         monkeypatch.setattr(graphops, "_eliminate", counted)
 
-        def states(**kw):
+        def states(g, restarts):
             calls.clear()
-            fill_in_anneal(sixring(), AnnealOptions(**kw))
+            fill_in_anneal(g, AnnealOptions(seed=0, restarts=restarts))
             return len(calls)
 
-        base = dict(initial_temperature=1.0, cooling=0.9, moves_per_temperature=5,
-                    restarts=1)
-        variants = [{}, {"restarts": 2}, {"moves_per_temperature": 7},
-                    {"cooling": 0.8}, {"initial_temperature": 1e-5},
-                    {"initial_temperature": None}]
-        counts = []
-        for change in variants:
-            o = {**base, **change}
-            probes = 20 if o["initial_temperature"] is None else 0
-            # a probed start is an integer cost spread or 1.0, so it cools
-            # through as many temperatures as 1.0 does
-            t0 = o["initial_temperature"] or 1.0
-            want = 1 + o["restarts"] * (
-                probes + o["moves_per_temperature"] * temperature_steps(t0, o["cooling"]))
-            counts.append(states(**o))
-            assert counts[-1] == want, change
-        assert len(set(counts)) == len(counts)
+        # every elimination ordering of this graph costs the same, so each
+        # restart ends after its first level
+        flat = neighbor_graph(helpers.ring_model(6, 0))
+        for restarts in (1, 3):
+            assert states(flat, restarts) == 1 + restarts * (20 + 50)
+        # cooling from the probed start to 1e-3 of it visits 135 levels;
+        # sixring's restarts move at first, then freeze before that floor
+        fixed = 1 + 3 * (20 + 50 * temperature_steps(1.0, 0.95))
+        assert 1 + 3 * (20 + 50) < states(sixring(), 3) < fixed
 
 
 class TestDescendants:
