@@ -138,7 +138,7 @@ def _cmd_query(args) -> int:
     d = graphops.decompose(m, method=args.fill, opts=graphops.AnnealOptions(seed=args.seed))
     report = engine.solve_decomposed(m, d, _solver_opts(args))
     if not report.converged:
-        print("error: solve did not converge", file=sys.stderr)
+        print(f"error: {report.error or 'solve did not converge'}", file=sys.stderr)
         return 1
     event = _literals(args.event)
     given = _literals(args.given) if args.given else []
@@ -155,7 +155,7 @@ def _cmd_query(args) -> int:
 def _cmd_bench(args) -> int:
     m = _load_model(args.model)
     d = graphops.decompose(m, method=args.fill, opts=graphops.AnnealOptions(seed=args.seed))
-    report, _, _ = engine.bench(m, d, mce.SolverOptions(tolerance=args.tol or 1e-4))
+    report, _, _ = engine.bench(m, d, mce.SolverOptions(tolerance=args.tol))
     print(engine.format_bench(report), end="")
     return 0
 

@@ -23,39 +23,22 @@ from .dist import SCOPE_CAP, JointTable
 from .graphops import Decomposition, Hypergraph, graham_acyclic
 from .model import Constraint, ConstraintSet, Model
 
-FEASIBILITY_TOL = 1e-9
 NULLSPACE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class LinearRow:
-    coeffs: np.ndarray
-    rhs: float
-    constraint: Constraint  # provenance
-
-
-@dataclass(frozen=True)
 class LinearSystem:
-    """Homogeneous linear encoding of a constraint set over one scope.
-
-    The universal row (all coefficients 1, right-hand side 1) is implied
-    and kept out of `rows`.
-    """
+    """Homogeneous encoding of a constraint set over one scope: row k of
+    `matrix` is constraint k, right-hand side 0.  The normalization row
+    (all ones, right-hand side 1) is implied and kept out."""
 
     scope: tuple[str, ...]
-    rows: tuple[LinearRow, ...]
+    constraints: tuple[Constraint, ...]
+    matrix: np.ndarray
 
     @property
     def size(self) -> int:
         return 1 << len(self.scope)
-
-    def matrix(self) -> np.ndarray:
-        if not self.rows:
-            return np.zeros((0, self.size))
-        return np.array([r.coeffs for r in self.rows])
-
-    def universal_row(self) -> np.ndarray:
-        return np.ones(self.size)
 
 
 def to_linear(cs: ConstraintSet, scope: Sequence[str]) -> LinearSystem:
@@ -66,25 +49,13 @@ def to_linear(cs: ConstraintSet, scope: Sequence[str]) -> LinearSystem:
     Cell P(E)=v:           sum(E) - v*sum(all) = 0.
     """
     scope = tuple(scope)
-    scope_set = set(scope)
-    rows = []
-    for c in cs:
-        if not c.scope <= scope_set:
-            continue
+    fits = tuple(c for c in cs if c.scope <= set(scope))
+    matrix = np.zeros((len(fits), 1 << len(scope)))
+    for row, c in zip(matrix, fits):
         a, b = dist.constraint_sides(scope, c)
-        coeffs = np.zeros(1 << len(scope))
-        coeffs[a] = 1.0 - c.value
-        coeffs[b] = -c.value
-        rows.append(LinearRow(coeffs, 0.0, c))
-    return LinearSystem(scope, tuple(rows))
-
-
-def marginalization_matrix(scope: Sequence[str], subscope: Sequence[str]) -> np.ndarray:
-    """0/1 matrix summing full states down to subscope states."""
-    sub = dist.project_index(scope, subscope)
-    m = np.zeros((1 << len(tuple(subscope)), sub.size))
-    m[sub, np.arange(sub.size)] = 1.0
-    return m
+        row[a] = 1.0 - c.value
+        row[b] = -c.value
+    return LinearSystem(scope, fits, matrix)
 
 
 def rank_nontrivial(ls: LinearSystem) -> bool:
@@ -92,7 +63,7 @@ def rank_nontrivial(ls: LinearSystem) -> bool:
     solution (otherwise no distribution can satisfy the constraints).
     Decided from the singular values alone: the rank, counted above
     NULLSPACE_TOL times the largest, is below the number of states."""
-    s = scipy.linalg.svdvals(ls.matrix())
+    s = scipy.linalg.svdvals(ls.matrix)
     return int(np.sum(s > NULLSPACE_TOL * np.amax(s, initial=0.0))) < ls.size
 
 
@@ -137,24 +108,26 @@ def _tree_witnesses(systems: Sequence[LinearSystem], anchors: Sequence[int | Non
     full joint distribution, so existence matches global consistency.
     Returns the normalized tables, or None when infeasible."""
     offs = np.cumsum([0] + [ls.size for ls in systems])
-
-    def block(i: int, m: np.ndarray) -> np.ndarray:
-        out = np.zeros((m.shape[0], int(offs[-1])))
-        out[:, offs[i]:offs[i + 1]] = m
-        return out
-
-    rows, rhs = [], []
+    seps = [() if j is None else tuple(n for n in ls.scope if n in systems[j].scope)
+            for ls, j in zip(systems, anchors)]
+    # table by table its rows and normalization row, then separator blocks
+    height = sum(len(ls.matrix) + 1 for ls in systems) + sum(1 << len(s) for s in seps if s)
+    a_eq = np.zeros((height, int(offs[-1])))
+    b_eq = np.zeros(height)
+    r = 0
     for i, ls in enumerate(systems):
-        rows += [block(i, ls.matrix()), block(i, ls.universal_row()[None, :])]
-        rhs += [0.0] * len(ls.rows) + [1.0]
-    for i, j in enumerate(anchors):
-        si = systems[i].scope
-        sep = () if j is None else tuple(n for n in si if n in systems[j].scope)
+        k = len(ls.matrix)
+        a_eq[r:r + k, offs[i]:offs[i + 1]] = ls.matrix
+        a_eq[r + k, offs[i]:offs[i + 1]] = 1.0
+        b_eq[r + k] = 1.0
+        r += k + 1
+    for i, (j, sep) in enumerate(zip(anchors, seps)):
         if sep:
-            rows.append(block(i, marginalization_matrix(si, sep))
-                        - block(j, marginalization_matrix(systems[j].scope, sep)))
-            rhs += [0.0] * (1 << len(sep))
-    x = _solve_feasible(np.vstack(rows), np.array(rhs))
+            for t, sign in ((i, 1.0), (j, -1.0)):
+                sub = dist.project_index(systems[t].scope, sep)
+                a_eq[r + sub, offs[t] + np.arange(sub.size)] = sign
+            r += 1 << len(sep)
+    x = _solve_feasible(a_eq, b_eq)
     if x is None:
         return None
     parts = [x[offs[i]:offs[i + 1]] for i in range(len(systems))]

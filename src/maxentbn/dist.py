@@ -138,7 +138,7 @@ def conditional(table: JointTable, target: Literal, given: Sequence[Literal] = (
 @dataclass(frozen=True)
 class ResidualEntry:
     constraint: Constraint
-    current: float | None   # None when the conditioning event has ~zero mass
+    current: float | None   # None when a and b have ~zero mass together
     target: float
     residual: float | None  # current - target, signed
 
@@ -163,21 +163,16 @@ class ResidualReport:
         return tuple(e.magnitude for e in self.entries)
 
 
-def constraint_current(table: JointTable, c: Constraint) -> float | None:
-    """Current table value of the constrained quantity, or None if the
-    conditioning event has negligible mass."""
-    if isinstance(c, ConditionalConstraint):
-        try:
-            return conditional(table, c.target, c.condition)
-        except ValueError:
-            return None
-    return probability(table, c.literals)
-
-
 def residuals(table: JointTable, cs: ConstraintSet) -> ResidualReport:
+    """Each constraint read as P(a | a or b) off its `constraint_sides`,
+    as the successive solvers schedule by: P(x|E) for a conditional, P(E)
+    over the table's total for a cell; None below PROB_FLOOR."""
     entries = []
     for c in cs:
-        cur = constraint_current(table, c)
+        a, b = constraint_sides(table.scope, c)
+        s1 = table.probs[a].sum()
+        total = s1 + table.probs[b].sum()
+        cur = None if total < PROB_FLOOR else float(s1 / total)
         resid = None if cur is None else cur - c.value
         entries.append(ResidualEntry(c, cur, c.value, resid))
     return ResidualReport(tuple(entries), float(table.probs.sum()) - 1.0)

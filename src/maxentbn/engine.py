@@ -25,7 +25,7 @@ place of 4.3 s, over the same 657 cycles.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -174,6 +174,9 @@ def query(report: SolveReport, event: list[Literal], given: list[Literal] = ()) 
     """Probability of `event` (optionally conditioned) read from the first
     clique containing every queried variable."""
     names = {l.name for l in event} | {l.name for l in given}
+    unknown = sorted(names.difference(*(s.clique for s in report.cliques)))
+    if unknown:
+        raise ValueError(f"unknown variable {unknown[0]!r}")
     for state in report.cliques:
         if names <= state.clique:
             if given:
@@ -215,8 +218,7 @@ def bench(model: Model, d: Decomposition, opts: SolverOptions | None = None,
     """
     opts = opts or SolverOptions(tolerance=1e-4)
     tol = opts.tolerance if opts.tolerance is not None else 1e-4
-    timed_opts = SolverOptions(tolerance=tol, max_iterations=opts.max_iterations,
-                               max_cycles=opts.max_cycles, schedule=opts.schedule)
+    timed_opts = replace(opts, tolerance=tol)
     prior = dist.uniform(model.names)
 
     dual_best = float("inf")

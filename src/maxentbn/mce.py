@@ -11,8 +11,8 @@ Two routes to the same distribution:
   constraint reads P(a | a or b) = v over a pair of index arrays (a, b)
   into that vector: a conditional tilts the two halves of its
   conditioning event, and for a cell (b the complement of a) the same
-  tilt gives Jeffrey's rule.  Before each step the loop reads all
-  residuals off one `bincount` over the concatenated index arrays.
+  tilt gives Jeffrey's rule.  One `bincount` per step reads every mass
+  (a and b), which gives all residuals and the update's two inputs.
   `successive_solve` runs the loop on a vector that is the full joint;
   `engine.solve_decomposed` on one that holds the clique tables, with
   Hugin propagation across the join tree after each update.
@@ -108,16 +108,15 @@ class Kernel:
         self.a = np.flatnonzero(a) + offset
         self.b = np.flatnonzero(b) + offset
 
-    def apply(self, p: np.ndarray) -> None:
-        """In-place cross-entropy projection onto the constraint.
+    def apply(self, p: np.ndarray, s1: float, s0: float) -> None:
+        """In-place cross-entropy projection onto the constraint, given
+        the current masses s1 of a and s0 of b.
 
         States outside a and b keep their relative weights; b is scaled
-        by t^v and a by t^(v-1), where t = ((1-v) * mass(a)) / (v * mass(b)),
-        then the table's slice is renormalized.  Boundary v is hard
+        by t^v and a by t^(v-1), where t = ((1-v) * s1) / (v * s0), then
+        the table's slice is renormalized.  Boundary v is hard
         conditioning.
         """
-        s1 = float(np.add.reduce(p[self.a]))
-        s0 = float(np.add.reduce(p[self.b]))
         v = self.value
         if s1 + s0 < PROB_FLOOR:
             raise UnreachableConstraintError(
@@ -143,7 +142,8 @@ def apply_constraint(prior: JointTable, c: Constraint) -> JointTable:
     """Closed-form cross-entropy projection of the prior onto one
     constraint; the constraint holds exactly afterwards."""
     p = np.array(prior.probs)
-    Kernel(c, prior.scope).apply(p)
+    k = Kernel(c, prior.scope)
+    k.apply(p, p[k.a].sum(), p[k.b].sum())
     return JointTable(prior.scope, p)
 
 
@@ -167,9 +167,9 @@ class DualProblem:
         self.prior = prior
         self.cs = cs
         ls = consistency.to_linear(cs, prior.scope)
-        if len(ls.rows) != len(cs):
+        if len(ls.constraints) != len(cs):
             raise ValueError(f"constraints mention variables outside {prior.scope}")
-        self.matrix = ls.matrix()
+        self.matrix = ls.matrix
 
     def _weights(self, lam: np.ndarray) -> np.ndarray:
         expo = -(self.matrix.T @ lam)
@@ -285,12 +285,12 @@ def _successive(p: np.ndarray, kernels: list[Kernel], opts: SolverOptions,
                 on_cycle: Callable[[], None] | None = None) -> _Run:
     """The successive-updating loop over the state vector `p`, in place.
 
-    One cycle is one update per kernel.  Before each step one scan
-    computes every kernel's residual: the masses of all a and all b
-    sides are two bins per kernel of one `bincount`.  The gradient
-    schedule applies the kernel with the largest residual magnitude
-    (ties by kernel order); round-robin applies kernel s at step s of
-    each cycle.  After each update `propagate(table)` may re-calibrate
+    One cycle is one update per kernel.  Before each step one scan sums
+    the masses of all a and all b sides, two bins per kernel of one
+    `bincount`; they give every residual, and the applied kernel its
+    masses.  The gradient schedule applies the kernel with the largest
+    residual magnitude (ties by kernel order); round-robin applies kernel
+    s at step s of each cycle.  After each update `propagate(table)` may re-calibrate
     the other tables, and `on_cycle` runs after every cycle that applied
     an update.  An unreachable constraint stops the loop and is
     returned, not raised.
@@ -303,14 +303,15 @@ def _successive(p: np.ndarray, kernels: list[Kernel], opts: SolverOptions,
     bins = np.repeat(np.arange(2 * n), [s.size for s in sides])
     values = np.array([k.value for k in kernels])
 
-    def scan() -> tuple[np.ndarray, np.ndarray]:
-        """Signed residuals (NaN where undefined) and their magnitudes,
-        1.0 where the event has (near) zero mass."""
+    def scan() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The masses (all a sides, then all b sides), the signed
+        residuals (NaN where undefined) and their magnitudes, 1.0 where
+        the event has (near) zero mass."""
         mass = np.bincount(bins, p[index], 2 * n)
         s1, total = mass[:n], mass[:n] + mass[n:]
         defined = total >= PROB_FLOOR
         r = np.where(defined, s1 / np.maximum(total, PROB_FLOOR) - values, np.nan)
-        return r, np.where(defined, np.abs(r), 1.0)
+        return mass, r, np.where(defined, np.abs(r), 1.0)
 
     events: list[TraceEvent] = []
     converged = n == 0
@@ -321,7 +322,7 @@ def _successive(p: np.ndarray, kernels: list[Kernel], opts: SolverOptions,
         cycle += 1
         applied_this_cycle = 0
         for step in range(n):
-            r, mags = scan()
+            mass, r, mags = scan()
             best = int(mags.argmax())
             if mags[best] <= tol:
                 converged = True
@@ -330,7 +331,7 @@ def _successive(p: np.ndarray, kernels: list[Kernel], opts: SolverOptions,
                 best = step
             k = kernels[best]
             try:
-                k.apply(p)
+                k.apply(p, mass[best], mass[n + best])
                 if propagate is not None:
                     propagate(k.table)
             except UnreachableConstraintError as exc:
@@ -344,7 +345,7 @@ def _successive(p: np.ndarray, kernels: list[Kernel], opts: SolverOptions,
             cycles_used = cycle
             if on_cycle is not None:
                 on_cycle()
-    mags = tuple(scan()[1].tolist())
+    mags = tuple(scan()[2].tolist())
     if error is None and not converged:
         converged = max(mags, default=0.0) <= tol
     return _Run(events, converged, cycles_used, mags, error)

@@ -22,9 +22,9 @@ from maxentbn import (BeliefNetwork, ConditionalConstraint, ConstraintSet,
                       JointTable, Literal, MarginalConstraint, Model, RipOrder,
                       SolverOptions, UnreachableConstraintError, UpdateTrace,
                       Variable, descendants, parse_model, uniform)
-from maxentbn.consistency import NULLSPACE_TOL, marginalization_matrix
-from maxentbn.dist import (PROB_FLOOR, constraint_sides, event_mask, project_index,
-                           residuals)
+from maxentbn.consistency import NULLSPACE_TOL
+from maxentbn.dist import (PROB_FLOOR, ResidualEntry, ResidualReport, conditional,
+                           constraint_sides, event_mask, probability, project_index)
 from maxentbn.engine import _assign_constraints, _join_edges
 from maxentbn.mce import (DEFAULT_SUCCESSIVE_TOL, SCHEDULE_ROUND_ROBIN,
                           TraceEvent, apply_constraint)
@@ -373,9 +373,30 @@ def oracle_update(prior, c):
     return JointTable(scope, out)
 
 
+def constraint_current(table, c):
+    """Reference reading of a constraint off event masks: P(x|E) for a
+    conditional (None when E has less than PROB_FLOOR), P(E) for a cell."""
+    if isinstance(c, ConditionalConstraint):
+        try:
+            return conditional(table, c.target, c.condition)
+        except ValueError:
+            return None
+    return probability(table, c.literals)
+
+
+def residuals_masks(table, cs):
+    """Reference `dist.residuals` on `constraint_current`."""
+    entries = []
+    for c in cs:
+        cur = constraint_current(table, c)
+        resid = None if cur is None else cur - c.value
+        entries.append(ResidualEntry(c, cur, c.value, resid))
+    return ResidualReport(tuple(entries), float(table.probs.sum()) - 1.0)
+
+
 def successive_solve_oracle(prior, cs, opts=None):
     """Reference successive updating on the full joint: recompute every
-    residual with `dist.residuals` before each step and apply
+    residual with `residuals_masks` before each step and apply
     `oracle_update`.  Returns (table, UpdateTrace)."""
     opts = opts or SolverOptions()
     tol = opts.tolerance if opts.tolerance is not None else DEFAULT_SUCCESSIVE_TOL
@@ -389,7 +410,7 @@ def successive_solve_oracle(prior, cs, opts=None):
     while cycle < opts.max_cycles and not converged:
         cycle += 1
         for step in range(n):
-            rep = residuals(table, cs)
+            rep = residuals_masks(table, cs)
             if rep.max_magnitude <= tol:
                 converged = True
                 break
@@ -400,7 +421,7 @@ def successive_solve_oracle(prior, cs, opts=None):
             table = oracle_update(table, entry.constraint)
             events.append(TraceEvent(cycle, entry.constraint, entry.residual))
     if not converged:
-        converged = residuals(table, cs).max_magnitude <= tol
+        converged = residuals_masks(table, cs).max_magnitude <= tol
     cycles_used = events[-1].cycle if events else 0
     return table, UpdateTrace(tuple(events), converged, cycles_used)
 
@@ -680,10 +701,51 @@ def solve_feasible_dense(a_eq: np.ndarray, b_eq: np.ndarray) -> np.ndarray | Non
     raise RuntimeError(f"feasibility solve failed: {res.message}")
 
 
+def tree_lp_dense(systems, anchors):
+    """Reference equality system (a_eq, b_eq) of
+    `consistency._tree_witnesses`, in its first form: every constraint row
+    encoded on its own from event masks, and each table's rows, its
+    normalization row and each separator-agreement block built as a
+    full-width block matrix, then stacked."""
+    offs = np.cumsum([0] + [ls.size for ls in systems])
+
+    def block(i, m):
+        out = np.zeros((m.shape[0], int(offs[-1])))
+        out[:, offs[i]:offs[i + 1]] = m
+        return out
+
+    rows, rhs = [], []
+    for i, ls in enumerate(systems):
+        coeffs = []
+        for c in ls.constraints:
+            if isinstance(c, ConditionalConstraint):
+                cond = event_mask(ls.scope, c.condition)
+                tgt = event_mask(ls.scope, [c.target])
+                a, b = cond & tgt, cond & ~tgt
+            else:
+                a = event_mask(ls.scope, c.literals)
+                b = ~a
+            row = np.zeros(ls.size)
+            row[a] = 1.0 - c.value
+            row[b] = -c.value
+            coeffs.append(row)
+        rows += [block(i, np.array(coeffs).reshape(-1, ls.size)),
+                 block(i, np.ones((1, ls.size)))]
+        rhs += [0.0] * len(coeffs) + [1.0]
+    for i, j in enumerate(anchors):
+        si = systems[i].scope
+        sep = () if j is None else tuple(n for n in si if n in systems[j].scope)
+        if sep:
+            rows.append(block(i, marginalization_matrix(si, sep))
+                        - block(j, marginalization_matrix(systems[j].scope, sep)))
+            rhs += [0.0] * (1 << len(sep))
+    return np.vstack(rows), np.array(rhs)
+
+
 def rank_nontrivial_nullspace(ls) -> bool:
     """Reference rank pre-test: build the full null-space basis and ask
     whether it has a column."""
-    m = ls.matrix()
+    m = ls.matrix
     if m.shape[0] == 0:
         return True
     return scipy.linalg.null_space(m, rcond=NULLSPACE_TOL).shape[1] > 0
@@ -709,11 +771,19 @@ class SolutionSpace:
 
 def solution_space(ls) -> SolutionSpace:
     """Orthonormal basis of the homogeneous solutions of a linear system."""
-    m = ls.matrix()
+    m = ls.matrix
     if m.shape[0] == 0:
         return SolutionSpace(ls.scope, np.eye(ls.size))
     basis = scipy.linalg.null_space(m, rcond=NULLSPACE_TOL)
     return SolutionSpace(ls.scope, basis)
+
+
+def marginalization_matrix(scope, subscope) -> np.ndarray:
+    """0/1 matrix summing full states down to subscope states."""
+    sub = project_index(scope, subscope)
+    m = np.zeros((1 << len(tuple(subscope)), sub.size))
+    m[sub, np.arange(sub.size)] = 1.0
+    return m
 
 
 def project_space(ss: SolutionSpace, subscope) -> SolutionSpace:

@@ -215,6 +215,20 @@ class TestQueryVerb:
         assert code == 2
         assert "span multiple cliques" in err
 
+    @pytest.mark.parametrize("flags", [("--event", "Z"), ("--event", "A", "--given", "Q")])
+    def test_undeclared_variable_exit_2(self, capsys, flags):
+        # every model variable lies in some clique, so a name in none is
+        # a typo, and is reported as dsep reports it
+        code, _, err = invoke(capsys, "query", "models/mining.cn", *flags)
+        assert code == 2
+        assert f"unknown variable {flags[-1]!r}" in err
+
+    def test_solver_error_reported(self, capsys):
+        code, out, err = invoke(capsys, "query", "models/contradiction.cn", "--event", "A")
+        assert code == 1
+        assert out == ""
+        assert "P(B|C)=0.0: conditioning event has zero prior probability" in err
+
     def test_max_iterations_is_a_usage_error(self, capsys):
         # query never runs the dual optimizer, so it takes no iteration cap
         code, _, err = invoke(capsys, "query", "models/mining.cn",
@@ -229,6 +243,12 @@ class TestBenchVerb:
         assert code == 0
         assert "speedup:" in out
         assert "max marginal deviation:" in out
+
+    def test_zero_tolerance_exit_2(self, capsys):
+        code, out, err = invoke(capsys, "bench", "models/mining.cn", "--tol", "0")
+        assert code == 2
+        assert out == ""
+        assert "tolerance must be positive" in err
 
     def test_anneal_fill(self, capsys):
         code, out, _ = invoke(capsys, "bench", "models/mining.cn",

@@ -3,12 +3,11 @@ import pytest
 
 import helpers
 from maxentbn import consistency
-from helpers import project_space, solution_space
+from helpers import marginalization_matrix, project_space, solution_space
 from maxentbn import (ConstraintSet, JointTable, decompose,
                       global_consistent, local_check, pairwise_consistent,
                       to_linear)
-from maxentbn.consistency import (LinearRow, LinearSystem, marginalization_matrix,
-                                  nonneg_feasible, rank_nontrivial)
+from maxentbn.consistency import LinearSystem, nonneg_feasible, rank_nontrivial
 from maxentbn.dist import marginalize, residuals
 
 
@@ -29,7 +28,7 @@ class TestToLinear:
     def test_two_cycle_row(self):
         m = helpers.fig21()
         ls = to_linear(m.constraints, ("A", "B"))
-        row = ls.rows[0].coeffs  # P(A|B)=0.7
+        row = ls.matrix[0]  # P(A|B)=0.7
         np.testing.assert_allclose(row, [0.0, -0.7, 0.0, 0.3], atol=1e-15)
 
     def test_mining_conditional_rows_match_reference_equations(self):
@@ -43,24 +42,25 @@ class TestToLinear:
         ]
         cs = ConstraintSet(helpers.mining().constraints.conditionals[:4])
         ls = to_linear(cs, ("A", "C", "D"))
-        assert len(ls.rows) == 4
+        assert len(ls.matrix) == 4
         for target in reference:
-            assert any(rows_parallel(r.coeffs, target) for r in ls.rows)
+            assert any(rows_parallel(r, target) for r in ls.matrix)
 
     def test_marginal_row_homogeneous(self):
         cs = ConstraintSet((helpers.mc("A", 0.2),))
         ls = to_linear(cs, ("A", "B"))
-        np.testing.assert_allclose(ls.rows[0].coeffs, [-0.2, -0.2, 0.8, 0.8],
+        np.testing.assert_allclose(ls.matrix[0], [-0.2, -0.2, 0.8, 0.8],
                                    atol=1e-15)
 
     def test_empty_constraints(self):
-        assert to_linear(ConstraintSet(), ("A",)).rows == ()
+        ls = to_linear(ConstraintSet(), ("A",))
+        assert ls.constraints == () and ls.matrix.shape == (0, 2)
 
     def test_scope_filtering(self):
         m = helpers.mining()
         ls = to_linear(m.constraints, ("A", "C", "D"))
         # P(A), the C-family, but not P(B) or the D-family
-        assert len(ls.rows) == 5
+        assert len(ls.constraints) == len(ls.matrix) == 5
 
     def test_row_nullspace_matches_constraint(self):
         # any table satisfying the constraint lies in the row's kernel
@@ -71,7 +71,7 @@ class TestToLinear:
             cc = helpers.cc("A", "B", float(rng.uniform(0.1, 0.9)))
             sat = conditional_update(t, cc)
             ls = to_linear(ConstraintSet((cc,)), ("A", "B"))
-            assert abs(ls.rows[0].coeffs @ sat.probs) < 1e-12
+            assert abs(ls.matrix[0] @ sat.probs) < 1e-12
 
 
 class TestGlobalConsistent:
@@ -128,7 +128,7 @@ class TestSolutionSpace:
     def test_basis_satisfies_rows(self):
         ls = to_linear(helpers.mining().constraints, tuple("ABCD"))
         ss = solution_space(ls)
-        resid = np.abs(ls.matrix() @ ss.basis)
+        resid = np.abs(ls.matrix @ ss.basis)
         assert resid.max() < 1e-10
 
 
@@ -312,7 +312,7 @@ class TestDenseOracles:
                 for _, table in g.witnesses:
                     # a witness at t = 0 may leave a conditioning event at
                     # zero mass, so the rows are checked, not the residuals
-                    rows = to_linear(m.constraints, table.scope).matrix()
+                    rows = to_linear(m.constraints, table.scope).matrix
                     assert np.abs(rows @ table.probs).max(initial=0.0) < 1e-8
                     assert table.probs.min() >= 0.0
                     assert table.probs.sum() == pytest.approx(1.0, abs=1e-12)
@@ -321,6 +321,36 @@ class TestDenseOracles:
                 assert smallest == pytest.approx(
                     min(t.probs.min() for _, t in w.witnesses), abs=1e-9)
         assert verdicts[True] >= 20 and verdicts[False] >= 20
+
+    def test_lp_input_matches_block_builder(self, monkeypatch):
+        # every equality system handed to the LP, for the global, the
+        # joint-tree and the culprit problems, equals the one the former
+        # block-matrix builder stacks from the same tables
+        calls = []
+        tree, solve = consistency._tree_witnesses, consistency._solve_feasible
+
+        def tree_captured(systems, anchors):
+            calls.append([systems, anchors])
+            return tree(systems, anchors)
+
+        def solve_captured(a_eq, b_eq):
+            calls[-1] += [a_eq, b_eq]
+            return solve(a_eq, b_eq)
+
+        monkeypatch.setattr(consistency, "_tree_witnesses", tree_captured)
+        monkeypatch.setattr(consistency, "_solve_feasible", solve_captured)
+        kinds = {"global": 0, "tree": 0, "culprit": 0}
+        for m in self.models():
+            for kind, check in (("global", lambda: global_consistent(m)),
+                                ("tree", lambda: local_check(m, decompose(m)))):
+                calls.clear()
+                check()
+                for n, (systems, anchors, a_eq, b_eq) in enumerate(calls):
+                    want_a, want_b = helpers.tree_lp_dense(systems, anchors)
+                    assert np.array_equal(a_eq, want_a)
+                    assert np.array_equal(b_eq, want_b)
+                    kinds["culprit" if n else kind] += 1
+        assert kinds["global"] >= 80 and kinds["tree"] >= 80 and kinds["culprit"] >= 20, kinds
 
     def test_rank_pretest_matches_null_space(self):
         # row matrices of every rank, with as many rows as states or more
@@ -333,7 +363,7 @@ class TestDenseOracles:
             k = int(rng.integers(1, 2 * (1 << n) + 1))
             r = int(rng.integers(0, min(k, 1 << n) + 1))
             m = rng.normal(size=(k, r)) @ rng.normal(size=(r, 1 << n))
-            systems.append(LinearSystem(scope, tuple(LinearRow(row, 0.0, None) for row in m)))
+            systems.append(LinearSystem(scope, (None,) * k, m))
         for _ in range(60):
             # as many rows as states or more, one singular value 10^-e and
             # the others in [0.1, 1]: the rank is full iff 10^-e clears the
@@ -344,8 +374,7 @@ class TestDenseOracles:
             v, _ = np.linalg.qr(rng.normal(size=(1 << n, 1 << n)))
             sv = rng.uniform(0.1, 1.0, 1 << n)
             sv[0] = 10.0 ** -float(rng.choice([4, 6, 8, 12, 14]))
-            systems.append(LinearSystem(tuple("ABC"[:n]), tuple(
-                LinearRow(row, 0.0, None) for row in (u * sv) @ v.T)))
+            systems.append(LinearSystem(tuple("ABC"[:n]), (None,) * k, (u * sv) @ v.T))
         for _ in range(60):
             mdl = helpers.random_model(rng, n_vars=int(rng.integers(2, 4)),
                                        n_conditionals=8, n_marginals=2)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import helpers
-from maxentbn import (ConstraintSet, JointTable, Literal, NeighborGraph,
+from maxentbn import (ConditionalConstraint, ConstraintSet, JointTable, Literal,
+                      MarginalConstraint, NeighborGraph,
                       check_ci, check_mrf, conditional, marginalize,
                       neighbor_graph, residuals, serialize_table, uniform)
 from maxentbn.dist import constraint_sides, event_mask, probability, project_index
@@ -166,6 +167,46 @@ class TestResiduals:
                 helpers.mc("B", probability(t, [Literal("B")])),
             ))
             assert residuals(t, cs).max_magnitude < 1e-9
+
+    def test_matches_mask_oracle(self):
+        # the (a, b)-side reading against the former event-mask reading on
+        # random tables of 1-4 variables, half of them with zero entries,
+        # under conditionals and cells at v in {0, 1, interior}
+        rng = np.random.default_rng(9)
+        seen = {"undefined": 0, "defined": 0, "cell": 0, "conditional": 0}
+        for _ in range(400):
+            n = int(rng.integers(1, 5))
+            scope = tuple("ABCD"[:n])
+            probs = helpers.random_positive_table(rng, n)
+            if rng.random() < 0.5:
+                probs[rng.random(probs.size) < 0.75] = 0.0
+                probs[rng.integers(probs.size)] += 0.1
+                probs /= probs.sum()
+            t = JointTable(scope, probs)
+            cs = []
+            for _ in range(int(rng.integers(1, 6))):
+                v = float(rng.choice([0.0, 1.0, rng.uniform(0.05, 0.95)]))
+                names = list(rng.permutation(scope)[:int(rng.integers(1, n + 1))])
+                lits = tuple(Literal(str(x), bool(rng.integers(2))) for x in names)
+                if rng.random() < 0.5:
+                    cs.append(MarginalConstraint(lits, v))
+                    seen["cell"] += 1
+                else:
+                    cs.append(ConditionalConstraint(lits[0], lits[1:], v))
+                    seen["conditional"] += 1
+            got = residuals(t, ConstraintSet(tuple(cs)))
+            want = helpers.residuals_masks(t, ConstraintSet(tuple(cs)))
+            for g, w in zip(got.entries, want.entries):
+                assert (g.current is None) == (w.current is None)
+                if w.current is None:
+                    seen["undefined"] += 1
+                    assert g.residual is None and g.magnitude == 1.0
+                else:
+                    seen["defined"] += 1
+                    assert g.current == pytest.approx(w.current, rel=0, abs=1e-12)
+                    assert g.residual == pytest.approx(w.residual, rel=0, abs=1e-12)
+            assert got.max_magnitude == pytest.approx(want.max_magnitude, rel=0, abs=1e-12)
+        assert min(seen.values()) >= 30, seen
 
 
 def brute_force_ci(t: JointTable, x: str, y: str, given, tol: float) -> bool:

@@ -175,8 +175,8 @@ class TestSolveDecomposed:
         updated = []
         apply = mce.Kernel.apply
 
-        def captured(kernel, p):
-            apply(kernel, p)
+        def captured(kernel, p, s1, s0):
+            apply(kernel, p, s1, s0)
             updated.append(p[kernel.lo:kernel.hi].copy())
 
         monkeypatch.setattr(mce.Kernel, "apply", captured)
