@@ -279,7 +279,7 @@ def run(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except mce.ConvergenceError as exc:
+    except (mce.ConvergenceError, mce.UnreachableConstraintError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

@@ -17,6 +17,7 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg
 import scipy.optimize
+import scipy.sparse
 
 from . import dist
 from .dist import SCOPE_CAP, JointTable
@@ -75,9 +76,13 @@ def _solve_feasible(a_eq: np.ndarray, b_eq: np.ndarray) -> np.ndarray | None:
     solution may park whole conditioning events at zero mass).  Written
     as x = y + t*1 with y >= 0, the bounds t <= x_j need no rows: the LP
     is a_eq y + (a_eq 1) t = b_eq with 0 <= t <= 1, and x is y + t.
+    HiGHS is handed the augmented matrix in sparse form, so no dense copy
+    of a_eq is made.
     """
     n = a_eq.shape[1]
-    a_aug = np.hstack([a_eq, a_eq.sum(axis=1, keepdims=True)])
+    a_aug = scipy.sparse.hstack([scipy.sparse.csc_matrix(a_eq),
+                                 scipy.sparse.csc_matrix(a_eq.sum(axis=1, keepdims=True))],
+                                format="csc")
     c = np.zeros(n + 1)
     c[-1] = -1.0
     res = scipy.optimize.linprog(

@@ -17,12 +17,23 @@ Two routes to the same distribution:
   `engine.solve_decomposed` on one that holds the clique tables, with
   Hugin propagation across the join tree after each update.
 
+The tables are small (8 to 128 states on the benchmark's models), so a
+step costs what its numpy calls cost, and each step makes a fixed few.
+The scan is a gather, the `bincount`, and the add, divide, subtract, abs
+and argmax that give the residuals and pick the kernel; the NaN and
+magnitude-1.0 handling of undefined residuals runs only while some entry
+of the vector is below `PROB_FLOOR`, which one `min` per step tells, or
+some constraint's event holds in no state.  An interior update is one
+multiply of the table's slice by a three-entry factor, indexed by each
+state's side, that also renormalizes it.
+
 Both assume strictly positive priors away from constraint boundaries;
 boundary values (0 or 1) are applied as hard conditioning.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -93,10 +104,11 @@ class Kernel:
     """One constraint on one table, held as the slice `lo:hi` of the
     solver's flat float64 state vector: `a` and `b` are the vector
     indices of the table's states where the constraint's event holds and
-    where it fails (see `dist.constraint_sides`).  `table` says which of
-    the solver's tables the slice is."""
+    where it fails (see `dist.constraint_sides`), and `code` marks each
+    state of the slice 0 outside both, 1 in a, 2 in b.  `table` says
+    which of the solver's tables the slice is."""
 
-    __slots__ = ("constraint", "table", "value", "a", "b", "lo", "hi")
+    __slots__ = ("constraint", "table", "value", "a", "b", "code", "lo", "hi")
 
     def __init__(self, c: Constraint, scope: tuple[str, ...], table: int = 0,
                  offset: int = 0):
@@ -105,6 +117,9 @@ class Kernel:
         self.table = table
         self.value = c.value
         self.lo, self.hi = offset, offset + a.size
+        self.code = np.zeros(a.size, np.intp)
+        self.code[a] = 1
+        self.code[b] = 2
         self.a = np.flatnonzero(a) + offset
         self.b = np.flatnonzero(b) + offset
 
@@ -113,29 +128,30 @@ class Kernel:
         the current masses s1 of a and s0 of b.
 
         States outside a and b keep their relative weights; b is scaled
-        by t^v and a by t^(v-1), where t = ((1-v) * s1) / (v * s0), then
-        the table's slice is renormalized.  Boundary v is hard
-        conditioning.
+        by t^v and a by t^(v-1), where t = ((1-v) * s1) / (v * s0), and
+        the table's slice is renormalized in the same multiply.  Boundary
+        v is hard conditioning.
         """
         v = self.value
         if s1 + s0 < PROB_FLOOR:
             raise UnreachableConstraintError(
                 f"{self.constraint}: conditioning event has zero prior probability")
+        table = p[self.lo:self.hi]
         if v >= 1.0 or v <= 0.0:
             keep_mass, drop = (s1, self.b) if v >= 1.0 else (s0, self.a)
             if keep_mass < PROB_FLOOR:
                 raise UnreachableConstraintError(
                     f"{self.constraint}: required half of the event has zero mass")
             p[drop] = 0.0
+            table *= 1.0 / np.add.reduce(table)
         else:
             if s1 < PROB_FLOOR or s0 < PROB_FLOOR:
                 raise UnreachableConstraintError(
                     f"{self.constraint}: prior cannot reach an interior conditional value")
             t = ((1.0 - v) * s1) / (v * s0)
-            p[self.b] *= t ** v
-            p[self.a] *= t ** (v - 1.0)
-        table = p[self.lo:self.hi]
-        table *= 1.0 / np.add.reduce(table)
+            up, down = t ** (v - 1.0), t ** v
+            g = 1.0 / (np.add.reduce(table).item() - s1 - s0 + s1 * up + s0 * down)
+            table *= np.array((g, g * up, g * down))[self.code]
 
 
 def apply_constraint(prior: JointTable, c: Constraint) -> JointTable:
@@ -281,7 +297,8 @@ class _Run:
 
 
 def _successive(p: np.ndarray, kernels: list[Kernel], opts: SolverOptions,
-                record: bool = True, propagate: Callable[[int], None] | None = None,
+                record: bool = True,
+                propagate: Callable[[int, bool], None] | None = None,
                 on_cycle: Callable[[], None] | None = None) -> _Run:
     """The successive-updating loop over the state vector `p`, in place.
 
@@ -290,10 +307,12 @@ def _successive(p: np.ndarray, kernels: list[Kernel], opts: SolverOptions,
     `bincount`; they give every residual, and the applied kernel its
     masses.  The gradient schedule applies the kernel with the largest
     residual magnitude (ties by kernel order); round-robin applies kernel
-    s at step s of each cycle.  After each update `propagate(table)` may re-calibrate
-    the other tables, and `on_cycle` runs after every cycle that applied
-    an update.  An unreachable constraint stops the loop and is
-    returned, not raised.
+    s at step s of each cycle.  After each update
+    `propagate(table, floor_free)` may re-calibrate the other tables,
+    where `floor_free` says that no entry of `p` was below `PROB_FLOOR`
+    before the update; `on_cycle` runs after every cycle that applied an
+    update.  An unreachable constraint stops the loop and is returned,
+    not raised.
     """
     tol = opts.tolerance if opts.tolerance is not None else DEFAULT_SUCCESSIVE_TOL
     round_robin = opts.schedule == SCHEDULE_ROUND_ROBIN
@@ -302,27 +321,35 @@ def _successive(p: np.ndarray, kernels: list[Kernel], opts: SolverOptions,
     index = np.concatenate(sides) if sides else np.zeros(0, np.intp)
     bins = np.repeat(np.arange(2 * n), [s.size for s in sides])
     values = np.array([k.value for k in kernels])
+    # While no entry of p is below PROB_FLOOR, every event that holds in
+    # some state has total mass at least PROB_FLOOR, so no residual is
+    # undefined and the scan needs no guard.
+    events_nonempty = all(k.a.size + k.b.size for k in kernels)
 
-    def scan() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def scan(floor_free: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The masses (all a sides, then all b sides), the signed
         residuals (NaN where undefined) and their magnitudes, 1.0 where
         the event has (near) zero mass."""
         mass = np.bincount(bins, p[index], 2 * n)
         s1, total = mass[:n], mass[:n] + mass[n:]
+        if floor_free and events_nonempty:
+            r = s1 / total - values
+            return mass, r, np.abs(r)
         defined = total >= PROB_FLOOR
         r = np.where(defined, s1 / np.maximum(total, PROB_FLOOR) - values, np.nan)
         return mass, r, np.where(defined, np.abs(r), 1.0)
 
-    events: list[TraceEvent] = []
+    steps: list[tuple[int, int, float]] = []  # (cycle, kernel, residual) per update
     converged = n == 0
     error = None
     cycle = 0
     cycles_used = 0
+    floor_free = bool(np.minimum.reduce(p) >= PROB_FLOOR)
     while cycle < opts.max_cycles and not converged and error is None:
         cycle += 1
         applied_this_cycle = 0
         for step in range(n):
-            mass, r, mags = scan()
+            mass, r, mags = scan(floor_free)
             best = int(mags.argmax())
             if mags[best] <= tol:
                 converged = True
@@ -331,23 +358,25 @@ def _successive(p: np.ndarray, kernels: list[Kernel], opts: SolverOptions,
                 best = step
             k = kernels[best]
             try:
-                k.apply(p, mass[best], mass[n + best])
+                k.apply(p, mass.item(best), mass.item(n + best))
                 if propagate is not None:
-                    propagate(k.table)
+                    propagate(k.table, floor_free)
             except UnreachableConstraintError as exc:
                 error = exc
                 break
+            floor_free = bool(np.minimum.reduce(p) >= PROB_FLOOR)
             applied_this_cycle += 1
             if record:
-                resid = None if np.isnan(r[best]) else float(r[best])
-                events.append(TraceEvent(cycle, k.constraint, resid))
+                steps.append((cycle, best, r.item(best)))
         if applied_this_cycle:
             cycles_used = cycle
             if on_cycle is not None:
                 on_cycle()
-    mags = tuple(scan()[2].tolist())
+    mags = tuple(scan(False)[2].tolist())
     if error is None and not converged:
         converged = max(mags, default=0.0) <= tol
+    events = [TraceEvent(c, kernels[i].constraint, None if math.isnan(r) else r)
+              for c, i, r in steps]
     return _Run(events, converged, cycles_used, mags, error)
 
 

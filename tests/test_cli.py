@@ -150,6 +150,34 @@ class TestSolve:
                               "--method", "dual", "--max-iterations", "60")
         assert code == 1
 
+    @pytest.mark.parametrize("method", ["successive", "decomposed", "dual"])
+    def test_unreachable_constraint_exit_1(self, capsys, method):
+        # a detected inconsistency, not a usage error, whichever solver meets it
+        code, out, err = invoke(capsys, "solve", "models/contradiction.cn",
+                                "--method", method)
+        assert code == 1
+        assert "error: " in out + err
+
+
+# stdout of `solve --trace` per shipped model, method and schedule, pinned
+# byte for byte; inconsistent-quad never converges, so its runs are capped
+GOLDEN = [(m, method, schedule)
+          for m in ("contradiction", "fig21", "inconsistent-quad", "mining")
+          for method in ("successive", "decomposed")
+          for schedule in ("gradient", "round-robin")]
+
+
+@pytest.mark.parametrize("name,method,schedule", GOLDEN)
+def test_trace_output_matches_golden(capsys, name, method, schedule):
+    argv = ["solve", f"models/{name}.cn", "--method", method, "--schedule", schedule,
+            "--trace"]
+    if name == "inconsistent-quad":
+        argv += ["--max-cycles", "20"]
+    _, out, _ = invoke(capsys, *argv)
+    with open(f"tests/golden/{name}-{method}-{schedule}.out", encoding="utf-8",
+              newline="") as fh:
+        assert out == fh.read()
+
 
 class TestUnreadFlags:
     # each flag is read by some mode, but not by the one chosen here

@@ -83,6 +83,18 @@ class TestSolveDecomposed:
         np.testing.assert_allclose(snap[0].probs, acd5, atol=7e-3)
         np.testing.assert_allclose(snap[1].probs, bcd5, atol=7e-3)
 
+    @pytest.mark.parametrize("schedule", ["gradient", SCHEDULE_ROUND_ROBIN])
+    def test_snapshots_are_the_tables_of_shorter_runs(self, schedule):
+        report = solve_decomposed(self.model, self.d, SolverOptions(schedule=schedule))
+        assert len(report.snapshots) == report.cycles
+        for i, snap in enumerate(report.snapshots):
+            short = solve_decomposed(self.model, self.d,
+                                     SolverOptions(schedule=schedule, max_cycles=i + 1),
+                                     record=False)
+            assert [t.scope for t in snap] == [s.scope for s in short.cliques]
+            for t, s in zip(snap, short.cliques):
+                np.testing.assert_array_equal(t.probs, s.table.probs)
+
     def test_separator_marginals_agree(self):
         report = solve_decomposed(self.model, self.d)
         cd0 = marginalize(report.cliques[0].table, ("C", "D"))
@@ -349,8 +361,17 @@ class TestDecomposedAgainstOracle:
                 cs[j] = dataclasses.replace(cs[j], value=float(rng.integers(2)))
                 m = helpers.Model(m.variables, ConstraintSet(tuple(cs)))
             for schedule in ("gradient", SCHEDULE_ROUND_ROBIN):
-                report = self.agree(m, SolverOptions(schedule=schedule, max_cycles=20))
+                opts = SolverOptions(schedule=schedule, max_cycles=20)
+                report = self.agree(m, opts)
                 outcomes.add("error" if report.error else report.converged)
+                # recording reads the loop's state and never changes it
+                quiet = solve_decomposed(m, decompose(m), opts, record=False)
+                assert ((quiet.cycles, quiet.converged, quiet.error, quiet.final_residuals)
+                        == (report.cycles, report.converged, report.error,
+                            report.final_residuals))
+                for a, b in zip(quiet.cliques, report.cliques):
+                    np.testing.assert_array_equal(a.table.probs, b.table.probs)
+                assert len(quiet.snapshots) == 0 and quiet.trace.events == ()
         assert outcomes == {"error", True, False}
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,9 @@ from maxentbn import (ConstraintSet, ConvergenceError, JointTable, Literal,
                       SolverOptions, UnreachableConstraintError,
                       conditional_update, mce_dual_solve,
                       residuals, successive_solve, uniform)
-from maxentbn.dist import conditional, probability
+from maxentbn.dist import PROB_FLOOR, conditional, probability
 from maxentbn.mce import DualProblem, SCHEDULE_ROUND_ROBIN, apply_constraint
+from maxentbn.model import ConditionalConstraint
 
 
 class TestJeffrey:
@@ -359,12 +362,72 @@ class TestSuccessiveAgainstOracle:
         assert (trace.converged, trace.cycles) == (trace_ref.converged, trace_ref.cycles)
         np.testing.assert_allclose(t.probs, t_ref.probs, rtol=0, atol=1e-12)
 
-    def test_unreachable_raises(self):
-        m = helpers.contradiction()
+    @staticmethod
+    def outcome(solve, prior, cs, opts):
+        try:
+            return solve(prior, cs, opts)
+        except UnreachableConstraintError as exc:
+            return str(exc)
+
+    def test_random_models(self):
+        # the models of test_engine's TestDecomposedAgainstOracle: every
+        # third has one value moved to the boundary, 0 or 1, so the joint
+        # gains zero entries and the scan meets events of zero mass
+        rng = np.random.default_rng(61)
+        outcomes, with_zeros = set(), 0
+        for i in range(50):
+            m = helpers.random_model(rng)
+            if i % 3 == 0:
+                cs = list(m.constraints)
+                j = int(rng.integers(len(cs)))
+                cs[j] = dataclasses.replace(cs[j], value=float(rng.integers(2)))
+                m = helpers.Model(m.variables, ConstraintSet(tuple(cs)))
+            prior = uniform(m.names)
+            for schedule in ("gradient", SCHEDULE_ROUND_ROBIN):
+                opts = SolverOptions(schedule=schedule, max_cycles=20)
+                got = self.outcome(successive_solve, prior, m.constraints, opts)
+                want = self.outcome(helpers.successive_solve_oracle, prior, m.constraints,
+                                    opts)
+                if isinstance(want, str):
+                    assert got == want
+                    outcomes.add("error")
+                    continue
+                (t, trace), (t_ref, trace_ref) = got, want
+                # residuals near zero may differ from the oracle's in the
+                # last bit, and in sign, so to_tsv() is compared by field
+                assert ([(e.cycle, str(e.constraint), e.residual_before is None)
+                         for e in trace.events]
+                        == [(e.cycle, str(e.constraint), e.residual_before is None)
+                            for e in trace_ref.events])
+                for a, b in zip(trace.events, trace_ref.events):
+                    if a.residual_before is not None:
+                        assert a.residual_before == pytest.approx(b.residual_before,
+                                                                  rel=0, abs=1e-12)
+                assert (trace.converged, trace.cycles) == (trace_ref.converged,
+                                                           trace_ref.cycles)
+                np.testing.assert_allclose(t.probs, t_ref.probs, rtol=0, atol=1e-12)
+                outcomes.add(trace.converged)
+                with_zeros += bool(t.probs.min() < PROB_FLOOR)
+        assert outcomes == {"error", True, False}
+        assert with_zeros >= 10
+
+    @staticmethod
+    def raise_alike(names, cs):
+        prior = uniform(names)
         for schedule in ("gradient", SCHEDULE_ROUND_ROBIN):
             opts = SolverOptions(schedule=schedule)
             with pytest.raises(UnreachableConstraintError) as ref:
-                helpers.successive_solve_oracle(uniform(m.names), m.constraints, opts)
+                helpers.successive_solve_oracle(prior, cs, opts)
             with pytest.raises(UnreachableConstraintError) as got:
-                successive_solve(uniform(m.names), m.constraints, opts)
+                successive_solve(prior, cs, opts)
             assert str(got.value) == str(ref.value)
+
+    def test_unreachable_raises(self):
+        m = helpers.contradiction()
+        self.raise_alike(m.names, m.constraints)
+
+    def test_empty_event_raises(self):
+        # a directly built conditional whose condition holds in no state:
+        # its residual is undefined even on a positive joint
+        empty = ConditionalConstraint(Literal("A"), (Literal("B"), Literal("B", False)), 0.5)
+        self.raise_alike(("A", "B"), ConstraintSet((helpers.mc("B", 0.3), empty)))
