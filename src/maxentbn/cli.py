@@ -122,15 +122,20 @@ def _cmd_solve(args) -> int:
     report = engine.solve_decomposed(m, d, opts)
     for state in report.cliques:
         _print_table(state.table, args.format, label="clique " + ",".join(state.scope))
+    print(_outcome(report))
     if report.error:
-        print(f"error: {report.error}")
         return 1
-    print(f"converged: {'yes' if report.converged else 'no'} "
-          f"({report.cycles} cycles, max residual "
-          f"{max(report.final_residuals, default=0.0):.3g})")
     if args.trace:
         print(report.trace.to_tsv(), end="")
     return 0 if report.converged else 1
+
+
+def _outcome(report: engine.SolveReport) -> str:
+    """A decomposed solve's closing line: its error, or its convergence."""
+    if report.error:
+        return f"error: {report.error}"
+    return (f"converged: {'yes' if report.converged else 'no'} ({report.cycles} cycles, "
+            f"max residual {max(report.final_residuals, default=0.0):.3g})")
 
 
 def _cmd_query(args) -> int:
@@ -155,8 +160,11 @@ def _cmd_query(args) -> int:
 def _cmd_bench(args) -> int:
     m = _load_model(args.model)
     d = graphops.decompose(m, method=args.fill, opts=graphops.AnnealOptions(seed=args.seed))
-    report, _, _ = engine.bench(m, d, mce.SolverOptions(tolerance=args.tol))
-    print(engine.format_bench(report), end="")
+    timing, report, _ = engine.bench(m, d, mce.SolverOptions(tolerance=args.tol))
+    if not report.converged:  # a speedup to an unfinished solve means nothing
+        print(_outcome(report))
+        return 1
+    print(engine.format_bench(timing), end="")
     return 0
 
 

@@ -21,7 +21,7 @@ import scipy.sparse
 
 from . import dist
 from .dist import SCOPE_CAP, JointTable
-from .graphops import Decomposition, Hypergraph, graham_acyclic
+from .graphops import Decomposition, Hypergraph, constraint_homes, graham_acyclic
 from .model import Constraint, ConstraintSet, Model
 
 NULLSPACE_TOL = 1e-10
@@ -177,54 +177,45 @@ def pairwise_consistent(model: Model, clique_i: frozenset[str], clique_j: frozen
     """True iff each clique admits a distribution satisfying its own
     constraints such that the two agree on the shared variables; decided
     as one joint feasibility problem."""
-    wits = _clique_witnesses(model, [clique_i, clique_j], (None, 0))
-    if wits is None:
-        return False, None
-    return True, (wits[0], wits[1])
-
-
-def _clique_witnesses(model: Model, cliques, anchors) -> list[JointTable] | None:
-    """`_tree_witnesses` over the cliques' own constraints, as tables."""
-    systems = [to_linear(model.constraints, model.ordered_scope(c)) for c in cliques]
-    sol = _tree_witnesses(systems, anchors)
+    systems = [to_linear(model.constraints, model.ordered_scope(c)) for c in (clique_i, clique_j)]
+    sol = _tree_witnesses(systems, (None, 0))
     if sol is None:
-        return None
-    return [JointTable(ls.scope, p) for ls, p in zip(systems, sol)]
+        return False, None
+    return True, (JointTable(systems[0].scope, sol[0]), JointTable(systems[1].scope, sol[1]))
 
 
 def local_check(model: Model, d: Decomposition) -> ConsistencyReport:
     """Consistency over an acyclic decomposition, checked clique-locally.
 
+    Every constraint must have a home clique (`graphops.constraint_homes`).
     One joint per-clique feasibility problem along the running-intersection
     order decides, and yields witnesses that calibrate on the separators.
     When it is infeasible, the culprit is the first failing relaxation of
     it: the first clique alone, then each later clique paired with its
     anchor.  All of these pass only when the chain of pairwise checks
-    misses a longer-range contradiction.
+    misses a longer-range contradiction.  Each clique is encoded once, and
+    its rows serve every one of these problems.
     """
     hg = Hypergraph(tuple(sorted(set().union(*d.cliques))), d.cliques)
     if not graham_acyclic(hg):
         raise ValueError("decomposition is not acyclic; local check inapplicable")
-    order = d.rip.order
-    tables = _clique_witnesses(model, order, d.rip.anchors)
-    if tables is not None:
-        return ConsistencyReport(True, rank_ok=None, feasible=True,
-                                 witnesses=tuple(zip(order, tables)))
-    s0 = order[0]
-    ls0 = to_linear(model.constraints, model.ordered_scope(s0))
-    if nonneg_feasible(ls0) is None:
-        return ConsistencyReport(False, rank_ok=None, feasible=False, witnesses=(),
-                                 culprit=(s0, s0))
-    for i in range(1, len(order)):
-        anchor = order[d.rip.anchors[i]]
-        ok, _ = pairwise_consistent(model, order[i], anchor)
-        if not ok:
-            return ConsistencyReport(False, rank_ok=None, feasible=False, witnesses=(),
-                                     culprit=(order[i], anchor))
+    constraint_homes(model, d)
+    order, anchors = d.rip.order, d.rip.anchors
+    systems = [to_linear(model.constraints, model.ordered_scope(c)) for c in order]
+    sol = _tree_witnesses(systems, anchors)
+    if sol is not None:
+        return ConsistencyReport(True, rank_ok=None, feasible=True, witnesses=tuple(
+            (c, JointTable(ls.scope, p)) for c, ls, p in zip(order, systems, sol)))
+    if nonneg_feasible(systems[0]) is None:
+        culprit = (order[0], order[0])
+    else:
+        culprit = next(((order[i], order[j]) for i, j in enumerate(anchors)
+                        if i and _tree_witnesses([systems[i], systems[j]], (None, 0)) is None),
+                       None)
     return ConsistencyReport(
-        False, rank_ok=None, feasible=False, witnesses=(), culprit=None,
-        note="anchor-pairwise checks passed but no jointly calibrated "
-             "per-clique tables exist")
+        False, rank_ok=None, feasible=False, witnesses=(), culprit=culprit,
+        note="" if culprit else "anchor-pairwise checks passed but no jointly "
+                                "calibrated per-clique tables exist")
 
 
 def format_report(report: ConsistencyReport, model: Model | None = None,

@@ -1,30 +1,25 @@
 """Decomposed solving: per-clique successive updating with propagation.
 
 Each clique of an acyclic decomposition holds a dense table over its own
-variables.  Constraints are assigned to the first clique (in
-running-intersection order) containing their scope.  The solver applies
-the single-constraint update with the largest current residual, then
-re-calibrates the other cliques along the join tree, and repeats until
-every residual is inside tolerance.
+variables.  Each constraint lives in its home clique, the first one in
+running-intersection order that holds its scope (`graphops.constraint_homes`).
+The solver applies the single-constraint update with the largest current
+residual, then re-calibrates the other cliques along the join tree, and
+repeats until every residual is inside tolerance.
 
 The update rule and the loop are `mce`'s (`Kernel`, `_successive`), the
 same ones `mce.successive_solve` runs on the full joint; this module adds
-the clique tables, the constraint assignment and the propagation.  All
-clique tables are slices of one float64 state vector.  Propagation is
-Hugin's (Jensen, Lauritzen & Olesen 1990): each join edge stores its
-separator marginal, and a pass from the updated clique scales every
-receiver by the ratio of the sender's new marginal to the stored one.
-That is one marginalization per edge, and a receiver stays normalized.
-While no entry of the state vector is below `PROB_FLOOR` a pass needs no
-zero-mass check, and each edge costs four numpy calls: `bincount`,
-divide, gather, multiply.  Tables this small make the number of calls,
-not the arithmetic, the cost of a step.  Measured on a 2-vCPU x86 VM at
-tolerance 1e-4, the benchmark's seven seed-1 decomposed solves took
-1.6 s in all (best of 5, recorded), where the former list loop, which
-marginalized both cliques of every separator afresh after each update,
-took 7.7 s; `tests/helpers.ring_model(10, 0)` took 0.65 s in place of
-4.3 s, over the same 657 cycles.  On `ring_model(16, 0)` the pass takes
-about 60% of a step.
+the clique tables and the propagation.  All clique tables are slices of
+one float64 state vector.  Propagation is Hugin's (Jensen, Lauritzen &
+Olesen 1990): each join edge stores its separator marginal, and a pass
+from the updated clique scales every receiver by the ratio of the
+sender's new marginal to the stored one.  That is one marginalization per
+edge, and a receiver stays normalized.  While no entry of the state
+vector is below `PROB_FLOOR` a pass needs no zero-mass check, and each
+edge costs four numpy calls: `bincount`, divide, gather, multiply.
+Tables this small make the number of calls, not the arithmetic, the cost
+of a step: on `tests/helpers.ring_model(16, 0)` the pass takes about 60%
+of a step.
 """
 
 from __future__ import annotations
@@ -37,7 +32,7 @@ import numpy as np
 
 from . import dist, mce
 from .dist import PROB_FLOOR, JointTable, marginalize
-from .graphops import Decomposition
+from .graphops import Decomposition, constraint_homes
 from .mce import SolverOptions, UnreachableConstraintError, UpdateTrace
 from .model import Constraint, Literal, Model
 
@@ -87,27 +82,9 @@ class _Snapshots(Sequence):
         return self._tables(self._vectors[i])
 
 
-def _assign_constraints(model: Model, d: Decomposition) -> list[int]:
-    """Clique index (first fit in RIP order) per constraint, declaration
-    order."""
-    homes = []
-    for c in model.constraints:
-        for i, clique in enumerate(d.rip.order):
-            if c.scope <= clique:
-                homes.append(i)
-                break
-        else:
-            raise ValueError(f"constraint {c} fits in no clique")
-    return homes
-
-
 def _join_edges(model: Model, d: Decomposition) -> tuple[JoinEdge, ...]:
-    edges = []
-    for i in range(1, len(d.rip.order)):
-        j = d.rip.anchors[i]
-        sep = model.ordered_scope(d.rip.separator(i))
-        edges.append(JoinEdge(i, j, sep))
-    return tuple(edges)
+    return tuple(JoinEdge(i, d.rip.anchors[i], model.ordered_scope(d.rip.separator(i)))
+                 for i in range(1, len(d.rip.order)))
 
 
 def solve_decomposed(model: Model, d: Decomposition,
@@ -124,7 +101,7 @@ def solve_decomposed(model: Model, d: Decomposition,
     With record=False the trace and per-cycle snapshots are skipped.
     """
     opts = opts or SolverOptions()
-    homes = _assign_constraints(model, d)
+    homes = constraint_homes(model, d)
     scopes = [model.ordered_scope(c) for c in d.rip.order]
     offsets = np.cumsum([0] + [1 << len(s) for s in scopes]).tolist()
     p = np.concatenate([dist.uniform(s).probs for s in scopes])

@@ -4,9 +4,10 @@ Covers maximal-clique enumeration, acyclicity of hypergraphs (Graham
 reduction, and running-intersection orderings by maximum cardinality
 search), triangulation of the neighbor graph by vertex elimination --
 greedy minimum fill, or simulated annealing over elimination orderings --
-that keeps the total clique state space small, and a generalized
-d-separation test that remains valid when the directed network contains
-cycles.  Every routine here is polynomial in the size of its graph.
+that keeps the total clique state space small, the home clique of each
+constraint, and a generalized d-separation test that remains valid when
+the directed network contains cycles.  Every routine here is polynomial in
+the size of its graph.
 """
 
 from __future__ import annotations
@@ -44,10 +45,9 @@ class RipOrder:
     anchors: tuple[int | None, ...]  # anchors[0] is None; anchors[i] < i
 
     def separator(self, i: int) -> frozenset[str]:
-        earlier: set[str] = set()
-        for s in self.order[:i]:
-            earlier |= s
-        return frozenset(self.order[i] & earlier)
+        """Set i's overlap with all earlier sets, which lies inside its
+        anchor and so is its overlap with the anchor."""
+        return self.order[i] & self.order[self.anchors[i]] if i else frozenset()
 
 
 @dataclass(frozen=True)
@@ -356,12 +356,22 @@ def decompose(model: Model, method: str = "greedy",
         d = fill_in_anneal(g, opts)
     else:
         raise ValueError(f"unknown fill-in method {method!r}")
+    constraint_homes(model, d)
+    return d
+
+
+def constraint_homes(model: Model, d: Decomposition) -> list[int]:
+    """Per constraint, in declaration order, the index of its home: the
+    first clique in running-intersection order that holds its scope."""
+    homes = []
     for c in model.constraints:
-        if not any(c.scope <= cl for cl in d.cliques):
+        home = next((i for i, cl in enumerate(d.rip.order) if c.scope <= cl), None)
+        if home is None:
             raise ValueError(
                 f"constraint {c} fits in no clique of the decomposition; "
                 "see the marginal scope-rule warnings")
-    return d
+        homes.append(home)
+    return homes
 
 
 @dataclass(frozen=True)
@@ -397,10 +407,13 @@ def parse_graph_text(text: str) -> GraphText:
         parts = line.split()
         kind, args = parts[0], parts[1:]
         if kind == "nodes":
-            nodes.extend(args)
+            for v in args:
+                if v in nodes:
+                    raise ValueError(f"line {i}: node {v!r} declared twice")
+                nodes.append(v)
         elif kind == "edge":
-            if len(args) != 2:
-                raise ValueError(f"line {i}: 'edge' takes two nodes")
+            if len(args) != 2 or args[0] == args[1]:
+                raise ValueError(f"line {i}: 'edge' takes two distinct nodes")
             edges.add(frozenset(args))
         elif kind == "arc":
             if len(args) != 2:

@@ -219,13 +219,14 @@ class DualProblem:
 
 
 def _newton_polish(prob: DualProblem, lam: np.ndarray, tol: float,
-                   max_iterations: int) -> tuple[np.ndarray, bool]:
+                   max_iterations: int) -> tuple[np.ndarray, str | None]:
     """Damped Newton ascent on the dual until residuals (conditional
-    scale) are within tolerance."""
+    scale) are within tolerance.  Returns the multipliers and None, or
+    how it stopped short: "stalled" or "reached its N-iteration cap"."""
     for _ in range(max_iterations):
         rep = residuals(prob.table(lam), prob.cs)
         if rep.max_magnitude <= tol:
-            return lam, True
+            return lam, None
         g = prob.gradient(lam)
         h = prob.hessian(lam)
         ridge = 1e-12 * (1.0 + np.trace(-h) / max(len(lam), 1))
@@ -249,8 +250,8 @@ def _newton_polish(prob: DualProblem, lam: np.ndarray, tol: float,
             if np.abs(prob.gradient(cand)).max() < np.abs(g).max():
                 lam = cand
             else:
-                return lam, False  # stalled: likely inconsistent constraints
-    return lam, False
+                return lam, "stalled"  # likely inconsistent constraints
+    return lam, f"reached its {max_iterations}-iteration cap"
 
 
 def mce_dual_solve(prior: JointTable, cs: ConstraintSet,
@@ -260,7 +261,8 @@ def mce_dual_solve(prior: JointTable, cs: ConstraintSet,
     Conjugate gradient on the dual does the bulk of the work; damped
     Newton steps finish to tolerance.  Raises ConvergenceError when the
     residuals cannot be driven down (inconsistent constraint sets and
-    boundary constraints both surface this way).
+    boundary constraints both surface this way) or are still above
+    tolerance after `max_iterations` Newton steps.
     """
     opts = opts or SolverOptions()
     tol = opts.tolerance if opts.tolerance is not None else DEFAULT_DUAL_TOL
@@ -276,14 +278,15 @@ def mce_dual_solve(prior: JointTable, cs: ConstraintSet,
         method="CG",
         options={"maxiter": opts.max_iterations, "gtol": tol * 1e-2},
     )
-    lam, ok = _newton_polish(prob, res.x, tol, opts.max_iterations)
+    lam, short = _newton_polish(prob, res.x, tol, opts.max_iterations)
     table = prob.table(lam)
-    if not ok:
-        rep = residuals(table, cs)
+    if short is not None:
+        hint = ("the constraint set may be inconsistent or contain boundary constraints"
+                if short == "stalled" else
+                "more iterations may converge unless the constraint set is inconsistent")
         raise ConvergenceError(
-            f"dual solve stalled at max residual {rep.max_magnitude:.3g} "
-            f"(tolerance {tol:g}); the constraint set may be inconsistent "
-            "or contain boundary constraints")
+            f"dual solve {short} at max residual {residuals(table, cs).max_magnitude:.3g} "
+            f"(tolerance {tol:g}); {hint}")
     return table
 
 

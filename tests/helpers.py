@@ -25,7 +25,6 @@ from maxentbn import (BeliefNetwork, ConditionalConstraint, ConstraintSet,
 from maxentbn.consistency import NULLSPACE_TOL
 from maxentbn.dist import (PROB_FLOOR, ResidualEntry, ResidualReport, conditional,
                            constraint_sides, event_mask, probability, project_index)
-from maxentbn.engine import _assign_constraints, _join_edges
 from maxentbn.mce import (DEFAULT_SUCCESSIVE_TOL, SCHEDULE_ROUND_ROBIN,
                           TraceEvent, apply_constraint)
 
@@ -52,6 +51,13 @@ QUAD_TEXT = "vars A B\nP(A|~B)=0.2\nP(A|B)=0.7\nP(B|~A)=0.1\nP(B|A)=0.8\n"
 
 CONTRADICTION_TEXT = ("vars A B C\nP(B|A)=1\nP(B|~A)=1\n"
                       "P(B|C)=0\nP(B|~C)=0\n")
+
+# P(A,C) lies in no clique of the neighbor graph's cover {A,B}, {B,C}, and
+# it contradicts P(A)=0.1: a clique-local check that left it out would call
+# the set consistent.
+HOMELESS_TEXT = "vars A B C\nP(A|B)=0.5\nP(C|B)=0.5\nP(A)=0.1\nP(A,C)=0.9\n"
+HOMELESS_ERROR = (r"constraint P\(A,C\)=0\.9 fits in no clique of the decomposition; "
+                  "see the marginal scope-rule warnings")
 
 # Six-node ring-of-triangles neighbor graph whose raw clique cover is not
 # acyclic; the reference answer resolves it with a single chord.
@@ -122,6 +128,10 @@ def quad() -> Model:
 
 def contradiction() -> Model:
     return parse_model(CONTRADICTION_TEXT)
+
+
+def homeless() -> Model:
+    return parse_model(HOMELESS_TEXT)
 
 
 def model_of(names: str, *constraints) -> Model:
@@ -295,6 +305,15 @@ def rip_order_bfs(h):
     order = tuple(edges[i] for i, _ in chain)
     anchors = tuple(None if a is None else index_of[a] for _, a in chain)
     return RipOrder(order, anchors)
+
+
+def separator_oracle(rip, i):
+    """Set i's overlap with the union of every earlier set of a RIP
+    order: the separator by its definition."""
+    earlier = set()
+    for s in rip.order[:i]:
+        earlier |= s
+    return frozenset(rip.order[i] & earlier)
 
 
 def is_chordal(adj: dict[str, set[str]]) -> bool:
@@ -506,22 +525,34 @@ def solve_decomposed_oracle(model, d, opts=None):
     residual recomputed before each step, and after each update a
     depth-first pass that marginalizes both cliques of every separator
     afresh, skips a separator whose two marginals agree to 1e-15 (and
-    the subtree behind it), and renormalizes each receiving clique.
+    the subtree behind it), and renormalizes each receiving clique.  Each
+    constraint's clique (the first in RIP order that holds it) and each
+    separator (the overlap with all earlier cliques) are found here by
+    definition, not by the package's routines.
     Returns (clique tables, UpdateTrace, error or None)."""
     opts = opts or SolverOptions()
     tol = opts.tolerance if opts.tolerance is not None else DEFAULT_SUCCESSIVE_TOL
     scopes = [model.ordered_scope(c) for c in d.rip.order]
     probs = [uniform(s).probs.tolist() for s in scopes]
-    kernels = [_ListKernel(c, scopes[h], h)
-               for c, h in zip(model.constraints, _assign_constraints(model, d))]
+    homes = []
+    for c in model.constraints:
+        for h, clique in enumerate(d.rip.order):
+            if c.scope <= clique:
+                homes.append(h)
+                break
+        else:
+            raise ValueError(f"constraint {c} fits in no clique")
+    kernels = [_ListKernel(c, scopes[h], h) for c, h in zip(model.constraints, homes)]
     adjacency = {}
-    for e in _join_edges(model, d):
-        if e.separator:
-            sub_c = project_index(scopes[e.child], e.separator).tolist()
-            sub_p = project_index(scopes[e.parent], e.separator).tolist()
-            ns = 1 << len(e.separator)
-            adjacency.setdefault(e.child, []).append((e.parent, sub_c, sub_p, ns))
-            adjacency.setdefault(e.parent, []).append((e.child, sub_p, sub_c, ns))
+    for child in range(1, len(scopes)):
+        parent = d.rip.anchors[child]
+        sep = model.ordered_scope(separator_oracle(d.rip, child))
+        if sep:
+            sub_c = project_index(scopes[child], sep).tolist()
+            sub_p = project_index(scopes[parent], sep).tolist()
+            ns = 1 << len(sep)
+            adjacency.setdefault(child, []).append((parent, sub_c, sub_p, ns))
+            adjacency.setdefault(parent, []).append((child, sub_p, sub_c, ns))
 
     def propagate(start):
         stack = [(start, -1)]

@@ -278,6 +278,15 @@ class TestBenchVerb:
         assert out == ""
         assert "tolerance must be positive" in err
 
+    def test_unconverged_solve_exit_1(self, capsys):
+        # at this tolerance the decomposed solve stops at its cycle cap, so
+        # no speedup is reported; the line is the one `solve` prints
+        code, out, err = invoke(capsys, "bench", "models/fig21.cn", "--tol", "1e-16")
+        assert code == 1 and err == ""
+        assert out == "converged: no (1000 cycles, max residual 1.11e-16)\n"
+        _, solved, _ = invoke(capsys, "solve", "models/fig21.cn", "--tol", "1e-16")
+        assert solved.endswith(out)
+
     def test_anneal_fill(self, capsys):
         code, out, _ = invoke(capsys, "bench", "models/mining.cn",
                               "--fill", "anneal", "--seed", "3")

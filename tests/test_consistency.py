@@ -4,9 +4,9 @@ import pytest
 import helpers
 from maxentbn import consistency
 from helpers import marginalization_matrix, project_space, solution_space
-from maxentbn import (ConstraintSet, JointTable, decompose,
-                      global_consistent, local_check, pairwise_consistent,
-                      to_linear)
+from maxentbn import (ConstraintSet, Decomposition, JointTable, RipOrder, decompose,
+                      fill_in_greedy, global_consistent, local_check, neighbor_graph,
+                      pairwise_consistent, to_linear)
 from maxentbn.consistency import LinearSystem, nonneg_feasible, rank_nontrivial
 from maxentbn.dist import marginalize, residuals
 
@@ -242,6 +242,28 @@ class TestLocalCheck:
         report = local_check(m, decompose(m))
         assert report.culprit == (fs("B", "C"), fs("A", "B")) and report.note == ""
         assert len(calls) == 3  # joint, first clique, second against its anchor
+
+    def test_constraint_without_home_raises(self, monkeypatch):
+        # P(A,C) fits in no clique; leaving it out of every clique's rows
+        # would call this inconsistent set consistent
+        m = helpers.homeless()
+        assert not global_consistent(m).consistent
+
+        def no_lp(*args):
+            raise AssertionError("an LP was built")
+
+        monkeypatch.setattr(consistency, "_tree_witnesses", no_lp)
+        with pytest.raises(ValueError, match=helpers.HOMELESS_ERROR):
+            local_check(m, fill_in_greedy(neighbor_graph(m)))
+
+    def test_cyclic_cover_raises(self):
+        # c06's raw sixring cover, with an order and anchors that only
+        # look like a running-intersection order
+        cover = (fs("A", "C", "F"), fs("B", "D", "E"), fs("C", "D"), fs("E", "F"))
+        d = Decomposition(frozenset(), cover, RipOrder(cover, (None, 0, 0, 0)), 32)
+        m = helpers.model_of("ABCDEF", helpers.cc("A", "C", 0.5))
+        with pytest.raises(ValueError, match="not acyclic"):
+            local_check(m, d)
 
     def test_single_clique_matches_global(self):
         m = helpers.fig21()

@@ -7,7 +7,7 @@ import helpers
 from helpers import subset_marginal_update
 from maxentbn import mce
 from maxentbn import (JointTable, Literal, SolverOptions, bench, check_ci,
-                      check_mrf, decompose, global_consistent, marginalize,
+                      check_mrf, decompose, fill_in_greedy, global_consistent, marginalize,
                       mce_dual_solve, neighbor_graph, query, solve_decomposed,
                       successive_solve, uniform)
 from maxentbn.dist import residuals
@@ -108,6 +108,11 @@ class TestSolveDecomposed:
         assert "P(A)=0.2" in by_clique[fs("A", "C", "D")]
         assert "P(B)=0.7" in by_clique[fs("B", "C", "D")]
         assert "P(D|B,C)=0.8" in by_clique[fs("B", "C", "D")]
+
+    def test_constraint_without_home_raises(self):
+        m = helpers.homeless()
+        with pytest.raises(ValueError, match=helpers.HOMELESS_ERROR):
+            solve_decomposed(m, fill_in_greedy(neighbor_graph(m)))
 
     def test_constraints_satisfied_at_convergence(self):
         report = solve_decomposed(self.model, self.d)

@@ -111,6 +111,22 @@ class TestRipOrder:
             for i in range(1, len(r.order)):
                 assert r.separator(i) <= r.order[r.anchors[i]]
 
+    def test_separator_matches_union_oracle(self):
+        # the separator read off the anchor equals the overlap with every
+        # earlier set, on random hypergraphs that have a RIP order
+        rng = np.random.default_rng(1106)
+        orderable = separators = 0
+        for _ in range(400):
+            h = helpers.random_hypergraph(rng, max_edges=10)
+            r = rip_order(h)
+            if r is None:
+                continue
+            orderable += 1
+            for i in range(len(r.order)):
+                assert r.separator(i) == helpers.separator_oracle(r, i)
+                separators += bool(r.separator(i))
+        assert orderable >= 100 and separators >= 200
+
     def test_equivalence_with_graham(self):
         # acyclicity via reduction coincides with orderability
         rng = np.random.default_rng(32)
@@ -205,6 +221,10 @@ class TestFillIn:
         g = NeighborGraph(("A", "B", "C"), frozenset({fs("A", "B"), fs("B", "C")}))
         d = fill_in_anneal(g, AnnealOptions(seed=5))
         assert d.fill_in == frozenset()
+
+    def test_anneal_needs_a_restart(self):
+        with pytest.raises(ValueError, match="restarts must be at least 1"):
+            AnnealOptions(restarts=0)
 
     def test_anneal_reproducible(self):
         g = sixring()
@@ -420,6 +440,26 @@ class TestDecompose:
         with pytest.raises(ValueError, match="no clique"):
             decompose(m)
 
+    def test_unknown_method(self):
+        with pytest.raises(ValueError, match="unknown fill-in method 'bogus'"):
+            decompose(helpers.mining(), method="bogus")
+
+    def test_constraint_homes_first_fit(self):
+        rng = np.random.default_rng(37)
+        for _ in range(20):
+            m = helpers.random_model(rng)
+            d = decompose(m)
+            homes = graphops.constraint_homes(m, d)
+            assert len(homes) == len(m.constraints)
+            for c, h in zip(m.constraints, homes):
+                assert c.scope <= d.rip.order[h]
+                assert not any(c.scope <= cl for cl in d.rip.order[:h])
+
+    def test_constraint_homes_refuses_homeless(self):
+        m = helpers.homeless()
+        with pytest.raises(ValueError, match=helpers.HOMELESS_ERROR):
+            graphops.constraint_homes(m, fill_in_greedy(neighbor_graph(m)))
+
     def test_every_constraint_covered(self):
         rng = np.random.default_rng(35)
         for _ in range(20):
@@ -440,6 +480,18 @@ class TestGraphText:
     def test_undeclared_node(self):
         with pytest.raises(ValueError, match="not declared"):
             parse_graph_text("nodes A\nedge A B\n")
+
+    @pytest.mark.parametrize("line", ["edge A A", "edge A", "edge A B C"])
+    def test_edge_takes_two_distinct_nodes(self, line):
+        with pytest.raises(ValueError, match="line 2: 'edge' takes two distinct nodes"):
+            parse_graph_text(f"nodes A B C\n{line}\n")
+
+    @pytest.mark.parametrize("text", ["nodes A B C\nedge A B\nnodes C\n",
+                                      "nodes A B\nnodes C C\n"])
+    def test_node_declared_twice(self, text):
+        line = text.count("\n")
+        with pytest.raises(ValueError, match=f"line {line}: node 'C' declared twice"):
+            parse_graph_text(text)
 
     def test_sixring_file_matches(self):
         with open("models/sixring.graph", encoding="utf-8") as fh:

@@ -118,6 +118,17 @@ class TestDualSolve:
             mce_dual_solve(uniform(("A", "B")), m.constraints,
                            SolverOptions(max_iterations=60))
 
+    def test_iteration_cap_named(self):
+        # mining is consistent and converges with a fourth Newton step; a
+        # run cut short by its cap says so instead of blaming the model
+        m = helpers.mining()
+        with pytest.raises(ConvergenceError,
+                           match=r"^dual solve reached its 3-iteration cap at max residual "
+                                 r"3\.26e-07 \(tolerance 1e-08\)") as exc:
+            mce_dual_solve(uniform(m.names), m.constraints, SolverOptions(max_iterations=3))
+        assert "stalled" not in str(exc.value)
+        mce_dual_solve(uniform(m.names), m.constraints, SolverOptions(max_iterations=4))
+
     def test_requires_positive_prior(self):
         t = JointTable(("A",), np.array([1.0, 0.0]))
         with pytest.raises(ValueError, match="positive"):
@@ -133,6 +144,17 @@ class TestDualSolve:
                                   SolverOptions(tolerance=1e-11))
         via_rule = conditional_update(prior, cc)
         np.testing.assert_allclose(via_dual.probs, via_rule.probs, atol=1e-9)
+
+
+class TestSolverOptions:
+    @pytest.mark.parametrize("field", ["max_cycles", "max_iterations"])
+    def test_caps_at_least_one(self, field):
+        with pytest.raises(ValueError, match="iteration caps must be at least 1"):
+            SolverOptions(**{field: 0})
+
+    def test_unknown_schedule(self):
+        with pytest.raises(ValueError, match="unknown schedule 'x'"):
+            SolverOptions(schedule="x")
 
 
 class TestDualProblem:
