@@ -171,8 +171,9 @@ def _cmd_bench(args) -> int:
 # Flags some mode leaves unread parse to None when absent, so that a given
 # one can be refused.  Their defaults; the fill-in search reads --seed only
 # when annealing.
-_DEFAULTS = {"trace": False, "schedule": mce.SCHEDULE_GRADIENT, "max_cycles": 1000,
-             "max_iterations": 500, "fill": "greedy", "seed": 0}
+_DEFAULTS = {"trace": False, "schedule": mce.SolverOptions.schedule, "fill": "greedy",
+             "max_cycles": mce.SolverOptions.max_cycles, "seed": graphops.AnnealOptions.seed,
+             "max_iterations": mce.SolverOptions.max_iterations}
 _UNREAD = {"solve --method dual": ("trace", "schedule", "max_cycles", "fill", "seed"),
            "solve --method successive": ("max_iterations", "fill", "seed"),
            "solve --method decomposed": ("max_iterations",),
@@ -265,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="time the dual solve against decomposed updating")
     p.add_argument("model")
-    p.add_argument("--tol", type=float, default=1e-4)
+    p.add_argument("--tol", type=float, default=mce.DEFAULT_SUCCESSIVE_TOL)
     p.add_argument("--fill", choices=["greedy", "anneal"], default="greedy")
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=_cmd_bench)

@@ -217,9 +217,8 @@ def bench(model: Model, d: Decomposition, opts: SolverOptions | None = None,
     marginals.  The returned SolveReport comes from one extra recorded,
     untimed run.
     """
-    opts = opts or SolverOptions(tolerance=1e-4)
-    tol = opts.tolerance if opts.tolerance is not None else 1e-4
-    timed_opts = replace(opts, tolerance=tol)
+    opts = opts or SolverOptions()
+    timed_opts = replace(opts, tolerance=opts.tolerance or mce.DEFAULT_SUCCESSIVE_TOL)
     prior = dist.uniform(model.names)
 
     dual_best = float("inf")
@@ -239,7 +238,7 @@ def bench(model: Model, d: Decomposition, opts: SolverOptions | None = None,
     for state in report.cliques:
         exact = marginalize(joint, state.scope)
         deviation = max(deviation, float(np.abs(exact.probs - state.table.probs).max()))
-    return (BenchReport(dual_best, succ_best, deviation, tol), report, joint)
+    return (BenchReport(dual_best, succ_best, deviation, timed_opts.tolerance), report, joint)
 
 
 def format_bench(b: BenchReport) -> str:

@@ -3,7 +3,8 @@
 Two routes to the same distribution:
 
 * `mce_dual_solve` — exact convex optimization of the dual of the
-  cross-entropy objective, constraints encoded as linear equalities.
+  cross-entropy objective, constraints encoded as linear equalities; a
+  dual value above -log min(prior) proves the set inconsistent.
 * successive updating — one closed-form rule, `Kernel.apply`, projects a
   table onto a single constraint, and one loop, `_successive`, applies
   it under a gradient-threshold or round-robin schedule.  Every table of
@@ -186,33 +187,34 @@ class DualProblem:
         if len(ls.constraints) != len(cs):
             raise ValueError(f"constraints mention variables outside {prior.scope}")
         self.matrix = ls.matrix
+        self.bound = float(-np.log(prior.probs.min()))
 
-    def _weights(self, lam: np.ndarray) -> np.ndarray:
-        expo = -(self.matrix.T @ lam)
-        expo -= expo.max()  # overflow guard; cancels in normalization
-        return self.prior.probs * np.exp(expo)
-
-    def table(self, lam: np.ndarray) -> JointTable:
-        w = self._weights(lam)
-        return JointTable(self.prior.scope, w / w.sum())
-
-    def objective(self, lam: np.ndarray) -> float:
-        """Dual function value (to be maximized)."""
+    def evaluate(self, lam: np.ndarray) -> tuple[float, np.ndarray]:
+        """The dual value -log Z(lam) (to be maximized) and the member p
+        of the exponential family at lam.  By weak duality the value is
+        at most the least KL(p || prior) among the set's solutions, and
+        no KL exceeds `bound` = -log min(prior): a value above it proves
+        the set inconsistent, and raises ConvergenceError."""
         expo = -(self.matrix.T @ lam)
         shift = expo.max()
-        z = np.log(np.sum(self.prior.probs * np.exp(expo - shift))) + shift
-        return float(-z)
+        w = self.prior.probs * np.exp(expo - shift)
+        z = w.sum()
+        value = float(-(np.log(z) + shift))
+        if value > self.bound:
+            raise ConvergenceError(
+                f"the constraint set is inconsistent: the dual reaches {value:.6g}, above "
+                f"{self.bound:.6g}, the most cross-entropy to the prior any distribution has")
+        return value, w / z
+
+    def objective(self, lam: np.ndarray) -> float:
+        return self.evaluate(lam)[0]
 
     def gradient(self, lam: np.ndarray) -> np.ndarray:
-        w = self._weights(lam)
-        p = w / w.sum()
-        return self.matrix @ p
+        return self.matrix @ self.evaluate(lam)[1]
 
-    def hessian(self, lam: np.ndarray) -> np.ndarray:
-        """Hessian of the dual: minus the covariance of the rows under
-        the current member of the exponential family."""
-        w = self._weights(lam)
-        p = w / w.sum()
+    def hessian(self, p: np.ndarray) -> np.ndarray:
+        """Hessian of the dual at the point whose family member is p:
+        minus the covariance of the rows under p."""
         ap = self.matrix * p
         mean = ap.sum(axis=1)
         return -(ap @ self.matrix.T) + np.outer(mean, mean)
@@ -220,38 +222,36 @@ class DualProblem:
 
 def _newton_polish(prob: DualProblem, lam: np.ndarray, tol: float,
                    max_iterations: int) -> tuple[np.ndarray, str | None]:
-    """Damped Newton ascent on the dual until residuals (conditional
-    scale) are within tolerance.  Returns the multipliers and None, or
-    how it stopped short: "stalled" or "reached its N-iteration cap"."""
+    """Damped Newton ascent from `lam` until residuals (conditional
+    scale) are within tolerance.  Returns the last family member p and
+    None, or how it stopped short: "stalled" or "reached its N-iteration cap"."""
+    f, p = prob.evaluate(lam)
     for _ in range(max_iterations):
-        rep = residuals(prob.table(lam), prob.cs)
-        if rep.max_magnitude <= tol:
-            return lam, None
-        g = prob.gradient(lam)
-        h = prob.hessian(lam)
+        if residuals(JointTable(prob.prior.scope, p), prob.cs).max_magnitude <= tol:
+            return p, None
+        g = prob.matrix @ p
+        h = prob.hessian(p)
         ridge = 1e-12 * (1.0 + np.trace(-h) / max(len(lam), 1))
         try:
             step = np.linalg.solve(-h + ridge * np.eye(len(lam)), g)
         except np.linalg.LinAlgError:
             step = g
-        f0 = prob.objective(lam)
-        alpha, improved = 1.0, False
+        alpha = 1.0
         for _ in range(60):
             cand = lam + alpha * step
-            if prob.objective(cand) > f0 + 1e-4 * alpha * float(g @ step):
-                lam = cand
-                improved = True
+            fc, pc = prob.evaluate(cand)
+            if fc > f + 1e-4 * alpha * float(g @ step):
                 break
             alpha *= 0.5
-        if not improved:
+        else:
             # objective flat to machine precision; a full Newton step may
             # still contract the gradient near the optimum
             cand = lam + step
-            if np.abs(prob.gradient(cand)).max() < np.abs(g).max():
-                lam = cand
-            else:
-                return lam, "stalled"  # likely inconsistent constraints
-    return lam, f"reached its {max_iterations}-iteration cap"
+            fc, pc = prob.evaluate(cand)
+            if np.abs(prob.matrix @ pc).max() >= np.abs(g).max():
+                return p, "stalled"  # flat, yet below the bound: not proven inconsistent
+        lam, f, p = cand, fc, pc
+    return p, f"reached its {max_iterations}-iteration cap"
 
 
 def mce_dual_solve(prior: JointTable, cs: ConstraintSet,
@@ -259,10 +259,11 @@ def mce_dual_solve(prior: JointTable, cs: ConstraintSet,
     """Minimize cross-entropy to the prior subject to all constraints.
 
     Conjugate gradient on the dual does the bulk of the work; damped
-    Newton steps finish to tolerance.  Raises ConvergenceError when the
-    residuals cannot be driven down (inconsistent constraint sets and
-    boundary constraints both surface this way) or are still above
-    tolerance after `max_iterations` Newton steps.
+    Newton steps finish to tolerance.  Both read each point they visit
+    from one `DualProblem.evaluate`, which raises ConvergenceError once
+    the dual value proves the set inconsistent.  Also raises it when the
+    residuals stall, as boundary constraints can make them, or are still
+    above tolerance after `max_iterations` Newton steps.
     """
     opts = opts or SolverOptions()
     tol = opts.tolerance if opts.tolerance is not None else DEFAULT_DUAL_TOL
@@ -271,19 +272,18 @@ def mce_dual_solve(prior: JointTable, cs: ConstraintSet,
     if len(cs) == 0:
         return prior
     prob = DualProblem(prior, cs)
-    res = scipy.optimize.minimize(
-        lambda lam: -prob.objective(lam),
-        np.zeros(len(cs)),
-        jac=lambda lam: -prob.gradient(lam),
-        method="CG",
-        options={"maxiter": opts.max_iterations, "gtol": tol * 1e-2},
-    )
-    lam, short = _newton_polish(prob, res.x, tol, opts.max_iterations)
-    table = prob.table(lam)
+
+    def negated(lam: np.ndarray) -> tuple[float, np.ndarray]:
+        value, p = prob.evaluate(lam)
+        return -value, -(prob.matrix @ p)
+
+    res = scipy.optimize.minimize(negated, np.zeros(len(cs)), jac=True, method="CG",
+                                  options={"maxiter": opts.max_iterations, "gtol": tol * 1e-2})
+    p, short = _newton_polish(prob, res.x, tol, opts.max_iterations)
+    table = JointTable(prior.scope, p)
     if short is not None:
-        hint = ("the constraint set may be inconsistent or contain boundary constraints"
-                if short == "stalled" else
-                "more iterations may converge unless the constraint set is inconsistent")
+        hint = ("the constraint set may contain boundary constraints" if short == "stalled"
+                else "more iterations may converge, or prove the set inconsistent")
         raise ConvergenceError(
             f"dual solve {short} at max residual {residuals(table, cs).max_magnitude:.3g} "
             f"(tolerance {tol:g}); {hint}")

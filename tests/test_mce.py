@@ -180,7 +180,7 @@ class TestDualProblem:
         rng = np.random.default_rng(26)
         for _ in range(5):
             lam = rng.normal(size=2)
-            eig = np.linalg.eigvalsh(prob.hessian(lam))
+            eig = np.linalg.eigvalsh(prob.hessian(prob.evaluate(lam)[1]))
             assert eig.max() <= 1e-12
 
     def test_solution_is_stationary(self):
@@ -194,6 +194,66 @@ class TestDualProblem:
         grad = np.log(t.probs / prior.probs) + 1.0
         coef, *_ = np.linalg.lstsq(rows.T, grad, rcond=None)
         assert np.abs(rows.T @ coef - grad).max() < 1e-6
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """The multipliers of every `DualProblem.evaluate` call, in order."""
+    seen = []
+    evaluate = DualProblem.evaluate
+
+    def counted(self, lam):
+        seen.append(np.array(lam).tobytes())
+        return evaluate(self, lam)
+
+    monkeypatch.setattr(DualProblem, "evaluate", counted)
+    return seen
+
+
+class TestDualEvaluations:
+    @pytest.mark.parametrize("m", [helpers.mining(), helpers.ring_model(8, 0)],
+                             ids=["mining", "ring8"])
+    def test_one_evaluation_per_point(self, evaluations, m):
+        # CG and Newton share each point's value and family member; the
+        # line search re-reads a few points, so this is not exactly one
+        mce_dual_solve(uniform(m.names), m.constraints)
+        assert len(evaluations) <= 1.2 * len(set(evaluations))
+
+    @pytest.mark.parametrize("m", [helpers.contradiction(), helpers.quad()],
+                             ids=["contradiction", "quad"])
+    def test_inconsistent_set_is_certified(self, evaluations, m):
+        with pytest.raises(ConvergenceError, match="^the constraint set is inconsistent: "):
+            mce_dual_solve(uniform(m.names), m.constraints)
+        assert len(evaluations) <= 50
+
+    def test_certificate_matches_global_check(self):
+        # weak duality: no consistent draw is certified, and every
+        # inconsistent one is; a 10-iteration CG stage keeps this quick,
+        # and Newton still takes nearly every consistent draw to its optimum
+        from maxentbn.consistency import global_consistent
+        rng = np.random.default_rng(11)
+        certified = inconsistent = 0
+        for _ in range(300):
+            m = helpers.random_model(rng)
+            consistent = global_consistent(m).consistent
+            inconsistent += not consistent
+            try:
+                mce_dual_solve(uniform(m.names), m.constraints,
+                               SolverOptions(max_iterations=10))
+            except ConvergenceError as exc:
+                if str(exc).startswith("the constraint set is inconsistent: "):
+                    assert not consistent, m
+                    certified += 1
+        assert certified == inconsistent == 60
+
+    def test_point_mass_at_the_bound_solves(self):
+        # the solution puts all mass on one state of a uniform prior, so
+        # KL* = log 4 = -log min(prior): the dual tends to the bound from
+        # below and must never pass it
+        m = helpers.model_of("AB", helpers.mc("A", 1.0), helpers.cc("B", "A", 1.0))
+        t = mce_dual_solve(uniform(m.names), m.constraints)
+        assert DualProblem(uniform(m.names), m.constraints).bound == np.log(4.0)
+        np.testing.assert_allclose(t.probs, [0.0, 0.0, 0.0, 1.0], atol=1e-8)
 
 
 class TestSuccessive:
