@@ -61,9 +61,11 @@ def to_linear(cs: ConstraintSet, scope: Sequence[str]) -> LinearSystem:
 
 def rank_nontrivial(ls: LinearSystem) -> bool:
     """The necessary condition: the homogeneous system admits a nonzero
-    solution (otherwise no distribution can satisfy the constraints).
-    Decided from the singular values alone: the rank, counted above
-    NULLSPACE_TOL times the largest, is below the number of states."""
+    solution (otherwise no distribution can satisfy the constraints), so
+    its rank is below the number of states: always, with fewer rows than
+    states; else as counted by singular values above NULLSPACE_TOL times the largest."""
+    if len(ls.matrix) < ls.size:
+        return True
     s = scipy.linalg.svdvals(ls.matrix)
     return int(np.sum(s > NULLSPACE_TOL * np.amax(s, initial=0.0))) < ls.size
 

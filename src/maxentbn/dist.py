@@ -3,12 +3,16 @@
 A table stores one probability per state of its scope.  States are
 indexed with the last scope variable as the least significant bit, so
 index 0 is the all-false state and the highest index the all-true state.
+`probability` is the one event mask-and-sum, and `side_scan` the one
+reader of constraints against a table, used by `residuals`, the dual's
+Newton stop and the successive-updating loop.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -127,12 +131,44 @@ def marginalize(table: JointTable, subscope: Sequence[str]) -> JointTable:
 
 def conditional(table: JointTable, target: Literal, given: Sequence[Literal] = ()) -> float:
     """P(target | given) read off the table."""
-    given_mask = event_mask(table.scope, given)
-    denom = float(table.probs[given_mask].sum())
+    denom = probability(table, given)
     if denom < PROB_FLOOR:
         raise ValueError(f"conditioning event has probability {denom}; conditional undefined")
-    num_mask = given_mask & event_mask(table.scope, [target])
-    return float(table.probs[num_mask].sum()) / denom
+    return probability(table, [*given, target]) / denom
+
+
+def side_scan(sides: Sequence[tuple[np.ndarray, np.ndarray]], values: Sequence[float]
+              ) -> Callable:
+    """`scan(p, floor_free=False)` reads constraints P(a | a or b) = v, with
+    (a, b) index arrays into the state vector p: the masses (a sides, then
+    b sides) from one `bincount`, the signed residuals (NaN where
+    undefined) and their magnitudes, 1.0 where the event has (near) zero
+    mass.  While no entry of p is below PROB_FLOOR (`floor_free`) no
+    event that holds in some state is undefined, and no guard is run."""
+    n = len(sides)
+    flat = [a for a, _ in sides] + [b for _, b in sides]
+    index = np.concatenate(flat) if flat else np.zeros(0, np.intp)
+    bins = np.repeat(np.arange(2 * n), [s.size for s in flat])
+    values = np.array(values, dtype=float)
+    events_nonempty = all(a.size + b.size for a, b in sides)
+
+    def scan(p: np.ndarray, floor_free: bool = False):
+        mass = np.bincount(bins, p[index], 2 * n)
+        s1, total = mass[:n], mass[:n] + mass[n:]
+        if floor_free and events_nonempty:
+            r = s1 / total - values
+            return mass, r, np.abs(r)
+        defined = total >= PROB_FLOOR
+        r = np.where(defined, s1 / np.maximum(total, PROB_FLOOR) - values, np.nan)
+        return mass, r, np.where(defined, np.abs(r), 1.0)
+
+    return scan
+
+
+def constraint_scan(scope: Sequence[str], cs: ConstraintSet) -> Callable:
+    """`side_scan` of a constraint set over the states of one table."""
+    sides = [tuple(np.flatnonzero(s) for s in constraint_sides(scope, c)) for c in cs]
+    return side_scan(sides, [c.value for c in cs])
 
 
 @dataclass(frozen=True)
@@ -164,17 +200,15 @@ class ResidualReport:
 
 
 def residuals(table: JointTable, cs: ConstraintSet) -> ResidualReport:
-    """Each constraint read as P(a | a or b) off its `constraint_sides`,
-    as the successive solvers schedule by: P(x|E) for a conditional, P(E)
+    """Each constraint read as P(a | a or b) by its `constraint_scan`, as
+    the successive solvers schedule by: P(x|E) for a conditional, P(E)
     over the table's total for a cell; None below PROB_FLOOR."""
+    mass, r, _ = constraint_scan(table.scope, cs)(table.probs)
     entries = []
-    for c in cs:
-        a, b = constraint_sides(table.scope, c)
-        s1 = table.probs[a].sum()
-        total = s1 + table.probs[b].sum()
-        cur = None if total < PROB_FLOOR else float(s1 / total)
-        resid = None if cur is None else cur - c.value
-        entries.append(ResidualEntry(c, cur, c.value, resid))
+    for c, s1, s0, resid in zip(cs, *mass.reshape(2, -1).tolist(), r.tolist()):
+        defined = not math.isnan(resid)
+        entries.append(ResidualEntry(c, s1 / (s1 + s0) if defined else None, c.value,
+                                     resid if defined else None))
     return ResidualReport(tuple(entries), float(table.probs.sum()) - 1.0)
 
 

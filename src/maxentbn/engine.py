@@ -162,13 +162,13 @@ def solve_decomposed(model: Model, d: Decomposition,
                 for s, lo, hi in zip(scopes, offsets, offsets[1:])]
 
     vectors: list[np.ndarray] = []
-    run = mce._successive(p, kernels, opts, record, propagate,
-                          (lambda: vectors.append(p.copy())) if record else None)
+    trace, magnitudes, error = mce._successive(
+        p, kernels, opts, record, propagate,
+        (lambda: vectors.append(p.copy())) if record else None)
     states = [CliqueState(cl, s, t, tuple(k.constraint for k in kernels if k.table == i))
               for i, (cl, s, t) in enumerate(zip(d.rip.order, scopes, tables(p)))]
-    trace = UpdateTrace(tuple(run.events), run.converged, run.cycles)
-    return SolveReport(states, edges, _Snapshots(vectors, tables), run.magnitudes,
-                       run.converged, run.cycles, trace, None if run.error is None else str(run.error))
+    return SolveReport(states, edges, _Snapshots(vectors, tables), magnitudes, trace.converged,
+                       trace.cycles, trace, None if error is None else str(error))
 
 
 def query(report: SolveReport, event: list[Literal], given: list[Literal] = ()) -> float:
@@ -180,15 +180,10 @@ def query(report: SolveReport, event: list[Literal], given: list[Literal] = ()) 
         raise ValueError(f"unknown variable {unknown[0]!r}")
     for state in report.cliques:
         if names <= state.clique:
-            if given:
-                given_mask = dist.event_mask(state.scope, given)
-                denom = float(state.table.probs[given_mask].sum())
-                if denom < PROB_FLOOR:
-                    raise ValueError("conditioning event has zero probability")
-                num = float(state.table.probs[
-                    given_mask & dist.event_mask(state.scope, event)].sum())
-                return num / denom
-            return dist.probability(state.table, event)
+            denom = dist.probability(state.table, given) if given else 1.0
+            if denom < PROB_FLOOR:
+                raise ValueError("conditioning event has zero probability")
+            return dist.probability(state.table, [*given, *event]) / denom
     raise ValueError(
         f"variables {sorted(names)} span multiple cliques; answering would "
         "need cross-clique propagation, which this tool does not perform")

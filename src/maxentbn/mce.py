@@ -12,21 +12,18 @@ Two routes to the same distribution:
   constraint reads P(a | a or b) = v over a pair of index arrays (a, b)
   into that vector: a conditional tilts the two halves of its
   conditioning event, and for a cell (b the complement of a) the same
-  tilt gives Jeffrey's rule.  One `bincount` per step reads every mass
-  (a and b), which gives all residuals and the update's two inputs.
-  `successive_solve` runs the loop on a vector that is the full joint;
-  `engine.solve_decomposed` on one that holds the clique tables, with
-  Hugin propagation across the join tree after each update.
+  tilt gives Jeffrey's rule.  One `dist.side_scan` per step reads every
+  residual and the update's two masses; the dual's Newton stop reads
+  its points with the same scan.  `successive_solve` runs the loop on a
+  vector that is the full joint; `engine.solve_decomposed` on one that
+  holds the clique tables, with Hugin propagation after each update.
 
 The tables are small (8 to 128 states on the benchmark's models), so a
-step costs what its numpy calls cost, and each step makes a fixed few.
-The scan is a gather, the `bincount`, and the add, divide, subtract, abs
-and argmax that give the residuals and pick the kernel; the NaN and
-magnitude-1.0 handling of undefined residuals runs only while some entry
-of the vector is below `PROB_FLOOR`, which one `min` per step tells, or
-some constraint's event holds in no state.  An interior update is one
-multiply of the table's slice by a three-entry factor, indexed by each
-state's side, that also renormalizes it.
+step costs what its numpy calls cost, and each step makes a fixed few:
+the scan, the argmax that picks the kernel, one `min` that tells the
+scan whether it may skip its zero-mass guard, and the update.  An
+interior update is one multiply of the table's slice by a three-entry
+factor, indexed by each state's side, that also renormalizes it.
 
 Both assume strictly positive priors away from constraint boundaries;
 boundary values (0 or 1) are applied as hard conditioning.
@@ -182,11 +179,11 @@ class DualProblem:
 
     def __init__(self, prior: JointTable, cs: ConstraintSet):
         self.prior = prior
-        self.cs = cs
         ls = consistency.to_linear(cs, prior.scope)
         if len(ls.constraints) != len(cs):
             raise ValueError(f"constraints mention variables outside {prior.scope}")
         self.matrix = ls.matrix
+        self.scan = dist.constraint_scan(prior.scope, cs)
         self.bound = float(-np.log(prior.probs.min()))
 
     def evaluate(self, lam: np.ndarray) -> tuple[float, np.ndarray]:
@@ -227,7 +224,7 @@ def _newton_polish(prob: DualProblem, lam: np.ndarray, tol: float,
     None, or how it stopped short: "stalled" or "reached its N-iteration cap"."""
     f, p = prob.evaluate(lam)
     for _ in range(max_iterations):
-        if residuals(JointTable(prob.prior.scope, p), prob.cs).max_magnitude <= tol:
+        if max(prob.scan(p)[2].max(), abs(p.sum() - 1.0)) <= tol:
             return p, None
         g = prob.matrix @ p
         h = prob.hessian(p)
@@ -290,58 +287,29 @@ def mce_dual_solve(prior: JointTable, cs: ConstraintSet,
     return table
 
 
-@dataclass
-class _Run:
-    events: list[TraceEvent]
-    converged: bool
-    cycles: int                     # last cycle that applied an update
-    magnitudes: tuple[float, ...]   # final residual magnitudes, kernel order
-    error: UnreachableConstraintError | None
-
-
 def _successive(p: np.ndarray, kernels: list[Kernel], opts: SolverOptions,
                 record: bool = True,
                 propagate: Callable[[int, bool], None] | None = None,
-                on_cycle: Callable[[], None] | None = None) -> _Run:
+                on_cycle: Callable[[], None] | None = None
+                ) -> tuple[UpdateTrace, tuple[float, ...], UnreachableConstraintError | None]:
     """The successive-updating loop over the state vector `p`, in place.
 
-    One cycle is one update per kernel.  Before each step one scan sums
-    the masses of all a and all b sides, two bins per kernel of one
-    `bincount`; they give every residual, and the applied kernel its
-    masses.  The gradient schedule applies the kernel with the largest
-    residual magnitude (ties by kernel order); round-robin applies kernel
-    s at step s of each cycle.  After each update
+    One cycle is one update per kernel.  Before each step one
+    `dist.side_scan` of the kernels' sides gives every residual, and the
+    applied kernel its masses.  The gradient schedule applies the kernel
+    with the largest residual magnitude (ties by kernel order);
+    round-robin applies kernel s at step s of each cycle.  After each update
     `propagate(table, floor_free)` may re-calibrate the other tables,
     where `floor_free` says that no entry of `p` was below `PROB_FLOOR`
     before the update; `on_cycle` runs after every cycle that applied an
-    update.  An unreachable constraint stops the loop and is returned,
-    not raised.
+    update.  Returns the trace, the final residual magnitudes in kernel
+    order and the error: an unreachable constraint stops the loop and is
+    returned, not raised.
     """
     tol = opts.tolerance if opts.tolerance is not None else DEFAULT_SUCCESSIVE_TOL
     round_robin = opts.schedule == SCHEDULE_ROUND_ROBIN
     n = len(kernels)
-    sides = [k.a for k in kernels] + [k.b for k in kernels]
-    index = np.concatenate(sides) if sides else np.zeros(0, np.intp)
-    bins = np.repeat(np.arange(2 * n), [s.size for s in sides])
-    values = np.array([k.value for k in kernels])
-    # While no entry of p is below PROB_FLOOR, every event that holds in
-    # some state has total mass at least PROB_FLOOR, so no residual is
-    # undefined and the scan needs no guard.
-    events_nonempty = all(k.a.size + k.b.size for k in kernels)
-
-    def scan(floor_free: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The masses (all a sides, then all b sides), the signed
-        residuals (NaN where undefined) and their magnitudes, 1.0 where
-        the event has (near) zero mass."""
-        mass = np.bincount(bins, p[index], 2 * n)
-        s1, total = mass[:n], mass[:n] + mass[n:]
-        if floor_free and events_nonempty:
-            r = s1 / total - values
-            return mass, r, np.abs(r)
-        defined = total >= PROB_FLOOR
-        r = np.where(defined, s1 / np.maximum(total, PROB_FLOOR) - values, np.nan)
-        return mass, r, np.where(defined, np.abs(r), 1.0)
-
+    scan = dist.side_scan([(k.a, k.b) for k in kernels], [k.value for k in kernels])
     steps: list[tuple[int, int, float]] = []  # (cycle, kernel, residual) per update
     converged = n == 0
     error = None
@@ -352,7 +320,7 @@ def _successive(p: np.ndarray, kernels: list[Kernel], opts: SolverOptions,
         cycle += 1
         applied_this_cycle = 0
         for step in range(n):
-            mass, r, mags = scan(floor_free)
+            mass, r, mags = scan(p, floor_free)
             best = int(mags.argmax())
             if mags[best] <= tol:
                 converged = True
@@ -375,12 +343,12 @@ def _successive(p: np.ndarray, kernels: list[Kernel], opts: SolverOptions,
             cycles_used = cycle
             if on_cycle is not None:
                 on_cycle()
-    mags = tuple(scan(False)[2].tolist())
+    mags = tuple(scan(p)[2].tolist())
     if error is None and not converged:
         converged = max(mags, default=0.0) <= tol
-    events = [TraceEvent(c, kernels[i].constraint, None if math.isnan(r) else r)
-              for c, i, r in steps]
-    return _Run(events, converged, cycles_used, mags, error)
+    events = tuple(TraceEvent(c, kernels[i].constraint, None if math.isnan(r) else r)
+                   for c, i, r in steps)
+    return UpdateTrace(events, converged, cycles_used), mags, error
 
 
 def successive_solve(prior: JointTable, cs: ConstraintSet,
@@ -395,7 +363,7 @@ def successive_solve(prior: JointTable, cs: ConstraintSet,
     meets zero mass where its constraint needs some.
     """
     p = np.array(prior.probs)
-    run = _successive(p, [Kernel(c, prior.scope) for c in cs], opts or SolverOptions())
-    if run.error is not None:
-        raise run.error
-    return JointTable(prior.scope, p), UpdateTrace(tuple(run.events), run.converged, run.cycles)
+    trace, _, error = _successive(p, [Kernel(c, prior.scope) for c in cs], opts or SolverOptions())
+    if error is not None:
+        raise error
+    return JointTable(prior.scope, p), trace

@@ -179,6 +179,31 @@ def test_trace_output_matches_golden(capsys, name, method, schedule):
         assert out == fh.read()
 
 
+# exit code, stdout and stderr of the dual solve per shipped model and of
+# queries on the solved clique tables, pinned byte for byte
+ROUTE_GOLDEN = [(f"{m}-dual", ("solve", f"models/{m}.cn", "--method", "dual"))
+                for m in ("contradiction", "fig21", "inconsistent-quad", "mining")]
+QUERIES = {
+    "event": {"fig21": ("--event", "A"), "mining": ("--event", "C")},
+    "two-literals": {"fig21": ("--event", "A,~B"), "mining": ("--event", "C,~D")},
+    "given": {"fig21": ("--event", "A", "--given", "B"),
+              "mining": ("--event", "C", "--given", "D")},
+    "negated-given": {"fig21": ("--event", "B", "--given", "~A"),
+                      "mining": ("--event", "D", "--given", "~C")},
+    "contradictory": {"fig21": ("--event", "A,~A"), "mining": ("--event", "C,~C")},
+}
+ROUTE_GOLDEN += [(f"query-{m}-{kind}", ("query", f"models/{m}.cn") + flags)
+                 for kind, per_model in QUERIES.items() for m, flags in per_model.items()]
+ROUTE_GOLDEN += [("query-mining-spans-cliques", ("query", "models/mining.cn", "--event", "A,B"))]
+
+
+@pytest.mark.parametrize("name,argv", ROUTE_GOLDEN, ids=[n for n, _ in ROUTE_GOLDEN])
+def test_route_output_matches_golden(capsys, name, argv):
+    code, out, err = invoke(capsys, *argv)
+    with open(f"tests/golden/{name}.out", encoding="utf-8", newline="") as fh:
+        assert f"exit {code}\n--- stdout\n{out}--- stderr\n{err}" == fh.read()
+
+
 class TestUnreadFlags:
     # each flag is read by some mode, but not by the one chosen here
     @pytest.mark.parametrize("argv, flags", [

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 import helpers
 from maxentbn import consistency
@@ -302,6 +303,16 @@ class TestRankPretest:
         report = global_consistent(helpers.quad())
         assert report.rank_ok is False
         assert report.feasible is None  # skipped; verdict already settled
+
+    def test_fewer_rows_than_states_needs_no_svd(self, monkeypatch):
+        # 32 rows on 256 states: the rank is below the number of states
+        # whatever the singular values are
+        def refuse(*args, **kwargs):
+            raise AssertionError("svdvals called")
+
+        monkeypatch.setattr(scipy.linalg, "svdvals", refuse)
+        report = global_consistent(helpers.ring_model(8, 0))
+        assert report.rank_ok and report.consistent
 
 
 class TestDenseOracles:

@@ -5,6 +5,7 @@ import pytest
 
 import helpers
 from helpers import jeffrey_update
+from maxentbn import dist
 from maxentbn import (ConstraintSet, ConvergenceError, JointTable, Literal,
                       SolverOptions, UnreachableConstraintError,
                       conditional_update, mce_dual_solve,
@@ -245,6 +246,22 @@ class TestDualEvaluations:
                     assert not consistent, m
                     certified += 1
         assert certified == inconsistent == 60
+
+    @pytest.mark.parametrize("m", [helpers.mining(), helpers.ring_model(8, 0)],
+                             ids=["mining", "ring8"])
+    def test_sides_built_once(self, monkeypatch, m):
+        # one encoding and one scan, however many Newton steps the solve
+        # takes: the Newton stop reads its points with the prebuilt scan
+        calls = []
+        sides = dist.constraint_sides
+
+        def counted(scope, c):
+            calls.append(c)
+            return sides(scope, c)
+
+        monkeypatch.setattr(dist, "constraint_sides", counted)
+        mce_dual_solve(uniform(m.names), m.constraints)
+        assert len(calls) == 2 * len(m.constraints)
 
     def test_point_mass_at_the_bound_solves(self):
         # the solution puts all mass on one state of a uniform prior, so
