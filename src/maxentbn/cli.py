@@ -139,13 +139,15 @@ def _outcome(report: engine.SolveReport) -> str:
 
 
 def _cmd_query(args) -> int:
+    event = _literals(args.event)
+    if not event:
+        raise ValueError(f"--event {args.event!r} names no literal")
     m = _load_model(args.model)
     d = graphops.decompose(m, method=args.fill, opts=graphops.AnnealOptions(seed=args.seed))
     report = engine.solve_decomposed(m, d, _solver_opts(args))
     if not report.converged:
         print(f"error: {report.error or 'solve did not converge'}", file=sys.stderr)
         return 1
-    event = _literals(args.event)
     given = _literals(args.given) if args.given else []
     p = engine.query(report, event, given)
     ev = ",".join(str(l) for l in event)

@@ -7,6 +7,9 @@ necessary filter.  Locally: on an acyclic clique decomposition it is
 enough to check the first clique alone and every later clique against its
 running-intersection anchor, which keeps each feasibility problem at
 clique size instead of the full state space.
+
+scipy is imported on first use, by the LP (`_solve_feasible`) and the
+SVD of the rank test, so that importing the package costs numpy alone.
 """
 
 from __future__ import annotations
@@ -15,9 +18,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
-import scipy.optimize
-import scipy.sparse
 
 from . import dist
 from .dist import SCOPE_CAP, JointTable
@@ -66,6 +66,7 @@ def rank_nontrivial(ls: LinearSystem) -> bool:
     states; else as counted by singular values above NULLSPACE_TOL times the largest."""
     if len(ls.matrix) < ls.size:
         return True
+    import scipy.linalg
     s = scipy.linalg.svdvals(ls.matrix)
     return int(np.sum(s > NULLSPACE_TOL * np.amax(s, initial=0.0))) < ls.size
 
@@ -81,6 +82,8 @@ def _solve_feasible(a_eq: np.ndarray, b_eq: np.ndarray) -> np.ndarray | None:
     HiGHS is handed the augmented matrix in sparse form, so no dense copy
     of a_eq is made.
     """
+    import scipy.optimize
+    import scipy.sparse
     n = a_eq.shape[1]
     a_aug = scipy.sparse.hstack([scipy.sparse.csc_matrix(a_eq),
                                  scipy.sparse.csc_matrix(a_eq.sum(axis=1, keepdims=True))],

@@ -26,7 +26,8 @@ interior update is one multiply of the table's slice by a three-entry
 factor, indexed by each state's side, that also renormalizes it.
 
 Both assume strictly positive priors away from constraint boundaries;
-boundary values (0 or 1) are applied as hard conditioning.
+boundary values (0 or 1) are applied as hard conditioning.  Only the
+dual's CG stage uses scipy, imported on first use.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.optimize
 
 from . import consistency, dist
 from .dist import JointTable, PROB_FLOOR, residuals
@@ -69,8 +69,8 @@ class SolverOptions:
     schedule: str = SCHEDULE_GRADIENT
 
     def __post_init__(self):
-        if self.tolerance is not None and not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
+        if self.tolerance is not None and not 0 < self.tolerance < math.inf:
+            raise ValueError("tolerance must be positive and finite")
         if self.max_iterations < 1 or self.max_cycles < 1:
             raise ValueError("iteration caps must be at least 1")
         if self.schedule not in (SCHEDULE_GRADIENT, SCHEDULE_ROUND_ROBIN):
@@ -268,6 +268,7 @@ def mce_dual_solve(prior: JointTable, cs: ConstraintSet,
         raise ValueError("dual solve requires a strictly positive prior")
     if len(cs) == 0:
         return prior
+    import scipy.optimize
     prob = DualProblem(prior, cs)
 
     def negated(lam: np.ndarray) -> tuple[float, np.ndarray]:

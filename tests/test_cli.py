@@ -282,6 +282,22 @@ class TestQueryVerb:
         assert out == ""
         assert "P(B|C)=0.0: conditioning event has zero prior probability" in err
 
+    @pytest.mark.parametrize("spec", [",", "", " , "])
+    def test_empty_event_exit_2(self, capsys, spec):
+        code, out, err = invoke(capsys, "query", "models/mining.cn", "--event", spec)
+        assert code == 2
+        assert out == ""
+        assert "--event" in err and "names no literal" in err
+
+    def test_infinite_tolerance_exit_2(self, capsys):
+        # at --tol inf the solve stopped before any update and printed the
+        # uniform prior's P(A) = 0.5 where the model states 0.2
+        code, out, err = invoke(capsys, "query", "models/mining.cn", "--event", "A",
+                                "--tol", "inf")
+        assert code == 2
+        assert out == ""
+        assert "tolerance must be positive" in err
+
     def test_max_iterations_is_a_usage_error(self, capsys):
         # query never runs the dual optimizer, so it takes no iteration cap
         code, _, err = invoke(capsys, "query", "models/mining.cn",

@@ -314,6 +314,21 @@ class TestRankPretest:
         report = global_consistent(helpers.ring_model(8, 0))
         assert report.rank_ok and report.consistent
 
+    def test_square_system_runs_the_svd(self, monkeypatch):
+        # the companion of the test above: 4 rows on 4 states take the SVD
+        # through the attribute that test patches, so that patch is live
+        calls = []
+        svdvals = scipy.linalg.svdvals
+
+        def record(*args, **kwargs):
+            calls.append(args[0].shape)
+            return svdvals(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "svdvals", record)
+        report = global_consistent(helpers.quad())
+        assert calls == [(4, 4)]
+        assert report.rank_ok is False and not report.consistent
+
 
 class TestDenseOracles:
     """The feasibility LP without its -I block and the singular-value rank

@@ -157,6 +157,12 @@ class TestSolverOptions:
         with pytest.raises(ValueError, match="unknown schedule 'x'"):
             SolverOptions(schedule="x")
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-4, float("nan"), float("inf")])
+    def test_tolerance_positive_and_finite(self, tol):
+        # at an infinite tolerance every solve would stop before its first update
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+            SolverOptions(tolerance=tol)
+
 
 class TestDualProblem:
     def test_gradient_matches_finite_differences(self):
