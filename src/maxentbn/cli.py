@@ -95,9 +95,12 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_dsep(args) -> int:
+    given = _names(args.given)
+    if args.given is not None and not given:
+        raise ValueError(f"--given {args.given!r} names no variable")
     m = _load_model(args.model)
     net = model.build_network(m)
-    sep = graphops.d_separated(net, args.x, args.y, _names(args.given))
+    sep = graphops.d_separated(net, args.x, args.y, given)
     print("separated" if sep else "not separated")
     return 0
 
@@ -142,13 +145,15 @@ def _cmd_query(args) -> int:
     event = _literals(args.event)
     if not event:
         raise ValueError(f"--event {args.event!r} names no literal")
+    given = _literals(args.given or "")
+    if args.given is not None and not given:
+        raise ValueError(f"--given {args.given!r} names no literal")
     m = _load_model(args.model)
     d = graphops.decompose(m, method=args.fill, opts=graphops.AnnealOptions(seed=args.seed))
     report = engine.solve_decomposed(m, d, _solver_opts(args))
     if not report.converged:
         print(f"error: {report.error or 'solve did not converge'}", file=sys.stderr)
         return 1
-    given = _literals(args.given) if args.given else []
     p = engine.query(report, event, given)
     ev = ",".join(str(l) for l in event)
     if given:
@@ -241,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
-    p.add_argument("--given", default="")
+    p.add_argument("--given")
     p.set_defaults(func=_cmd_dsep)
 
     p = sub.add_parser("solve", help="compute the max-entropy distribution")
@@ -260,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("query", help="probability query against the solved model")
     p.add_argument("model")
     p.add_argument("--event", required=True, help="comma-separated literals, e.g. A,~B")
-    p.add_argument("--given", default="")
+    p.add_argument("--given")
     p.add_argument("--fill", choices=["greedy", "anneal"], default="greedy")
     p.add_argument("--seed", type=int, default=None)
     add_solver_flags(p)

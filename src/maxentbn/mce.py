@@ -33,8 +33,9 @@ dual's CG stage uses scipy, imported on first use.
 from __future__ import annotations
 
 import math
+from array import array
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -84,9 +85,51 @@ class TraceEvent:
     residual_before: float | None  # signed; None if undefined at selection
 
 
+class UpdateLog(Sequence):
+    """The updates of a recorded loop, held as three flat columns: the
+    cycle, the kernel index and the signed residual before the update
+    (NaN where undefined), 24 bytes an update.  A TraceEvent is built
+    only when read.  Only the loop that fills the log appends to it."""
+
+    def __init__(self, constraints: Sequence[Constraint]):
+        self._constraints = tuple(constraints)  # by kernel index
+        self._cycles = array("q")
+        self._kernels = array("q")
+        self._residuals = array("d")
+
+    def append(self, cycle: int, kernel: int, residual: float) -> None:
+        self._cycles.append(cycle)
+        self._kernels.append(kernel)
+        self._residuals.append(residual)
+
+    def __len__(self) -> int:
+        return len(self._residuals)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self._event, range(len(self))[i]))
+        return self._event(range(len(self))[i])
+
+    def __iter__(self):
+        return map(self._event, range(len(self)))
+
+    def __eq__(self, other) -> bool:  # equal to the tuple of its events
+        if not isinstance(other, (tuple, UpdateLog)):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def _event(self, j: int) -> TraceEvent:
+        r = self._residuals[j]
+        return TraceEvent(self._cycles[j], self._constraints[self._kernels[j]],
+                          None if math.isnan(r) else r)
+
+
 @dataclass(frozen=True)
 class UpdateTrace:
-    events: tuple[TraceEvent, ...]
+    events: Sequence[TraceEvent]  # an UpdateLog when the loop recorded
     converged: bool
     cycles: int
 
@@ -303,7 +346,8 @@ def _successive(p: np.ndarray, kernels: list[Kernel], opts: SolverOptions,
     `propagate(table, floor_free)` may re-calibrate the other tables,
     where `floor_free` says that no entry of `p` was below `PROB_FLOOR`
     before the update; `on_cycle` runs after every cycle that applied an
-    update.  Returns the trace, the final residual magnitudes in kernel
+    update.  Returns the trace (with `record`, an `UpdateLog` of the
+    updates; else no events), the final residual magnitudes in kernel
     order and the error: an unreachable constraint stops the loop and is
     returned, not raised.
     """
@@ -311,7 +355,7 @@ def _successive(p: np.ndarray, kernels: list[Kernel], opts: SolverOptions,
     round_robin = opts.schedule == SCHEDULE_ROUND_ROBIN
     n = len(kernels)
     scan = dist.side_scan([(k.a, k.b) for k in kernels], [k.value for k in kernels])
-    steps: list[tuple[int, int, float]] = []  # (cycle, kernel, residual) per update
+    log = UpdateLog(k.constraint for k in kernels) if record else None
     converged = n == 0
     error = None
     cycle = 0
@@ -338,8 +382,8 @@ def _successive(p: np.ndarray, kernels: list[Kernel], opts: SolverOptions,
                 break
             floor_free = bool(np.minimum.reduce(p) >= PROB_FLOOR)
             applied_this_cycle += 1
-            if record:
-                steps.append((cycle, best, r.item(best)))
+            if log is not None:
+                log.append(cycle, best, r.item(best))
         if applied_this_cycle:
             cycles_used = cycle
             if on_cycle is not None:
@@ -347,9 +391,7 @@ def _successive(p: np.ndarray, kernels: list[Kernel], opts: SolverOptions,
     mags = tuple(scan(p)[2].tolist())
     if error is None and not converged:
         converged = max(mags, default=0.0) <= tol
-    events = tuple(TraceEvent(c, kernels[i].constraint, None if math.isnan(r) else r)
-                   for c, i, r in steps)
-    return UpdateTrace(events, converged, cycles_used), mags, error
+    return UpdateTrace(() if log is None else log, converged, cycles_used), mags, error
 
 
 def successive_solve(prior: JointTable, cs: ConstraintSet,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Union
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
@@ -59,7 +60,7 @@ class ConditionalConstraint:
         cond = ",".join(str(l) for l in self.condition)
         return f"P({self.target}|{cond})={self.value!r}"
 
-    @property
+    @cached_property  # not a field: eq, hash and repr ignore it
     def scope(self) -> frozenset[str]:
         return frozenset([self.target.name] + [l.name for l in self.condition])
 
@@ -75,7 +76,7 @@ class MarginalConstraint:
         body = ",".join(str(l) for l in self.literals)
         return f"P({body})={self.value!r}"
 
-    @property
+    @cached_property  # not a field: eq, hash and repr ignore it
     def scope(self) -> frozenset[str]:
         return frozenset(l.name for l in self.literals)
 

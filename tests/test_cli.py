@@ -95,6 +95,15 @@ class TestDsep:
                               "--x", "A", "--y", "Z")
         assert code == 2
 
+    @pytest.mark.parametrize("spec", [",", "", " , "])
+    def test_empty_given_exit_2(self, capsys, spec):
+        # it used to answer as if nothing were given
+        code, out, err = invoke(capsys, "dsep", "models/mining.cn",
+                                "--x", "A", "--y", "C", "--given", spec)
+        assert code == 2
+        assert out == ""
+        assert "--given" in err and "names no variable" in err
+
 
 class TestSolve:
     def test_dual(self, capsys):
@@ -288,6 +297,15 @@ class TestQueryVerb:
         assert code == 2
         assert out == ""
         assert "--event" in err and "names no literal" in err
+
+    @pytest.mark.parametrize("spec", [",", "", " , "])
+    def test_empty_given_exit_2(self, capsys, spec):
+        # it used to print the unconditional P(A) = 0.200012
+        code, out, err = invoke(capsys, "query", "models/mining.cn", "--event", "A",
+                                "--given", spec)
+        assert code == 2
+        assert out == ""
+        assert "--given" in err and "names no literal" in err
 
     def test_infinite_tolerance_exit_2(self, capsys):
         # at --tol inf the solve stopped before any update and printed the

@@ -1,4 +1,8 @@
 import dataclasses
+import gc
+import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,8 +15,8 @@ from maxentbn import (JointTable, Literal, SolverOptions, bench, check_ci,
                       mce_dual_solve, neighbor_graph, query, solve_decomposed,
                       successive_solve, uniform)
 from maxentbn.dist import residuals
-from maxentbn.mce import (SCHEDULE_ROUND_ROBIN, UnreachableConstraintError,
-                         apply_constraint)
+from maxentbn.mce import (SCHEDULE_ROUND_ROBIN, TraceEvent, UnreachableConstraintError,
+                         UpdateLog, UpdateTrace, apply_constraint)
 from maxentbn.model import ConstraintSet
 
 
@@ -378,6 +382,74 @@ class TestDecomposedAgainstOracle:
                     np.testing.assert_array_equal(a.table.probs, b.table.probs)
                 assert len(quiet.snapshots) == 0 and quiet.trace.events == ()
         assert outcomes == {"error", True, False}
+
+
+class TestRecordedTrace:
+    """A recorded solve keeps each update as a row of three flat columns
+    and builds its TraceEvents when they are read."""
+
+    def test_memory_per_update(self, monkeypatch):
+        m = helpers.ring_model(8, 0)
+        d = decompose(m)
+        solve_decomposed(m, d)  # lazy set-up outside the measurement
+
+        def peak(record):
+            gc.collect()
+            tracing = tracemalloc.is_tracing()
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                report = solve_decomposed(m, d, record=record)
+                return tracemalloc.get_traced_memory()[1] - base, report
+            finally:
+                if not tracing:
+                    tracemalloc.stop()
+
+        quiet, _ = peak(False)
+        with monkeypatch.context() as mp:
+            mp.setattr(mce, "TraceEvent", None)  # the solve builds no TraceEvent
+            loud, report = peak(True)
+        log = report.trace.events
+        updates = len(log)
+        assert isinstance(log, UpdateLog) and updates > 1000
+        columns = (log._cycles, log._kernels, log._residuals)
+        assert [len(c) for c in columns] == [updates] * 3
+        assert sum(c.itemsize for c in columns) == 24
+        # the recording also keeps one copy of the state vector per cycle
+        # for the snapshots; beyond those, the bound allows 32 B an update,
+        # where one tuple and one TraceEvent an update took about 200 B
+        states = sum(c.table.probs.size for c in report.cliques)
+        snapshots = len(report.snapshots) * (sys.getsizeof(np.zeros(states)) + 8)
+        assert loud - quiet - snapshots < 32 * updates
+
+    @pytest.mark.parametrize("schedule", ["gradient", SCHEDULE_ROUND_ROBIN])
+    def test_events_read_as_a_sequence(self, schedule):
+        m = helpers.mining()
+        d = decompose(m)
+        opts = SolverOptions(schedule=schedule)
+        trace = solve_decomposed(m, d, opts).trace
+        want = helpers.solve_decomposed_oracle(m, d, opts)[1].events
+        events = trace.events
+        got = list(events)
+        assert len(events) == len(got) == len(want) > 10
+        for a, b in zip(got, want):
+            assert (a.cycle, a.constraint) == (b.cycle, b.constraint)
+            assert a.residual_before == pytest.approx(b.residual_before, rel=0, abs=1e-12)
+        assert events[-1] == got[-1] and events[-len(got)] == got[0]
+        assert events[3:10:2] == tuple(got[3:10:2])
+        assert events[::-1] == tuple(reversed(got))
+        with pytest.raises(IndexError):
+            events[len(got)]
+        assert events == tuple(got) and tuple(got) == events
+
+    def test_undefined_residual_reads_none(self):
+        c1, c2 = helpers.cc("B", "A", 0.8), helpers.mc("A,~B", 0.1)
+        log = UpdateLog([c1, c2])
+        log.append(1, 1, math.nan)
+        log.append(2, 0, -0.25)
+        assert list(log) == [TraceEvent(1, c2, None), TraceEvent(2, c1, -0.25)]
+        assert UpdateTrace(log, False, 2).to_tsv() == f"1\t{c2}\tundefined\n2\t{c1}\t-0.25\n"
 
 
 class TestQuery:

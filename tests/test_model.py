@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -147,6 +149,17 @@ class TestScopeRule:
         warnings = validate_scope_rule(m)
         assert len(warnings) == 1
         assert "P(C)" in warnings[0]
+
+
+class TestConstraintScope:
+    @pytest.mark.parametrize("c,names", [(helpers.cc("A", "~B,C", 0.3), "ABC"),
+                                         (helpers.mc("A,~C", 0.2), "AC")])
+    def test_computed_once_and_not_a_field(self, c, names):
+        twin = dataclasses.replace(c)
+        assert c.scope is c.scope
+        assert c.scope == twin.scope == frozenset(names)
+        # c has read its scope and twin has not
+        assert c == twin and hash(c) == hash(twin) and repr(c) == repr(twin)
 
 
 class TestRoundTrip:
