@@ -122,7 +122,7 @@ def _cmd_solve(args) -> int:
             print(trace.to_tsv(), end="")
         return 0 if trace.converged else 1
     d = graphops.decompose(m, method=args.fill, opts=graphops.AnnealOptions(seed=args.seed))
-    report = engine.solve_decomposed(m, d, opts)
+    report = engine.solve_decomposed(m, d, opts, record=args.trace)
     for state in report.cliques:
         _print_table(state.table, args.format, label="clique " + ",".join(state.scope))
     print(_outcome(report))
@@ -150,7 +150,7 @@ def _cmd_query(args) -> int:
         raise ValueError(f"--given {args.given!r} names no literal")
     m = _load_model(args.model)
     d = graphops.decompose(m, method=args.fill, opts=graphops.AnnealOptions(seed=args.seed))
-    report = engine.solve_decomposed(m, d, _solver_opts(args))
+    report = engine.solve_decomposed(m, d, _solver_opts(args), record=False)
     if not report.converged:
         print(f"error: {report.error or 'solve did not converge'}", file=sys.stderr)
         return 1

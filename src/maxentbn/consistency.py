@@ -8,8 +8,9 @@ enough to check the first clique alone and every later clique against its
 running-intersection anchor, which keeps each feasibility problem at
 clique size instead of the full state space.
 
-scipy is imported on first use, by the LP (`_solve_feasible`) and the
-SVD of the rank test, so that importing the package costs numpy alone.
+scipy is imported on first use, by the LP (`_tree_witnesses` builds its
+sparse matrix, `_solve_feasible` runs it) and the SVD of the rank test,
+so that importing the package costs numpy alone.
 """
 
 from __future__ import annotations
@@ -71,23 +72,18 @@ def rank_nontrivial(ls: LinearSystem) -> bool:
     return int(np.sum(s > NULLSPACE_TOL * np.amax(s, initial=0.0))) < ls.size
 
 
-def _solve_feasible(a_eq: np.ndarray, b_eq: np.ndarray) -> np.ndarray | None:
-    """Nonnegative solution of a_eq x = b_eq, or None.
+def _solve_feasible(a_aug, b_eq: np.ndarray) -> np.ndarray | None:
+    """Nonnegative solution of a_eq x = b_eq, or None, from the sparse
+    augmented matrix a_aug = (a_eq | a_eq 1).
 
     Among feasible points, maximizes the smallest entry t so witnesses
     stay interior whenever the constraints allow it (a pure vertex
     solution may park whole conditioning events at zero mass).  Written
     as x = y + t*1 with y >= 0, the bounds t <= x_j need no rows: the LP
     is a_eq y + (a_eq 1) t = b_eq with 0 <= t <= 1, and x is y + t.
-    HiGHS is handed the augmented matrix in sparse form, so no dense copy
-    of a_eq is made.
     """
     import scipy.optimize
-    import scipy.sparse
-    n = a_eq.shape[1]
-    a_aug = scipy.sparse.hstack([scipy.sparse.csc_matrix(a_eq),
-                                 scipy.sparse.csc_matrix(a_eq.sum(axis=1, keepdims=True))],
-                                format="csc")
+    n = a_aug.shape[1] - 1
     c = np.zeros(n + 1)
     c[-1] = -1.0
     res = scipy.optimize.linprog(
@@ -117,27 +113,46 @@ def _tree_witnesses(systems: Sequence[LinearSystem], anchors: Sequence[int | Non
     variables.  Along a running-intersection order solutions glue into a
     full joint distribution, so existence matches global consistency.
     Returns the normalized tables, or None when infeasible."""
+    import scipy.sparse
     offs = np.cumsum([0] + [ls.size for ls in systems])
     seps = [() if j is None else tuple(n for n in ls.scope if n in systems[j].scope)
             for ls, j in zip(systems, anchors)]
-    # table by table its rows and normalization row, then separator blocks
-    height = sum(len(ls.matrix) + 1 for ls in systems) + sum(1 << len(s) for s in seps if s)
-    a_eq = np.zeros((height, int(offs[-1])))
-    b_eq = np.zeros(height)
-    r = 0
+    # (a_eq | a_eq 1) as triplets: table by table its rows and normalization row,
+    # then separator blocks; sums is the last column
+    rows, cols, vals, sums, b_eq = [], [], [], [], []
+    dense_row = np.zeros(offs[-1])  # sums a row in the order a dense a_eq does
     for i, ls in enumerate(systems):
-        k = len(ls.matrix)
-        a_eq[r:r + k, offs[i]:offs[i + 1]] = ls.matrix
-        a_eq[r + k, offs[i]:offs[i + 1]] = 1.0
-        b_eq[r + k] = 1.0
-        r += k + 1
+        r, k, lo, hi = len(b_eq), len(ls.matrix), offs[i], offs[i + 1]
+        at = np.flatnonzero(ls.matrix)
+        rows += [r + at // ls.size, np.full(ls.size, r + k)]
+        cols += [lo + at % ls.size, np.arange(lo, hi)]
+        vals += [ls.matrix.ravel()[at], np.ones(ls.size)]
+        for row in ls.matrix:
+            dense_row[lo:hi] = row
+            sums.append(dense_row.sum())
+        dense_row[lo:hi] = 0.0
+        sums.append(float(ls.size))
+        b_eq += [0.0] * k + [1.0]
     for i, (j, sep) in enumerate(zip(anchors, seps)):
         if sep:
             for t, sign in ((i, 1.0), (j, -1.0)):
                 sub = dist.project_index(systems[t].scope, sep)
-                a_eq[r + sub, offs[t] + np.arange(sub.size)] = sign
-            r += 1 << len(sep)
-    x = _solve_feasible(a_eq, b_eq)
+                rows.append(len(b_eq) + sub)
+                cols.append(offs[t] + np.arange(sub.size))
+                vals.append(np.full(sub.size, sign))
+            # each separator state has the same count of entries in each table
+            sums += [(systems[i].size - systems[j].size) / (1 << len(sep))] * (1 << len(sep))
+            b_eq += [0.0] * (1 << len(sep))
+    at = np.flatnonzero(sums)  # dense-to-sparse drops zero coefficients
+    rows.append(at)
+    cols.append(np.full(at.size, offs[-1]))
+    vals.append(np.asarray(sums)[at])
+    # int32 indices, as the CSC arrays take, so that no int64 copy is kept
+    rows, cols = (np.concatenate(x, dtype=np.int32) for x in (rows, cols))
+    a_aug = scipy.sparse.csc_matrix((np.concatenate(vals), (rows, cols)),
+                                    shape=(len(b_eq), offs[-1] + 1))
+    del rows, cols, vals, dense_row  # freed before HiGHS runs, which lowers the peak RSS
+    x = _solve_feasible(a_aug, np.array(b_eq))
     if x is None:
         return None
     parts = [x[offs[i]:offs[i + 1]] for i in range(len(systems))]

@@ -7,15 +7,16 @@ greedy minimum fill, or simulated annealing over elimination orderings --
 that keeps the total clique state space small, the home clique of each
 constraint, and a generalized d-separation test that remains valid when
 the directed network contains cycles.  Every routine here is polynomial in
-the size of its graph.
+the size of its graph.  Both triangulations run one elimination kernel on
+int bitmasks, vertex i being bit i in sorted-name order, and the anneal
+eliminates each distinct ordering it scores once.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -168,65 +169,82 @@ def rip_order(h: Hypergraph) -> RipOrder | None:
     return RipOrder(tuple(order), tuple(anchors))
 
 
-def _eliminate(adj: dict[str, set[str]], next_vertex: Callable[[dict[str, set[str]]], str]
-               ) -> tuple[list[str], frozenset[frozenset[str]], list[frozenset[str]]]:
-    """Eliminate every vertex, each time the one `next_vertex` picks from
-    the remaining graph, joining its remaining neighbours pairwise.
+def _bits(mask: int) -> Iterable[int]:
+    """The indices of the set bits of `mask`, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
-    Returns the elimination order, the fill edges, and the maximal cliques
-    of the filled graph.  The order is a perfect elimination order of the
-    filled graph, so those cliques are the maximal sets among the vertices
-    taken with their remaining neighbours.
+
+def _bitsets(g: NeighborGraph) -> tuple[list[str], list[int]]:
+    """The vertex names sorted, and per vertex its neighbours as a
+    bitmask: vertex i is bit i."""
+    names, nbrs = sorted(g.nodes), g.adjacency()
+    index = {v: i for i, v in enumerate(names)}
+    return names, [sum(1 << index[u] for u in nbrs[v]) for v in names]
+
+
+def _eliminate(adj: list[int], order: Sequence[int] | None = None
+               ) -> tuple[list[int], list[int], list[int]]:
+    """Eliminate every vertex of the graph `adj` (vertex i is bit i), in
+    `order`, or else each time the one adding the fewest fill edges, ties
+    to the lower index; its remaining neighbours are joined pairwise.
+
+    Returns the order, the fill edges {i, j}, i < j, as sorted codes
+    i*n + j, and the maximal cliques of the filled graph as masks, in
+    elimination order.  The order is a perfect elimination order of the
+    filled graph, so those are the sets of a vertex and its remaining
+    neighbours that equal no earlier vertex's remaining neighbours.
     """
-    work = {v: set(ns) for v, ns in adj.items()}
-    order: list[str] = []
-    fill: set[frozenset[str]] = set()
-    cliques: list[frozenset[str]] = []
-    while work:
-        v = next_vertex(work)
-        ns = work.pop(v)
-        for u in ns:
-            work[u].discard(v)
-        for u, w in itertools.combinations(ns, 2):
-            if w not in work[u]:
-                work[u].add(w)
-                work[w].add(u)
-                fill.add(frozenset((u, w)))
-        order.append(v)
-        cliques.append(frozenset(ns) | {v})
-    # a vertex's clique can lie only inside that of a vertex eliminated earlier
-    maximal = [c for i, c in enumerate(cliques) if not any(c < d for d in cliques[:i])]
-    return order, frozenset(fill), maximal
+    n = len(adj)
+    work, left = list(adj), (1 << n) - 1
+    out, fill, cliques, earlier = [], [], [], set()
+    for step in range(n):
+        # a vertex's missing neighbour pairs, each counted twice
+        v = order[step] if order is not None else min(_bits(left), key=lambda x: sum(
+            (work[x] & ~work[u]).bit_count() - 1 for u in _bits(work[x])))
+        ns, bit = work[v], 1 << v
+        left ^= bit
+        for u in _bits(ns):
+            new = ns & ~work[u] ^ 1 << u
+            work[u] = (work[u] | new) ^ bit
+            if new >> u:  # each pair once, from its lower end
+                fill += [u * n + w for w in _bits(new >> u << u)]
+        out.append(v)
+        if ns | bit not in earlier:
+            cliques.append(ns | bit)
+        earlier.add(ns)
+    return out, sorted(fill), cliques
 
 
-def _min_fill(work: dict[str, set[str]]) -> str:
-    """The vertex whose elimination adds the fewest fill edges, ties by
-    name."""
-    def fill_needed(v: str) -> int:
-        ns = work[v]
-        return sum(len(ns - work[u]) - 1 for u in ns) // 2
-
-    return min(sorted(work), key=fill_needed)
-
-
-def _decomposition(g: NeighborGraph, fill: frozenset[frozenset[str]],
-                   cliques: Iterable[frozenset[str]]) -> Decomposition:
-    cliques = tuple(sorted(cliques, key=_edge_key))
+def _decomposition(g: NeighborGraph, names: list[str], fill: list[int],
+                   cliques: Iterable[int]) -> Decomposition:
+    cliques = tuple(sorted((frozenset(names[i] for i in _bits(c)) for c in cliques),
+                           key=_edge_key))
     rip = rip_order(Hypergraph(g.nodes, cliques))
     if rip is None:
         raise ValueError("fill-in did not produce an acyclic clique cover")
+    fill = frozenset(frozenset(names[i] for i in divmod(f, len(names))) for f in fill)
     return Decomposition(fill, cliques, rip, clique_cost(cliques))
 
 
 def fill_in_greedy(g: NeighborGraph) -> Decomposition:
     """Minimum-fill elimination (ties by vertex name); chordal inputs get
     an empty fill."""
-    _, fill, cliques = _eliminate(g.adjacency(), _min_fill)
-    return _decomposition(g, fill, cliques)
+    names, adj = _bitsets(g)
+    _, fill, cliques = _eliminate(adj)
+    return _decomposition(g, names, fill, cliques)
 
 
-def _fill_key(cost: int, fill: frozenset[frozenset[str]]) -> tuple:
-    return (cost, len(fill), tuple(sorted(map(_edge_key, fill))))
+def _score(adj: list[int], order: tuple[int, ...], memo: dict) -> tuple:
+    """(clique cost, fill size, fill edges in the order of their names) of
+    eliminating in `order`; each ordering is eliminated once per memo."""
+    key = memo.get(order)
+    if key is None:
+        _, fill, cliques = _eliminate(adj, order)
+        key = memo[order] = (sum(1 << c.bit_count() for c in cliques), len(fill), tuple(fill))
+    return key
 
 
 def fill_in_anneal(g: NeighborGraph, opts: AnnealOptions | None = None) -> Decomposition:
@@ -243,28 +261,22 @@ def fill_in_anneal(g: NeighborGraph, opts: AnnealOptions | None = None) -> Decom
     fill size, sorted fill edges) seen, so it never costs more than
     greedy.  A chordal input returns greedy's empty fill at once: adding
     edges to a chordal graph never lowers its clique cost.
-    Deterministic for a fixed seed.
+    Deterministic for a fixed seed.  Each distinct ordering is eliminated
+    once per call, by the bitset kernel: `_score` reads a revisit from a
+    memo, and only the winner's fill edges and cliques are rebuilt.
     """
     opts = opts or AnnealOptions()
-    adj = g.adjacency()
-    greedy_order, fill, cliques = _eliminate(adj, _min_fill)
+    names, adj = _bitsets(g)
+    greedy_order, fill, cliques = _eliminate(adj)
     if not fill:  # g is chordal, and no triangulation of it costs less
-        return _decomposition(g, fill, cliques)
-    greedy_cost = clique_cost(cliques)
-    best_key, best = _fill_key(greedy_cost, fill), (fill, cliques)
-    n = len(greedy_order)
-
-    def evaluate(order: list[str]) -> tuple[int, frozenset[frozenset[str]], list[frozenset[str]]]:
-        it = iter(order)
-        _, fill, cliques = _eliminate(adj, lambda work: next(it))
-        return clique_cost(cliques), fill, cliques
-
-    master = np.random.SeedSequence(opts.seed)
-    for child in master.spawn(opts.restarts):
+        return _decomposition(g, names, fill, cliques)
+    memo, n, best_order = {}, len(names), tuple(greedy_order)
+    best_key = greedy_key = _score(adj, best_order, memo)
+    for child in np.random.SeedSequence(opts.seed).spawn(opts.restarts):
         rng = np.random.default_rng(child)
         state = list(greedy_order)
-        cur_cost = greedy_cost
-        probes = [evaluate([state[k] for k in rng.permutation(n)])[0]
+        cur_cost = greedy_key[0]
+        probes = [_score(adj, tuple(state[k] for k in rng.permutation(n)), memo)[0]
                   for _ in range(ANNEAL_PROBES)]
         t = float(max(probes) - min(probes)) or 1.0
         t_floor = t * 1e-3
@@ -275,17 +287,18 @@ def fill_in_anneal(g: NeighborGraph, opts: AnnealOptions | None = None) -> Decom
                 i, j = int(rng.integers(n)), int(rng.integers(n - 1))
                 j += j >= i
                 state[i], state[j] = state[j], state[i]
-                new_cost, fill, cliques = evaluate(state)
+                key = _score(adj, tuple(state), memo)
+                new_cost = key[0]
                 if new_cost <= cur_cost or rng.random() < math.exp((cur_cost - new_cost) / t):
                     frozen = frozen and new_cost == cur_cost
                     cur_cost = new_cost
-                    key = _fill_key(new_cost, fill)
                     if key < best_key:
-                        best_key, best = key, (fill, cliques)
+                        best_key, best_order = key, tuple(state)
                 else:
                     state[i], state[j] = state[j], state[i]  # reject
             t *= ANNEAL_COOLING
-    return _decomposition(g, *best)
+    _, fill, cliques = _eliminate(adj, best_order)
+    return _decomposition(g, names, fill, cliques)
 
 
 def _reach(start: Iterable, step: Callable[[object], set]) -> set:

@@ -17,12 +17,15 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.optimize
+import scipy.sparse
 
-from maxentbn import (BeliefNetwork, ConditionalConstraint, ConstraintSet,
-                      JointTable, Literal, MarginalConstraint, Model, RipOrder,
-                      SolverOptions, UnreachableConstraintError, UpdateTrace,
-                      Variable, descendants, parse_model, uniform)
+from maxentbn import (AnnealOptions, BeliefNetwork, ConditionalConstraint, ConstraintSet,
+                      Decomposition, Hypergraph, JointTable, Literal, MarginalConstraint,
+                      Model, NeighborGraph, RipOrder, SolverOptions,
+                      UnreachableConstraintError, UpdateTrace, Variable, descendants,
+                      parse_model, rip_order, uniform)
 from maxentbn.consistency import NULLSPACE_TOL
+from maxentbn.graphops import ANNEAL_COOLING, ANNEAL_MOVES, ANNEAL_PROBES, clique_cost
 from maxentbn.dist import (PROB_FLOOR, ResidualEntry, ResidualReport, conditional,
                            constraint_sides, event_mask, probability, project_index)
 from maxentbn.mce import (DEFAULT_SUCCESSIVE_TOL, SCHEDULE_ROUND_ROBIN,
@@ -249,6 +252,33 @@ def ring_model(n: int, seed: int = 0) -> Model:
     return Model(vars_, ConstraintSet(tuple(constraints)))
 
 
+def grid_model(height: int, seed: int = 0) -> Model:
+    """Pairwise MRF on a 3 x `height` grid of binary variables G{r}_{c},
+    consistent by construction like `ring_model`: each variable gets its
+    conditional given every assignment of its grid neighbours, the
+    logistic function of twice its local field, with h and J from
+    U(-1, 1) drawn by a generator seeded with `seed`."""
+    at = {(r, c): 3 * c + r for c in range(height) for r in range(3)}
+    names = [f"G{r}_{c}" for (r, c) in sorted(at, key=at.get)]
+    edges = [(i, at[(r + dr, c + dc)]) for (r, c), i in at.items()
+             for dr, dc in ((1, 0), (0, 1)) if (r + dr, c + dc) in at]
+    rng = np.random.default_rng(seed)
+    h = rng.uniform(-1.0, 1.0, len(names))
+    nbrs = [[] for _ in names]
+    for (u, v), j in zip(edges, rng.uniform(-1.0, 1.0, len(edges))):
+        nbrs[u].append((v, j))
+        nbrs[v].append((u, j))
+    constraints = []
+    for i, name in enumerate(names):
+        for signs in itertools.product((1, -1), repeat=len(nbrs[i])):
+            field = h[i] + sum(j * s for (_, j), s in zip(nbrs[i], signs))
+            constraints.append(ConditionalConstraint(
+                Literal(name), tuple(Literal(names[k], s > 0) for (k, _), s in zip(nbrs[i], signs)),
+                1.0 / (1.0 + math.exp(-2.0 * field))))
+    vars_ = tuple(Variable(nm, i) for i, nm in enumerate(names))
+    return Model(vars_, ConstraintSet(tuple(constraints)))
+
+
 def rip_order_bfs(h):
     """Reference running-intersection search: breadth-first extension over
     subsets of hyperedges, appending a set when its overlap with the
@@ -331,6 +361,111 @@ def is_chordal(adj: dict[str, set[str]]) -> bool:
         else:
             return False
     return True
+
+
+def eliminate_sets(adj: dict[str, set[str]], next_vertex):
+    """Reference vertex elimination, in its first form on sets of names:
+    eliminate every vertex, each time the one `next_vertex` picks from the
+    remaining graph, joining its remaining neighbours pairwise.  Returns
+    the elimination order, the fill edges, and the maximal cliques of the
+    filled graph in elimination order."""
+    work = {v: set(ns) for v, ns in adj.items()}
+    order, fill, cliques = [], set(), []
+    while work:
+        v = next_vertex(work)
+        ns = work.pop(v)
+        for u in ns:
+            work[u].discard(v)
+        for u, w in itertools.combinations(ns, 2):
+            if w not in work[u]:
+                work[u].add(w)
+                work[w].add(u)
+                fill.add(frozenset((u, w)))
+        order.append(v)
+        cliques.append(frozenset(ns) | {v})
+    # a vertex's clique can lie only inside that of a vertex eliminated earlier
+    maximal = [c for i, c in enumerate(cliques) if not any(c < d for d in cliques[:i])]
+    return order, frozenset(fill), maximal
+
+
+def min_fill_sets(work: dict[str, set[str]]) -> str:
+    """Reference min-fill pick: the vertex whose elimination adds the
+    fewest fill edges, ties by name."""
+    def fill_needed(v):
+        ns = work[v]
+        return sum(len(ns - work[u]) - 1 for u in ns) // 2
+
+    return min(sorted(work), key=fill_needed)
+
+
+def _decomposition_of(g, fill, cliques):
+    cliques = tuple(sorted(cliques, key=lambda c: tuple(sorted(c))))
+    rip = rip_order(Hypergraph(g.nodes, cliques))
+    assert rip is not None
+    return Decomposition(fill, cliques, rip, clique_cost(cliques))
+
+
+def fill_in_greedy_oracle(g) -> Decomposition:
+    """Reference `graphops.fill_in_greedy`: set-based min-fill elimination."""
+    _, fill, cliques = eliminate_sets(g.adjacency(), min_fill_sets)
+    return _decomposition_of(g, fill, cliques)
+
+
+def fill_in_anneal_oracle(g, opts=None) -> Decomposition:
+    """Reference `graphops.fill_in_anneal` in its first form: the same
+    schedule, draws and (cost, fill size, sorted fill edges) tie-break,
+    with every probe and move eliminated from scratch on sets."""
+    opts = opts or AnnealOptions()
+    adj = g.adjacency()
+    greedy_order, fill, cliques = eliminate_sets(adj, min_fill_sets)
+    if not fill:
+        return _decomposition_of(g, fill, cliques)
+
+    def key_of(cost, fill):
+        return (cost, len(fill), tuple(sorted(tuple(sorted(e)) for e in fill)))
+
+    def evaluate(order):
+        it = iter(order)
+        _, fill, cliques = eliminate_sets(adj, lambda work: next(it))
+        return clique_cost(cliques), fill, cliques
+
+    greedy_cost = clique_cost(cliques)
+    best_key, best = key_of(greedy_cost, fill), (fill, cliques)
+    n = len(greedy_order)
+    for child in np.random.SeedSequence(opts.seed).spawn(opts.restarts):
+        rng = np.random.default_rng(child)
+        state = list(greedy_order)
+        cur_cost = greedy_cost
+        probes = [evaluate([state[k] for k in rng.permutation(n)])[0]
+                  for _ in range(ANNEAL_PROBES)]
+        t = float(max(probes) - min(probes)) or 1.0
+        t_floor = t * 1e-3
+        frozen = False
+        while t > t_floor and not frozen:
+            frozen = True
+            for _ in range(ANNEAL_MOVES):
+                i, j = int(rng.integers(n)), int(rng.integers(n - 1))
+                j += j >= i
+                state[i], state[j] = state[j], state[i]
+                new_cost, fill, cliques = evaluate(state)
+                if new_cost <= cur_cost or rng.random() < math.exp((cur_cost - new_cost) / t):
+                    frozen = frozen and new_cost == cur_cost
+                    cur_cost = new_cost
+                    key = key_of(new_cost, fill)
+                    if key < best_key:
+                        best_key, best = key, (fill, cliques)
+                else:
+                    state[i], state[j] = state[j], state[i]
+            t *= ANNEAL_COOLING
+    return _decomposition_of(g, *best)
+
+
+def random_graph(rng: np.random.Generator, n: int, density: float = 0.45) -> NeighborGraph:
+    """A random graph on n vertices named V00, V01, ..., declared in a
+    random order, each pair joined with probability `density`."""
+    nodes = tuple(f"V{i:02d}" for i in rng.permutation(n))
+    return NeighborGraph(nodes, frozenset(frozenset(p) for p in itertools.combinations(nodes, 2)
+                                          if rng.random() < density))
 
 
 def jeffrey_raw(probs: np.ndarray, mask: np.ndarray, v: float, label: str = "") -> np.ndarray:
@@ -771,6 +906,16 @@ def tree_lp_dense(systems, anchors):
                         - block(j, marginalization_matrix(systems[j].scope, sep)))
             rhs += [0.0] * (1 << len(sep))
     return np.vstack(rows), np.array(rhs)
+
+
+def tree_lp_csc(systems, anchors):
+    """Reference LP input as the dense build handed it to HiGHS: the
+    dense a_eq of `tree_lp_dense` as csc_matrix, with the column a_eq 1
+    appended."""
+    a_eq, b_eq = tree_lp_dense(systems, anchors)
+    return scipy.sparse.hstack([scipy.sparse.csc_matrix(a_eq),
+                                scipy.sparse.csc_matrix(a_eq.sum(axis=1, keepdims=True))],
+                               format="csc"), b_eq
 
 
 def rank_nontrivial_nullspace(ls) -> bool:

@@ -2,6 +2,7 @@ import glob
 
 import pytest
 
+from maxentbn import engine
 from maxentbn.cli import run
 
 
@@ -166,6 +167,24 @@ class TestSolve:
                                 "--method", method)
         assert code == 1
         assert "error: " in out + err
+
+
+@pytest.mark.parametrize("argv,record", [
+    (("query", "models/mining.cn", "--event", "C", "--given", "D"), False),
+    (("solve", "models/mining.cn", "--method", "decomposed"), False),
+    (("solve", "models/mining.cn", "--method", "decomposed", "--trace"), True),
+])
+def test_decomposed_solve_records_only_a_printed_trace(monkeypatch, capsys, argv, record):
+    seen = []
+    solve = engine.solve_decomposed
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs.get("record"))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "solve_decomposed", spy)
+    code, _, _ = invoke(capsys, *argv)
+    assert code == 0 and seen == [record]
 
 
 # stdout of `solve --trace` per shipped model, method and schedule, pinned

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -7,9 +9,12 @@ from maxentbn import consistency
 from helpers import marginalization_matrix, project_space, solution_space
 from maxentbn import (ConstraintSet, Decomposition, JointTable, RipOrder, decompose,
                       fill_in_greedy, global_consistent, local_check, neighbor_graph,
-                      pairwise_consistent, to_linear)
+                      pairwise_consistent, parse_model, to_linear)
 from maxentbn.consistency import LinearSystem, nonneg_feasible, rank_nontrivial
 from maxentbn.dist import marginalize, residuals
+
+
+MODELS = Path(__file__).resolve().parent.parent / "models"
 
 
 def fs(*names):
@@ -348,7 +353,8 @@ class TestDenseOracles:
             d = decompose(m)
             got = [global_consistent(m), local_check(m, d)]
             with monkeypatch.context() as mp:
-                mp.setattr(consistency, "_solve_feasible", helpers.solve_feasible_dense)
+                mp.setattr(consistency, "_solve_feasible", lambda a_aug, b_eq:
+                           helpers.solve_feasible_dense(a_aug[:, :-1].toarray(), b_eq))
                 mp.setattr(consistency, "rank_nontrivial", helpers.rank_nontrivial_nullspace)
                 want = [global_consistent(m), local_check(m, d)]
             for g, w in zip(got, want):
@@ -381,9 +387,9 @@ class TestDenseOracles:
             calls.append([systems, anchors])
             return tree(systems, anchors)
 
-        def solve_captured(a_eq, b_eq):
-            calls[-1] += [a_eq, b_eq]
-            return solve(a_eq, b_eq)
+        def solve_captured(a_aug, b_eq):
+            calls[-1] += [a_aug, b_eq]
+            return solve(a_aug, b_eq)
 
         monkeypatch.setattr(consistency, "_tree_witnesses", tree_captured)
         monkeypatch.setattr(consistency, "_solve_feasible", solve_captured)
@@ -393,12 +399,49 @@ class TestDenseOracles:
                                 ("tree", lambda: local_check(m, decompose(m)))):
                 calls.clear()
                 check()
-                for n, (systems, anchors, a_eq, b_eq) in enumerate(calls):
+                for n, (systems, anchors, a_aug, b_eq) in enumerate(calls):
                     want_a, want_b = helpers.tree_lp_dense(systems, anchors)
-                    assert np.array_equal(a_eq, want_a)
+                    assert np.array_equal(a_aug[:, :-1].toarray(), want_a)
                     assert np.array_equal(b_eq, want_b)
                     kinds["culprit" if n else kind] += 1
         assert kinds["global"] >= 80 and kinds["tree"] >= 80 and kinds["culprit"] >= 20, kinds
+
+    def test_sparse_lp_input_matches_dense_csc(self, monkeypatch):
+        # the augmented LP matrix built from triplets is, array for array
+        # and byte for byte, the CSC form of the former dense build, so
+        # HiGHS is handed the same input (zero coefficients dropped too)
+        calls = []
+        tree, solve = consistency._tree_witnesses, consistency._solve_feasible
+
+        def tree_captured(systems, anchors):
+            calls.append([systems, anchors])
+            return tree(systems, anchors)
+
+        def solve_captured(a_aug, b_eq):
+            calls[-1] += [a_aug, b_eq]
+            return solve(a_aug, b_eq)
+
+        monkeypatch.setattr(consistency, "_tree_witnesses", tree_captured)
+        monkeypatch.setattr(consistency, "_solve_feasible", solve_captured)
+        rng = np.random.default_rng(46)
+        shipped = [parse_model(p.read_text()) for p in sorted(MODELS.glob("*.cn"))]
+        generated = ([helpers.ring_model(n, n) for n in (6, 9, 12)]
+                     + [helpers.grid_model(h, h) for h in (2, 3, 4)]
+                     + [helpers.random_model(rng) for _ in range(40)])
+        checked = 0
+        for m in shipped + generated:
+            calls.clear()
+            global_consistent(m)
+            local_check(m, decompose(m))
+            for systems, anchors, a_aug, b_eq in calls:
+                want_a, want_b = helpers.tree_lp_csc(systems, anchors)
+                assert a_aug.format == "csc" and a_aug.shape == want_a.shape
+                for name in ("data", "indices", "indptr"):
+                    got, want = getattr(a_aug, name), getattr(want_a, name)
+                    assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+                assert np.array_equal(b_eq, want_b)
+                checked += 1
+        assert checked >= 2 * len(shipped + generated)
 
     def test_rank_pretest_matches_null_space(self):
         # row matrices of every rank, with as many rows as states or more

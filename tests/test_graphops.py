@@ -250,21 +250,32 @@ class TestFillIn:
             assert da.cliques == tuple(maximal_cliques(filled))
 
     def test_anneal_stops_when_frozen(self, monkeypatch):
-        # one elimination for the greedy start, then per restart 20 probes
-        # and 50 moves per temperature level
-        calls = []
-        eliminate = graphops._eliminate
+        # the greedy ordering is scored, then per restart 20 probes and 50
+        # moves per temperature level, memo hits included
+        scored, eliminated = [], []
+        score, eliminate = graphops._score, graphops._eliminate
 
-        def counted(*args):
-            calls.append(1)
+        def counted_score(adj, order, memo):
+            scored.append(order)
+            return score(adj, order, memo)
+
+        def counted_eliminate(*args):
+            eliminated.append(1)
             return eliminate(*args)
 
-        monkeypatch.setattr(graphops, "_eliminate", counted)
+        monkeypatch.setattr(graphops, "_score", counted_score)
+        monkeypatch.setattr(graphops, "_eliminate", counted_eliminate)
 
         def states(g, restarts):
-            calls.clear()
+            scored.clear()
+            eliminated.clear()
             fill_in_anneal(g, AnnealOptions(seed=0, restarts=restarts))
-            return len(calls)
+            # each distinct ordering scored is eliminated once; besides them
+            # run the min-fill pass that finds the greedy ordering and the
+            # rebuild of the winner
+            assert len(eliminated) == len(set(scored)) + 2
+            assert len(scored) > len(set(scored))
+            return len(scored)
 
         # every elimination ordering of this graph costs the same, so each
         # restart ends after its first level
@@ -275,6 +286,61 @@ class TestFillIn:
         # sixring's restarts move at first, then freeze before that floor
         fixed = 1 + 3 * (20 + 50 * temperature_steps(1.0, 0.95))
         assert 1 + 3 * (20 + 50) < states(sixring(), 3) < fixed
+
+
+def oracle_graphs() -> list[NeighborGraph]:
+    """sixring, the neighbor graphs of rings of 6 to 10 variables, and the
+    first three random graphs of 5 to 7 vertices that are not chordal (a
+    chordal one returns before the anneal starts)."""
+    rng = np.random.default_rng(62)
+    drawn = (helpers.random_graph(rng, int(rng.integers(5, 8)), 0.5) for _ in range(100))
+    unchordal = (g for g in drawn if not helpers.is_chordal(g.adjacency()))
+    return ([sixring()] + [neighbor_graph(helpers.ring_model(n, n)) for n in range(6, 11)]
+            + list(itertools.islice(unchordal, 3)))
+
+
+class TestEliminationOracle:
+    """The bitset elimination kernel and the searches built on it equal
+    the set-based first forms kept in tests/helpers.py."""
+
+    def test_kernel_matches_set_elimination(self):
+        rng = np.random.default_rng(61)
+        for _ in range(150):
+            g = helpers.random_graph(rng, int(rng.integers(3, 13)), float(rng.uniform(0.1, 0.9)))
+            names, adj = graphops._bitsets(g)
+            n = len(names)
+            fixed = [names[k] for k in rng.permutation(n)]
+            for order in (None, fixed):
+                if order is None:
+                    want = helpers.eliminate_sets(g.adjacency(), helpers.min_fill_sets)
+                    got = graphops._eliminate(adj)
+                else:
+                    it = iter(order)
+                    want = helpers.eliminate_sets(g.adjacency(), lambda work: next(it))
+                    got = graphops._eliminate(adj, [names.index(v) for v in order])
+                order_got, fill_got, cliques_got = got
+                assert [names[i] for i in order_got] == want[0]
+                assert {frozenset((names[f // n], names[f % n])) for f in fill_got} == want[1]
+                assert [frozenset(names[i] for i in range(n) if c >> i & 1)
+                        for c in cliques_got] == want[2]
+
+    def test_searches_match_oracles(self):
+        graphs = oracle_graphs()
+        for g in graphs:
+            assert fill_in_greedy(g) == helpers.fill_in_greedy_oracle(g)
+        for g in graphs:
+            for seed in range(6):
+                for restarts in (1, 2, 3):
+                    opts = AnnealOptions(seed=seed, restarts=restarts)
+                    assert fill_in_anneal(g, opts) == helpers.fill_in_anneal_oracle(g, opts)
+
+    def test_decompose_matches_oracles(self):
+        for n in range(6, 11):
+            m = helpers.ring_model(n, n)
+            g = neighbor_graph(m)
+            assert decompose(m) == helpers.fill_in_greedy_oracle(g)
+            opts = AnnealOptions(seed=n, restarts=2)
+            assert decompose(m, "anneal", opts) == helpers.fill_in_anneal_oracle(g, opts)
 
 
 class TestDescendants:
