@@ -1,25 +1,35 @@
-"""Decomposed solving: per-clique successive updating with propagation.
+"""Decomposed solving: successive updating on join-tree tables with propagation.
 
-Each clique of an acyclic decomposition holds a dense table over its own
-variables.  Each constraint lives in its home clique, the first one in
-running-intersection order that holds its scope (`graphops.constraint_homes`).
-The solver applies the single-constraint update with the largest current
-residual, then re-calibrates the other cliques along the join tree, and
-repeats until every residual is inside tolerance.
+Each constraint lives in its home clique, the first clique of an acyclic
+decomposition in running-intersection order that holds its scope
+(`graphops.constraint_homes`).  The solver applies the single-constraint
+update with the largest current residual, re-calibrates the other tables
+along the join tree, and repeats until every residual is inside
+tolerance.
 
 The update rule and the loop are `mce`'s (`Kernel`, `_successive`), the
 same ones `mce.successive_solve` runs on the full joint; this module adds
-the clique tables and the propagation.  All clique tables are slices of
-one float64 state vector.  Propagation is Hugin's (Jensen, Lauritzen &
-Olesen 1990): each join edge stores its separator marginal, and a pass
-from the updated clique scales every receiver by the ratio of the
-sender's new marginal to the stored one.  That is one marginalization per
-edge, and a receiver stays normalized.  While no entry of the state
-vector is below `PROB_FLOOR` a pass needs no zero-mass check, and each
-edge costs four numpy calls: `bincount`, divide, gather, multiply.
-Tables this small make the number of calls, not the arithmetic, the cost
-of a step: on `tests/helpers.ring_model(16, 0)` the pass takes about 60%
-of a step.
+the tables and the propagation.  The tables are those of a coarser
+junction tree, the solver tree (`graphops.merge_cliques`): walking the
+running-intersection order, each clique joins its anchor's table while
+the merged scope has at most SOLVER_TABLE_VARS variables.  All tables are
+slices of one float64 state vector.  Propagation is Hugin's (Jensen,
+Lauritzen & Olesen 1990): each join edge stores its separator marginal,
+and a pass from the updated table scales every receiver by the ratio of
+the sender's new marginal to the stored one.  That is one
+marginalization per edge, and a receiver stays normalized.  While no
+entry of the state vector is below `PROB_FLOOR` a pass needs no
+zero-mass check, and each edge costs four numpy calls: `bincount`,
+divide, gather, multiply.  At 32 states a table is so small that the
+number of calls, not the arithmetic, sets the cost of a step, so fewer
+and larger tables make a step cheaper.  On `tests/helpers.ring_model(16,
+0)` the twelve 32-state cliques become six 64-state tables; an update
+took about 40 us instead of 55-66, and the pass 43% of it instead of
+64% (2-vCPU VM).  On the benchmark's decomposed-solve models a budget
+of 7 variables was no faster and one of 8 was slower: larger tables make
+the scan of the constraints' sides grow.  The report stays per clique of
+the decomposition: its tables, built at the end, and its snapshots,
+built when read, are marginals of the merged tables.
 """
 
 from __future__ import annotations
@@ -32,9 +42,13 @@ import numpy as np
 
 from . import dist, mce
 from .dist import PROB_FLOOR, JointTable, marginalize
-from .graphops import Decomposition, constraint_homes
+from .graphops import Decomposition, RipOrder, constraint_homes, merge_cliques
 from .mce import SolverOptions, UnreachableConstraintError, UpdateTrace
 from .model import Constraint, Literal, Model
+
+# The solver merges cliques into tables of at most this many variables
+# (64 states); see the module docstring for how it was chosen.
+SOLVER_TABLE_VARS = 6
 
 
 @dataclass
@@ -82,9 +96,9 @@ class _Snapshots(Sequence):
         return self._tables(self._vectors[i])
 
 
-def _join_edges(model: Model, d: Decomposition) -> tuple[JoinEdge, ...]:
-    return tuple(JoinEdge(i, d.rip.anchors[i], model.ordered_scope(d.rip.separator(i)))
-                 for i in range(1, len(d.rip.order)))
+def _join_edges(model: Model, rip: RipOrder) -> tuple[JoinEdge, ...]:
+    return tuple(JoinEdge(i, rip.anchors[i], model.ordered_scope(rip.separator(i)))
+                 for i in range(1, len(rip.order)))
 
 
 def solve_decomposed(model: Model, d: Decomposition,
@@ -94,21 +108,25 @@ def solve_decomposed(model: Model, d: Decomposition,
 
     One cycle is one constraint application per constraint in the model;
     at every step the solver picks a constraint, applies its closed-form
-    update to its clique, and eagerly re-calibrates the other cliques
+    update to its table, and eagerly re-calibrates the other tables
     along the join tree.  The gradient schedule picks the largest-residual
     constraint (ties by declaration order); round-robin applies step s of
     each cycle to the s-th constraint in declaration order.
+    The tables are those of the solver tree, `d`'s cliques merged into
+    groups of up to SOLVER_TABLE_VARS variables (`graphops.merge_cliques`);
+    the report's tables, snapshots and join edges are per clique of `d`,
+    each a marginal of its group's table.
     With record=False the trace and per-cycle snapshots are skipped.
     """
     opts = opts or SolverOptions()
     homes = constraint_homes(model, d)
-    scopes = [model.ordered_scope(c) for c in d.rip.order]
+    tree = merge_cliques(d, SOLVER_TABLE_VARS)
+    scopes = [model.ordered_scope(c) for c in tree.rip.order]
     offsets = np.cumsum([0] + [1 << len(s) for s in scopes]).tolist()
     p = np.concatenate([dist.uniform(s).probs for s in scopes])
     views = [p[lo:hi] for lo, hi in zip(offsets, offsets[1:])]
-    edges = _join_edges(model, d)
     kernels = [mce.Kernel(c, scopes[home], home, offsets[home])
-               for c, home in zip(model.constraints, homes)]
+               for c, home in zip(model.constraints, constraint_homes(model, tree))]
 
     # One stored marginal per join edge; the uniform start is calibrated.
     # At the end of every pass each stored entry is a sum of current
@@ -116,7 +134,7 @@ def solve_decomposed(model: Model, d: Decomposition,
     # entry has one either and the zero-mass check can be skipped.
     stored: list[np.ndarray] = []
     adjacency: dict[int, list[tuple[int, int, np.ndarray, np.ndarray]]] = {}
-    for e in edges:
+    for e in _join_edges(model, tree.rip):
         if not e.separator:
             continue
         sub_c = dist.project_index(scopes[e.child], e.separator)
@@ -125,7 +143,7 @@ def solve_decomposed(model: Model, d: Decomposition,
         adjacency.setdefault(e.parent, []).append((e.child, len(stored), sub_p, sub_c))
         stored.append(dist.uniform(e.separator).probs.copy())
 
-    # per start clique, the directed edges (edge, sender, receiver,
+    # per start table, the directed edges (edge, sender, receiver,
     # sub_sender, sub_receiver, separator states) in depth-first order
     passes = []
     for start in range(len(scopes)):
@@ -157,18 +175,28 @@ def solve_decomposed(model: Model, d: Decomposition,
             recv *= np.divide(new, old, out=np.zeros(ns), where=old > 0.0)[sub_o]
             stored[e] = new
 
+    # per clique of d, its scope, its group's slice of p and the
+    # projection of the group's states onto the clique's
+    cliques = [(s, offsets[g], offsets[g + 1], dist.project_index(scopes[g], s))
+               for s, g in zip(map(model.ordered_scope, d.rip.order), tree.groups)]
+
     def tables(q: np.ndarray) -> list[JointTable]:
-        return [JointTable(s, q[lo:hi] / q[lo:hi].sum())
-                for s, lo, hi in zip(scopes, offsets, offsets[1:])]
+        out = []
+        for s, lo, hi, sub in cliques:
+            m = np.bincount(sub, q[lo:hi], 1 << len(s))
+            out.append(JointTable(s, m / m.sum()))
+        return out
 
     vectors: list[np.ndarray] = []
     trace, magnitudes, error = mce._successive(
         p, kernels, opts, record, propagate,
         (lambda: vectors.append(p.copy())) if record else None)
-    states = [CliqueState(cl, s, t, tuple(k.constraint for k in kernels if k.table == i))
-              for i, (cl, s, t) in enumerate(zip(d.rip.order, scopes, tables(p)))]
-    return SolveReport(states, edges, _Snapshots(vectors, tables), magnitudes, trace.converged,
-                       trace.cycles, trace, None if error is None else str(error))
+    states = [CliqueState(cl, t.scope, t,
+                          tuple(c for c, h in zip(model.constraints, homes) if h == i))
+              for i, (cl, t) in enumerate(zip(d.rip.order, tables(p)))]
+    return SolveReport(states, _join_edges(model, d.rip), _Snapshots(vectors, tables),
+                       magnitudes, trace.converged, trace.cycles, trace,
+                       None if error is None else str(error))
 
 
 def query(report: SolveReport, event: list[Literal], given: list[Literal] = ()) -> float:

@@ -9,7 +9,9 @@ constraint, and a generalized d-separation test that remains valid when
 the directed network contains cycles.  Every routine here is polynomial in
 the size of its graph.  Both triangulations run one elimination kernel on
 int bitmasks, vertex i being bit i in sorted-name order, and the anneal
-eliminates each distinct ordering it scores once.
+eliminates each distinct ordering it scores once.  `merge_cliques` groups
+a decomposition's cliques into the coarser join tree the decomposed
+solver runs on.
 """
 
 from __future__ import annotations
@@ -373,9 +375,42 @@ def decompose(model: Model, method: str = "greedy",
     return d
 
 
-def constraint_homes(model: Model, d: Decomposition) -> list[int]:
+@dataclass(frozen=True)
+class SolverTree:
+    """A join tree whose nodes are groups of a decomposition's cliques:
+    `rip` orders the groups' scopes, and `groups[i]` is the group of the
+    decomposition's i-th clique in running-intersection order."""
+
+    rip: RipOrder
+    groups: tuple[int, ...]
+
+
+def merge_cliques(d: Decomposition, max_vars: int) -> SolverTree:
+    """Walk `d`'s running-intersection order and merge each clique into
+    its anchor's group while the merged scope has at most `max_vars`
+    variables; a clique that does not fit starts a group anchored at its
+    anchor's group.  Each group is a connected subtree of the join tree,
+    so contracting them leaves a junction tree, ordered by first member,
+    in which a group's separator is its first member's separator."""
+    scopes: list[frozenset[str]] = []
+    anchors: list[int | None] = []
+    groups: list[int] = []
+    for clique, anchor in zip(d.rip.order, d.rip.anchors):
+        host = None if anchor is None else groups[anchor]
+        if host is not None and len(scopes[host] | clique) <= max_vars:
+            scopes[host] |= clique
+            groups.append(host)
+        else:
+            anchors.append(host)
+            groups.append(len(scopes))
+            scopes.append(clique)
+    return SolverTree(RipOrder(tuple(scopes), tuple(anchors)), tuple(groups))
+
+
+def constraint_homes(model: Model, d: Decomposition | SolverTree) -> list[int]:
     """Per constraint, in declaration order, the index of its home: the
-    first clique in running-intersection order that holds its scope."""
+    first clique (or group) in running-intersection order that holds its
+    scope."""
     homes = []
     for c in model.constraints:
         home = next((i for i, cl in enumerate(d.rip.order) if c.scope <= cl), None)

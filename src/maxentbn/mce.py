@@ -16,7 +16,8 @@ Two routes to the same distribution:
   residual and the update's two masses; the dual's Newton stop reads
   its points with the same scan.  `successive_solve` runs the loop on a
   vector that is the full joint; `engine.solve_decomposed` on one that
-  holds the clique tables, with Hugin propagation after each update.
+  holds the tables of a join tree, with Hugin propagation after each
+  update.
 
 The tables are small (8 to 128 states on the benchmark's models), so a
 step costs what its numpy calls cost, and each step makes a fixed few:

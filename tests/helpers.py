@@ -663,7 +663,8 @@ def solve_decomposed_oracle(model, d, opts=None):
     the subtree behind it), and renormalizes each receiving clique.  Each
     constraint's clique (the first in RIP order that holds it) and each
     separator (the overlap with all earlier cliques) are found here by
-    definition, not by the package's routines.
+    definition, not by the package's routines.  Only `d.rip` is read, so
+    `d` may be a Decomposition or the solver's merged `SolverTree`.
     Returns (clique tables, UpdateTrace, error or None)."""
     opts = opts or SolverOptions()
     tol = opts.tolerance if opts.tolerance is not None else DEFAULT_SUCCESSIVE_TOL

@@ -43,7 +43,7 @@ def _cli(*argv) -> int:
 def numpy_routes():
     """Every route of the decomposed path, as (step, exit code or None)."""
     from maxentbn import (AnnealOptions, Literal, build_network, d_separated, decompose,
-                          query, solve_decomposed, successive_solve, uniform)
+                          parse_model, query, solve_decomposed, successive_solve, uniform)
     models = [_load(name) for name in MODELS]
     yield "parse_model", None
     m = models[MODELS.index("mining.cn")]
@@ -53,6 +53,11 @@ def numpy_routes():
     yield "decompose anneal", None
     query(solve_decomposed(m, d), [Literal("C", True)], [Literal("D", True)])
     yield "solve_decomposed + query", None
+    # mining is one table to the solver; a chain of 8 is two, with messages
+    chain = parse_model("vars A B C D E F G H\n" + "".join(
+        f"P({b}|{a})=0.3\nP({b}|~{a})=0.6\n" for a, b in zip("ABCDEFG", "BCDEFGH")))
+    query(solve_decomposed(chain, decompose(chain)), [Literal("A", True)], [Literal("B", True)])
+    yield "solve_decomposed on two tables", None
     successive_solve(uniform(m.names), m.constraints)
     yield "successive_solve", None
     d_separated(build_network(m), "A", "B", ["C", "D"])

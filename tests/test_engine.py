@@ -15,6 +15,8 @@ from maxentbn import (JointTable, Literal, SolverOptions, bench, check_ci,
                       mce_dual_solve, neighbor_graph, query, solve_decomposed,
                       successive_solve, uniform)
 from maxentbn.dist import residuals
+from maxentbn.engine import SOLVER_TABLE_VARS
+from maxentbn.graphops import constraint_homes, merge_cliques
 from maxentbn.mce import (SCHEDULE_ROUND_ROBIN, TraceEvent, UnreachableConstraintError,
                          UpdateLog, UpdateTrace, apply_constraint)
 from maxentbn.model import ConstraintSet
@@ -191,14 +193,21 @@ class TestSolveDecomposed:
     def test_monotone_greedy_schedule_replay(self, monkeypatch):
         # replay the trace with reference operations: the applied
         # constraint must carry the largest residual magnitude each step,
-        # and eager propagation reproduces each updated table, captured
-        # right after its update
+        # and eager propagation reproduces each updated table on the
+        # constraint's home clique, captured right after its update as
+        # that clique's marginal of the solver's merged table
+        m, d = self.model, self.d
+        tree = merge_cliques(d, SOLVER_TABLE_VARS)
+        home_scope = {c: m.ordered_scope(d.rip.order[h])
+                      for c, h in zip(m.constraints, constraint_homes(m, d))}
         updated = []
         apply = mce.Kernel.apply
 
         def captured(kernel, p, s1, s0):
             apply(kernel, p, s1, s0)
-            updated.append(p[kernel.lo:kernel.hi].copy())
+            merged = JointTable(m.ordered_scope(tree.rip.order[kernel.table]),
+                                p[kernel.lo:kernel.hi])
+            updated.append(marginalize(merged, home_scope[kernel.constraint]).probs)
 
         monkeypatch.setattr(mce.Kernel, "apply", captured)
         report = solve_decomposed(self.model, self.d,
@@ -318,13 +327,16 @@ class TestSolveDecomposed:
 
 class TestDecomposedAgainstOracle:
     """`solve_decomposed` against the former list loop, which marginalizes
-    both cliques of every separator afresh after each update."""
+    both cliques of every separator afresh after each update, run on the
+    same merged tables."""
 
     @staticmethod
     def agree(m, opts):
         d = decompose(m)
         report = solve_decomposed(m, d, opts)
-        tables, trace, error = helpers.solve_decomposed_oracle(m, d, opts)
+        tree = merge_cliques(d, SOLVER_TABLE_VARS)
+        merged, trace, error = helpers.solve_decomposed_oracle(m, tree, opts)
+        tables = [marginalize(merged[g], s.scope) for g, s in zip(tree.groups, report.cliques)]
         got, want = report.trace.events, trace.events
         assert [str(e.constraint) for e in got] == [str(e.constraint) for e in want]
         assert ((report.cycles, report.converged, report.error)
@@ -382,6 +394,62 @@ class TestDecomposedAgainstOracle:
                     np.testing.assert_array_equal(a.table.probs, b.table.probs)
                 assert len(quiet.snapshots) == 0 and quiet.trace.events == ()
         assert outcomes == {"error", True, False}
+
+
+class TestMergedAgainstFineTree:
+    """The solve on merged tables against the list oracle run on the
+    cliques of the decomposition itself.  In exact arithmetic both are
+    one sequence of I-projections, so on interior models they apply the
+    same constraints, before the same residuals, to the same tables."""
+
+    @staticmethod
+    def agree(m, opts):
+        d = decompose(m)
+        assert len(merge_cliques(d, SOLVER_TABLE_VARS).rip.order) >= 2
+        report = solve_decomposed(m, d, opts)
+        tables, trace, error = helpers.solve_decomposed_oracle(m, d, opts)
+        assert report.error is None and error is None
+        got, want = report.trace.events, trace.events
+        assert [e.constraint for e in got] == [e.constraint for e in want]
+        assert (report.cycles, report.converged) == (trace.cycles, trace.converged)
+        np.testing.assert_allclose([e.residual_before for e in got],
+                                   [e.residual_before for e in want], rtol=0, atol=1e-12)
+        final = [residuals(tables[h], ConstraintSet((c,))).max_magnitude
+                 for c, h in zip(m.constraints, constraint_homes(m, d))]
+        np.testing.assert_allclose(report.final_residuals, final, rtol=0, atol=1e-12)
+        for state, table in zip(report.cliques, tables):
+            np.testing.assert_allclose(state.table.probs, table.probs, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("schedule", ["gradient", SCHEDULE_ROUND_ROBIN])
+    @pytest.mark.parametrize("model,max_cycles", [
+        ("ring8", 12), ("ring9", 8), ("ring10", 8), ("ring12", 5), ("ring14", 4),
+        ("ring16", 3), ("grid3", 3)])
+    def test_benchmark_shapes(self, model, max_cycles, schedule):
+        n = int(model[4:])
+        m = helpers.ring_model(n, n) if model.startswith("ring") else helpers.grid_model(n)
+        self.agree(m, SolverOptions(schedule=schedule, max_cycles=max_cycles))
+
+    def test_random_models(self):
+        rng = np.random.default_rng(62)
+        agreed = 0
+        while agreed < 12:
+            m = helpers.random_model(rng, n_vars=int(rng.integers(7, 9)))
+            if len(merge_cliques(decompose(m), SOLVER_TABLE_VARS).rip.order) < 2:
+                continue
+            for schedule in ("gradient", SCHEDULE_ROUND_ROBIN):
+                self.agree(m, SolverOptions(schedule=schedule, max_cycles=20))
+            agreed += 1
+
+    def test_disconnected_components(self):
+        # two 4-variable components do not fit one table: the solver's
+        # two tables share an empty separator and send no messages
+        m = helpers.model_of("ABCDEFGH", helpers.cc("D", "A,B,C", 0.3), helpers.mc("A", 0.2),
+                             helpers.cc("H", "E,F,G", 0.6), helpers.cc("G", "E", 0.9))
+        self.agree(m, SolverOptions(max_cycles=50))
+        report = solve_decomposed(m, decompose(m))
+        assert report.converged
+        assert query(report, [Literal("A")]) == pytest.approx(0.2, abs=1e-4)
+        assert query(report, [Literal("G")], [Literal("E")]) == pytest.approx(0.9, abs=1e-4)
 
 
 class TestRecordedTrace:

@@ -9,7 +9,7 @@ from maxentbn import (AnnealOptions, BeliefNetwork, Hypergraph, NeighborGraph,
                       fill_in_anneal, fill_in_greedy, graham_acyclic,
                       maximal_cliques, mce_dual_solve, neighbor_graph,
                       parse_graph_text, rip_order, uniform)
-from maxentbn import graphops
+from maxentbn import engine, graphops
 from maxentbn.consistency import global_consistent
 from maxentbn.graphops import clique_cost, format_decomposition
 from maxentbn.mce import SolverOptions
@@ -171,6 +171,68 @@ class TestRipOrder:
                 assert r.anchors[i] < i
                 assert r.separator(i) <= r.order[r.anchors[i]]
             assert graham_acyclic(Hypergraph(m.names, d.cliques))
+
+
+class TestMergeCliques:
+    """`merge_cliques` groups the cliques of a decomposition into the
+    tables the decomposed solver runs on."""
+
+    @staticmethod
+    def check(d, max_vars):
+        tree = graphops.merge_cliques(d, max_vars)
+        r, groups = tree.rip, tree.groups
+        assert len(groups) == len(d.rip.order)
+        first = {}
+        for i, g in enumerate(groups):
+            first.setdefault(g, i)
+            if first[g] != i:  # a later member joined its anchor's group
+                assert groups[d.rip.anchors[i]] == g
+        assert list(first) == list(range(len(r.order)))  # groups in order of first member
+        for g, scope in enumerate(r.order):
+            members = [c for c, h in zip(d.rip.order, groups) if h == g]
+            assert scope == frozenset().union(*members)
+            assert len(scope) <= max_vars or len(members) == 1
+        assert r.anchors[0] is None
+        for g in range(1, len(r.order)):
+            assert r.anchors[g] == groups[d.rip.anchors[first[g]]] < g
+            # running intersection: the overlap with every earlier group
+            # lies in the anchor group, and is the first member's separator
+            assert (r.separator(g) == helpers.separator_oracle(r, g)
+                    == d.rip.separator(first[g]))
+        return tree
+
+    def test_random_decompositions(self):
+        rng = np.random.default_rng(71)
+        merged = empty = oversized = 0
+        for _ in range(120):
+            g = helpers.random_graph(rng, int(rng.integers(3, 13)), float(rng.uniform(0.05, 0.7)))
+            d = fill_in_greedy(g)
+            for max_vars in range(1, 9):
+                tree = self.check(d, max_vars)
+                merged += len(tree.rip.order) < len(d.rip.order)
+                empty += sum(not tree.rip.separator(i) for i in range(1, len(tree.rip.order)))
+                oversized += any(len(s) > max_vars for s in tree.rip.order)
+        assert merged >= 300 and empty >= 100 and oversized >= 100
+
+    def test_benchmark_shapes(self):
+        # ring-16's chain of twelve 5-variable cliques pairs up into six
+        # 6-variable tables; grid 3x3's cliques of 6, 7 and 6 stay apart
+        budget = engine.SOLVER_TABLE_VARS
+        ring = self.check(decompose(helpers.ring_model(16)), budget)
+        assert [len(s) for s in ring.rip.order] == [6] * 6
+        grid = decompose(helpers.grid_model(3))
+        assert self.check(grid, budget).rip.order == grid.rip.order
+
+    def test_disconnected_components(self):
+        # two 4-variable components: one table of 8 variables, or two
+        # joined by an empty separator
+        m = helpers.model_of("ABCDEFGH", helpers.cc("D", "A,B,C", 0.3),
+                             helpers.cc("H", "E,F,G", 0.6))
+        d = decompose(m)
+        assert d.rip.separator(1) == frozenset()
+        assert self.check(d, 8).rip.order == (frozenset("ABCDEFGH"),)
+        tree = self.check(d, 6)
+        assert tree.rip.order == d.rip.order and tree.rip.anchors == (None, 0)
 
 
 def temperature_steps(t0: float, cooling: float) -> int:
