@@ -21,11 +21,11 @@ from .mce import (ConvergenceError, SolverOptions, UnreachableConstraintError,
                   UpdateTrace, conditional_update, mce_dual_solve,
                   successive_solve)
 from .graphops import (AnnealOptions, Decomposition, Hypergraph, RipOrder,
-                       d_separated, decompose, descendants, fill_in_anneal,
-                       fill_in_greedy, graham_acyclic, maximal_cliques,
-                       parse_graph_text, rip_order)
+                       d_separated, decompose, fill_in_anneal, fill_in_greedy,
+                       graham_acyclic, maximal_cliques, parse_graph_text,
+                       rip_order)
 from .consistency import (ConsistencyReport, LinearSystem, global_consistent,
-                          local_check, pairwise_consistent, to_linear)
+                          local_check, to_linear)
 from .engine import BenchReport, SolveReport, bench, query, solve_decomposed
 
 __version__ = "0.1.0"

@@ -192,18 +192,6 @@ def global_consistent(model: Model) -> ConsistencyReport:
                              witnesses=((frozenset(scope), witness),))
 
 
-def pairwise_consistent(model: Model, clique_i: frozenset[str], clique_j: frozenset[str]
-                        ) -> tuple[bool, tuple[JointTable, JointTable] | None]:
-    """True iff each clique admits a distribution satisfying its own
-    constraints such that the two agree on the shared variables; decided
-    as one joint feasibility problem."""
-    systems = [to_linear(model.constraints, model.ordered_scope(c)) for c in (clique_i, clique_j)]
-    sol = _tree_witnesses(systems, (None, 0))
-    if sol is None:
-        return False, None
-    return True, (JointTable(systems[0].scope, sol[0]), JointTable(systems[1].scope, sol[1]))
-
-
 def local_check(model: Model, d: Decomposition) -> ConsistencyReport:
     """Consistency over an acyclic decomposition, checked clique-locally.
 
@@ -247,8 +235,9 @@ def format_report(report: ConsistencyReport, model: Model | None = None,
             count = sum(1 for c in model.constraints if c.scope <= clique)
             lines.append(f"clique {{{scope}}}: {count} constraints")
     if report.culprit is not None:
-        a, b = report.culprit
-        lines.append("culprit: {%s} vs {%s}" % (",".join(sorted(a)), ",".join(sorted(b))))
+        # a clique that fails alone is a culprit pair of itself
+        lines.append("culprit: " + " vs ".join(
+            "{%s}" % ",".join(sorted(c)) for c in dict.fromkeys(report.culprit)))
     if report.note:
         lines.append(f"note: {report.note}")
     if show_witnesses:

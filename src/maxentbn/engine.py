@@ -28,14 +28,15 @@ took about 40 us instead of 55-66, and the pass 43% of it instead of
 64% (2-vCPU VM).  On the benchmark's decomposed-solve models a budget
 of 7 variables was no faster and one of 8 was slower: larger tables make
 the scan of the constraints' sides grow.  The report stays per clique of
-the decomposition: its tables, built at the end, and its snapshots,
-built when read, are marginals of the merged tables.
+the decomposition: its tables, built at the end, are marginals of the
+merged tables.  No state is kept per cycle: the solve is deterministic,
+so a snapshot is replayed when read, as the same solve cut at that cycle.
 """
 
 from __future__ import annotations
 
 import time
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -70,7 +71,7 @@ class JoinEdge:
 class SolveReport:
     cliques: list[CliqueState]
     join_edges: tuple[JoinEdge, ...]
-    snapshots: Sequence[list[JointTable]]  # clique tables at each cycle boundary
+    snapshots: Sequence[list[JointTable]]  # clique tables after each cycle, replayed when read
     final_residuals: tuple[float, ...]  # magnitudes, constraint declaration order
     converged: bool
     cycles: int
@@ -79,21 +80,27 @@ class SolveReport:
 
 
 class _Snapshots(Sequence):
-    """The clique tables at each cycle boundary, kept as one copy of the
-    state vector per cycle and built into tables when read."""
+    """The clique tables at each cycle boundary, rebuilt when read.  The
+    solve is deterministic, so snapshot i is the clique tables of the same
+    solve cut at i + 1 cycles, replayed with record=False."""
 
-    def __init__(self, vectors: list[np.ndarray],
-                 tables: Callable[[np.ndarray], list[JointTable]]):
-        self._vectors = vectors
-        self._tables = tables
+    def __init__(self, model: Model, d: Decomposition, opts: SolverOptions, cycles: int):
+        self._solve = (model, d, opts)
+        self._cycles = cycles
 
     def __len__(self) -> int:
-        return len(self._vectors)
+        return self._cycles
+
+    def _replay(self, cycles: int) -> list[JointTable]:
+        model, d, opts = self._solve
+        report = solve_decomposed(model, d, replace(opts, max_cycles=cycles), record=False)
+        return [s.table for s in report.cliques]
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self._tables(q) for q in self._vectors[i]]
-        return self._tables(self._vectors[i])
+        cycles = range(1, self._cycles + 1)[i]
+        if isinstance(cycles, range):
+            return [self._replay(c) for c in cycles]
+        return self._replay(cycles)
 
 
 def _join_edges(model: Model, rip: RipOrder) -> tuple[JoinEdge, ...]:
@@ -114,9 +121,10 @@ def solve_decomposed(model: Model, d: Decomposition,
     each cycle to the s-th constraint in declaration order.
     The tables are those of the solver tree, `d`'s cliques merged into
     groups of up to SOLVER_TABLE_VARS variables (`graphops.merge_cliques`);
-    the report's tables, snapshots and join edges are per clique of `d`,
-    each a marginal of its group's table.
-    With record=False the trace and per-cycle snapshots are skipped.
+    the report's tables and join edges are per clique of `d`, each table
+    a marginal of its group's.  Snapshot i, the tables after cycle i + 1,
+    is rebuilt when read by replaying this solve with max_cycles = i + 1.
+    With record=False the trace is skipped and there are no snapshots.
     """
     opts = opts or SolverOptions()
     homes = constraint_homes(model, d)
@@ -175,26 +183,16 @@ def solve_decomposed(model: Model, d: Decomposition,
             recv *= np.divide(new, old, out=np.zeros(ns), where=old > 0.0)[sub_o]
             stored[e] = new
 
-    # per clique of d, its scope, its group's slice of p and the
-    # projection of the group's states onto the clique's
-    cliques = [(s, offsets[g], offsets[g + 1], dist.project_index(scopes[g], s))
-               for s, g in zip(map(model.ordered_scope, d.rip.order), tree.groups)]
-
-    def tables(q: np.ndarray) -> list[JointTable]:
-        out = []
-        for s, lo, hi, sub in cliques:
-            m = np.bincount(sub, q[lo:hi], 1 << len(s))
-            out.append(JointTable(s, m / m.sum()))
-        return out
-
-    vectors: list[np.ndarray] = []
-    trace, magnitudes, error = mce._successive(
-        p, kernels, opts, record, propagate,
-        (lambda: vectors.append(p.copy())) if record else None)
-    states = [CliqueState(cl, t.scope, t,
-                          tuple(c for c, h in zip(model.constraints, homes) if h == i))
-              for i, (cl, t) in enumerate(zip(d.rip.order, tables(p)))]
-    return SolveReport(states, _join_edges(model, d.rip), _Snapshots(vectors, tables),
+    trace, magnitudes, error = mce._successive(p, kernels, opts, record, propagate)
+    # each clique of d reads its marginal of its group's slice of p
+    states = []
+    for i, (cl, g) in enumerate(zip(d.rip.order, tree.groups)):
+        s = model.ordered_scope(cl)
+        m = np.bincount(dist.project_index(scopes[g], s), views[g], 1 << len(s))
+        states.append(CliqueState(cl, s, JointTable(s, m / m.sum()),
+                                  tuple(c for c, h in zip(model.constraints, homes) if h == i)))
+    return SolveReport(states, _join_edges(model, d.rip),
+                       _Snapshots(model, d, opts, trace.cycles if record else 0),
                        magnitudes, trace.converged, trace.cycles, trace,
                        None if error is None else str(error))
 

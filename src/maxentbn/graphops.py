@@ -313,14 +313,6 @@ def _reach(start: Iterable, step: Callable[[object], set]) -> set:
     return seen
 
 
-def descendants(net: BeliefNetwork, x: str) -> frozenset[str]:
-    """All variables reachable from x along directed paths of length >= 1;
-    includes x itself only when x lies on a directed cycle."""
-    if x not in net.nodes:
-        raise ValueError(f"unknown variable {x!r}")
-    return frozenset(_reach(net.children(x), net.children))
-
-
 def d_separated(net: BeliefNetwork, x: str, y: str, se: Iterable[str] = ()) -> bool:
     """Generalized d-separation, valid on graphs with directed cycles.
 

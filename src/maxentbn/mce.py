@@ -334,8 +334,7 @@ def mce_dual_solve(prior: JointTable, cs: ConstraintSet,
 
 def _successive(p: np.ndarray, kernels: list[Kernel], opts: SolverOptions,
                 record: bool = True,
-                propagate: Callable[[int, bool], None] | None = None,
-                on_cycle: Callable[[], None] | None = None
+                propagate: Callable[[int, bool], None] | None = None
                 ) -> tuple[UpdateTrace, tuple[float, ...], UnreachableConstraintError | None]:
     """The successive-updating loop over the state vector `p`, in place.
 
@@ -346,11 +345,10 @@ def _successive(p: np.ndarray, kernels: list[Kernel], opts: SolverOptions,
     round-robin applies kernel s at step s of each cycle.  After each update
     `propagate(table, floor_free)` may re-calibrate the other tables,
     where `floor_free` says that no entry of `p` was below `PROB_FLOOR`
-    before the update; `on_cycle` runs after every cycle that applied an
-    update.  Returns the trace (with `record`, an `UpdateLog` of the
-    updates; else no events), the final residual magnitudes in kernel
-    order and the error: an unreachable constraint stops the loop and is
-    returned, not raised.
+    before the update.  Returns the trace (with `record`, an `UpdateLog`
+    of the updates; else no events), the final residual magnitudes in
+    kernel order and the error: an unreachable constraint stops the loop
+    and is returned, not raised.
     """
     tol = opts.tolerance if opts.tolerance is not None else DEFAULT_SUCCESSIVE_TOL
     round_robin = opts.schedule == SCHEDULE_ROUND_ROBIN
@@ -387,8 +385,6 @@ def _successive(p: np.ndarray, kernels: list[Kernel], opts: SolverOptions,
                 log.append(cycle, best, r.item(best))
         if applied_this_cycle:
             cycles_used = cycle
-            if on_cycle is not None:
-                on_cycle()
     mags = tuple(scan(p)[2].tolist())
     if error is None and not converged:
         converged = max(mags, default=0.0) <= tol

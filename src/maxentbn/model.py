@@ -133,9 +133,6 @@ class BeliefNetwork:
     nodes: tuple[str, ...]
     edges: frozenset[tuple[str, str]]
 
-    def children(self, x: str) -> set[str]:
-        return {v for (u, v) in self.edges if u == x}
-
 
 @dataclass(frozen=True)
 class NeighborGraph:

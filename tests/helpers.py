@@ -22,8 +22,8 @@ import scipy.sparse
 from maxentbn import (AnnealOptions, BeliefNetwork, ConditionalConstraint, ConstraintSet,
                       Decomposition, Hypergraph, JointTable, Literal, MarginalConstraint,
                       Model, NeighborGraph, RipOrder, SolverOptions,
-                      UnreachableConstraintError, UpdateTrace, Variable, descendants,
-                      parse_model, rip_order, uniform)
+                      UnreachableConstraintError, UpdateTrace, Variable, parse_model,
+                      rip_order, uniform)
 from maxentbn.consistency import NULLSPACE_TOL
 from maxentbn.graphops import ANNEAL_COOLING, ANNEAL_MOVES, ANNEAL_PROBES, clique_cost
 from maxentbn.dist import (PROB_FLOOR, ResidualEntry, ResidualReport, conditional,
@@ -740,6 +740,21 @@ def solve_decomposed_oracle(model, d, opts=None):
                         for r in (k.residual(probs[k.table]) for k in kernels))
     tables = [JointTable(s, np.array(p) / sum(p)) for s, p in zip(scopes, probs)]
     return tables, UpdateTrace(tuple(events), converged, cycles_used), error
+
+
+def descendants(net, x: str) -> frozenset[str]:
+    """All variables reachable from x along directed paths of length >= 1;
+    includes x itself only when x lies on a directed cycle."""
+    if x not in net.nodes:
+        raise ValueError(f"unknown variable {x!r}")
+    seen: set[str] = set()
+    frontier = [x]
+    while frontier:
+        u = frontier.pop()
+        new = {v for (a, v) in net.edges if a == u} - seen
+        seen |= new
+        frontier += new
+    return frozenset(seen)
 
 
 def d_separated_paths(net, x: str, y: str, se=()) -> bool:

@@ -56,6 +56,14 @@ class TestCheck:
         assert code == 1
         assert "culprit" in out
 
+    @pytest.mark.parametrize("path,line", [
+        ("models/inconsistent-quad.cn", "culprit: {A,B}"),  # the first clique fails alone
+        ("models/contradiction.cn", "culprit: {B,C} vs {A,B}")], ids=["quad", "contradiction"])
+    def test_local_culprit_line(self, capsys, path, line):
+        code, out, _ = invoke(capsys, "check", path, "--local")
+        assert code == 1
+        assert out.splitlines() == ["inconsistent", line]
+
     def test_local_mining_with_witness(self, capsys):
         code, out, _ = invoke(capsys, "check", "models/mining.cn", "--local",
                               "--witness")

@@ -9,7 +9,7 @@ from maxentbn import consistency
 from helpers import marginalization_matrix, project_space, solution_space
 from maxentbn import (ConstraintSet, Decomposition, JointTable, RipOrder, decompose,
                       fill_in_greedy, global_consistent, local_check, neighbor_graph,
-                      pairwise_consistent, parse_model, to_linear)
+                      parse_model, to_linear)
 from maxentbn.consistency import LinearSystem, nonneg_feasible, rank_nontrivial
 from maxentbn.dist import marginalize, residuals
 
@@ -192,11 +192,18 @@ class TestProjectSpace:
 
 
 class TestPairwise:
+    """The two-table relaxation that `local_check`'s culprit search runs:
+    `_tree_witnesses` on two cliques, the second anchored at the first."""
+
+    @staticmethod
+    def pair(model, clique_i, clique_j):
+        systems = [to_linear(model.constraints, model.ordered_scope(c))
+                   for c in (clique_i, clique_j)]
+        sol = consistency._tree_witnesses(systems, (None, 0))
+        return sol and [JointTable(ls.scope, p) for ls, p in zip(systems, sol)]
+
     def test_mining_cliques_consistent(self):
-        ok, wits = pairwise_consistent(helpers.mining(), fs("A", "C", "D"),
-                                       fs("B", "C", "D"))
-        assert ok
-        wi, wj = wits
+        wi, wj = self.pair(helpers.mining(), fs("A", "C", "D"), fs("B", "C", "D"))
         np.testing.assert_allclose(marginalize(wi, ("C", "D")).probs,
                                    marginalize(wj, ("C", "D")).probs, atol=1e-8)
         assert residuals(wi, ConstraintSet(tuple(
@@ -204,15 +211,12 @@ class TestPairwise:
             if c.scope <= fs("A", "C", "D")))).max_magnitude < 1e-8
 
     def test_forced_contradiction(self):
-        ok, wits = pairwise_consistent(helpers.contradiction(), fs("A", "B"),
-                                       fs("B", "C"))
-        assert not ok and wits is None
+        assert self.pair(helpers.contradiction(), fs("A", "B"), fs("B", "C")) is None
 
     def test_disjoint_cliques(self):
         m = helpers.model_of("ABCD", helpers.cc("A", "B", 0.7),
                              helpers.cc("C", "D", 0.2))
-        ok, _ = pairwise_consistent(m, fs("A", "B"), fs("C", "D"))
-        assert ok
+        assert self.pair(m, fs("A", "B"), fs("C", "D"))
 
 
 class TestLocalCheck:

@@ -1,7 +1,6 @@
 import dataclasses
 import gc
 import math
-import sys
 import tracemalloc
 
 import numpy as np
@@ -89,17 +88,40 @@ class TestSolveDecomposed:
         np.testing.assert_allclose(snap[0].probs, acd5, atol=7e-3)
         np.testing.assert_allclose(snap[1].probs, bcd5, atol=7e-3)
 
+    @staticmethod
+    def snapshots_match_oracle(m, opts):
+        """Snapshot i against the list oracle run for i + 1 cycles."""
+        d = decompose(m)
+        report = solve_decomposed(m, d, opts)
+        assert len(report.snapshots) == report.cycles >= 2
+        for i, snap in enumerate(report.snapshots):
+            tables = helpers.solve_decomposed_oracle(
+                m, d, dataclasses.replace(opts, max_cycles=i + 1))[0]
+            assert [t.scope for t in snap] == [t.scope for t in tables]
+            for t, want in zip(snap, tables):
+                np.testing.assert_allclose(t.probs, want.probs, rtol=0, atol=1e-12)
+        return report
+
     @pytest.mark.parametrize("schedule", ["gradient", SCHEDULE_ROUND_ROBIN])
     def test_snapshots_are_the_tables_of_shorter_runs(self, schedule):
-        report = solve_decomposed(self.model, self.d, SolverOptions(schedule=schedule))
-        assert len(report.snapshots) == report.cycles
-        for i, snap in enumerate(report.snapshots):
-            short = solve_decomposed(self.model, self.d,
-                                     SolverOptions(schedule=schedule, max_cycles=i + 1),
-                                     record=False)
-            assert [t.scope for t in snap] == [s.scope for s in short.cliques]
-            for t, s in zip(snap, short.cliques):
-                np.testing.assert_array_equal(t.probs, s.table.probs)
+        self.snapshots_match_oracle(self.model, SolverOptions(schedule=schedule))
+
+    @pytest.mark.parametrize("schedule", ["gradient", SCHEDULE_ROUND_ROBIN])
+    def test_snapshots_on_several_tables(self, schedule):
+        m = helpers.ring_model(10, 10)
+        assert len(merge_cliques(decompose(m), SOLVER_TABLE_VARS).rip.order) >= 2
+        report = self.snapshots_match_oracle(
+            m, SolverOptions(schedule=schedule, max_cycles=8))
+        assert report.cycles == 8
+        # indexed like a list: negative indices, slices and IndexError
+        last = [s.table.probs for s in report.cliques]
+        for t, want in zip(report.snapshots[-1], last):
+            np.testing.assert_array_equal(t.probs, want)
+        assert len(report.snapshots[2:5]) == 3 and report.snapshots[9:] == []
+        with pytest.raises(IndexError):
+            report.snapshots[8]
+        with pytest.raises(IndexError):
+            report.snapshots[-9]
 
     def test_separator_marginals_agree(self):
         report = solve_decomposed(self.model, self.d)
@@ -484,12 +506,10 @@ class TestRecordedTrace:
         columns = (log._cycles, log._kernels, log._residuals)
         assert [len(c) for c in columns] == [updates] * 3
         assert sum(c.itemsize for c in columns) == 24
-        # the recording also keeps one copy of the state vector per cycle
-        # for the snapshots; beyond those, the bound allows 32 B an update,
-        # where one tuple and one TraceEvent an update took about 200 B
-        states = sum(c.table.probs.size for c in report.cliques)
-        snapshots = len(report.snapshots) * (sys.getsizeof(np.zeros(states)) + 8)
-        assert loud - quiet - snapshots < 32 * updates
+        # the recording keeps nothing per cycle (snapshots are replayed),
+        # so the bound allows 32 B an update, where one tuple and one
+        # TraceEvent an update took about 200 B
+        assert loud - quiet < 32 * updates
 
     @pytest.mark.parametrize("schedule", ["gradient", SCHEDULE_ROUND_ROBIN])
     def test_events_read_as_a_sequence(self, schedule):

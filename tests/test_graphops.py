@@ -5,7 +5,7 @@ import pytest
 
 import helpers
 from maxentbn import (AnnealOptions, BeliefNetwork, Hypergraph, NeighborGraph,
-                      build_network, check_ci, d_separated, decompose, descendants,
+                      build_network, check_ci, d_separated, decompose,
                       fill_in_anneal, fill_in_greedy, graham_acyclic,
                       maximal_cliques, mce_dual_solve, neighbor_graph,
                       parse_graph_text, rip_order, uniform)
@@ -406,18 +406,20 @@ class TestEliminationOracle:
 
 
 class TestDescendants:
+    """The descendant sets that the path-enumeration oracle reads."""
+
     def test_cycle_member_includes_itself(self):
         net = build_network(helpers.mining())
-        assert descendants(net, "C") == fs("C", "D")
+        assert helpers.descendants(net, "C") == fs("C", "D")
 
     def test_upstream_of_cycle(self):
         net = build_network(helpers.mining())
-        assert descendants(net, "A") == fs("C", "D")
+        assert helpers.descendants(net, "A") == fs("C", "D")
 
     def test_isolated(self):
         m = helpers.model_of("AB", helpers.cc("A", "B", 0.5))
         net = build_network(helpers.model_of("ABC", helpers.cc("A", "B", 0.5)))
-        assert descendants(net, "C") == frozenset()
+        assert helpers.descendants(net, "C") == frozenset()
 
 
 class TestDSeparation:
