@@ -82,7 +82,12 @@ def _cmd_check(args) -> int:
 
 def _cmd_decompose(args) -> int:
     if args.graph:
-        g = graphops.parse_graph_text(_read(args.model)).as_neighbor_graph()
+        gt = graphops.parse_graph_text(_read(args.model))
+        for kind, lines in (("arc", gt.arcs), ("hedge", gt.hedges)):
+            if lines:
+                raise ValueError(f"decompose --graph reads 'nodes' and 'edge' lines; "
+                                 f"the file has {kind!r} lines")
+        g = gt.as_neighbor_graph()
         if args.fill == "anneal":
             d = graphops.fill_in_anneal(g, graphops.AnnealOptions(seed=args.seed))
         else:

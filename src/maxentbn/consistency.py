@@ -8,9 +8,10 @@ enough to check the first clique alone and every later clique against its
 running-intersection anchor, which keeps each feasibility problem at
 clique size instead of the full state space.
 
-scipy is imported on first use, by the LP (`_tree_witnesses` builds its
-sparse matrix, `_solve_feasible` runs it) and the SVD of the rank test,
-so that importing the package costs numpy alone.
+scipy is imported on first use, by the LP alone (`_tree_witnesses`
+builds its sparse matrix, `_solve_feasible` runs it), so that importing
+the package costs numpy alone; the rank test's SVD is numpy's, and a
+check that the rank test settles loads no scipy.
 """
 
 from __future__ import annotations
@@ -67,12 +68,11 @@ def rank_nontrivial(ls: LinearSystem) -> bool:
     states; else as counted by singular values above NULLSPACE_TOL times the largest."""
     if len(ls.matrix) < ls.size:
         return True
-    import scipy.linalg
-    s = scipy.linalg.svdvals(ls.matrix)
+    s = np.linalg.svd(ls.matrix, compute_uv=False)
     return int(np.sum(s > NULLSPACE_TOL * np.amax(s, initial=0.0))) < ls.size
 
 
-def _solve_feasible(a_aug, b_eq: np.ndarray) -> np.ndarray | None:
+def _solve_feasible(a_aug, b_eq: np.ndarray, presolve: bool) -> np.ndarray | None:
     """Nonnegative solution of a_eq x = b_eq, or None, from the sparse
     augmented matrix a_aug = (a_eq | a_eq 1).
 
@@ -81,6 +81,12 @@ def _solve_feasible(a_aug, b_eq: np.ndarray) -> np.ndarray | None:
     solution may park whole conditioning events at zero mass).  Written
     as x = y + t*1 with y >= 0, the bounds t <= x_j need no rows: the LP
     is a_eq y + (a_eq 1) t = b_eq with 0 <= t <= 1, and x is y + t.
+
+    `presolve` switches HiGHS's presolve; the LP handed over, its status
+    and its optimal t are the same either way.  It pays on tables coupled
+    through separator rows.  On one table, whose rows are each a quarter
+    to half dense over all its states, it costs more time and memory
+    than the simplex solve it prepares (README gives the timings).
     """
     import scipy.optimize
     n = a_aug.shape[1] - 1
@@ -88,7 +94,8 @@ def _solve_feasible(a_aug, b_eq: np.ndarray) -> np.ndarray | None:
     c[-1] = -1.0
     res = scipy.optimize.linprog(
         c=c, A_eq=a_aug, b_eq=b_eq,
-        bounds=[(0.0, None)] * n + [(0.0, 1.0)], method="highs")
+        bounds=[(0.0, None)] * n + [(0.0, 1.0)], method="highs",
+        options={"presolve": presolve})
     if res.status == 0:
         return np.maximum(res.x[:n] + res.x[-1], 0.0)
     if res.status == 2:
@@ -152,7 +159,8 @@ def _tree_witnesses(systems: Sequence[LinearSystem], anchors: Sequence[int | Non
     a_aug = scipy.sparse.csc_matrix((np.concatenate(vals), (rows, cols)),
                                     shape=(len(b_eq), offs[-1] + 1))
     del rows, cols, vals, dense_row  # freed before HiGHS runs, which lowers the peak RSS
-    x = _solve_feasible(a_aug, np.array(b_eq))
+    # presolve pays only where separator rows couple tables
+    x = _solve_feasible(a_aug, np.array(b_eq), presolve=len(systems) > 1)
     if x is None:
         return None
     parts = [x[offs[i]:offs[i + 1]] for i in range(len(systems))]

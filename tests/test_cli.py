@@ -85,6 +85,17 @@ class TestDecompose:
         assert code == 0
         assert "cost: 32" in out
 
+    @pytest.mark.parametrize("lines,kind", [("arc C D\nhedge A D\n", "arc"),
+                                            ("arc C D\n", "arc"), ("hedge A D\n", "hedge")],
+                             ids=["arc-and-hedge", "arc", "hedge"])
+    def test_graph_file_with_unread_lines_exit_2(self, tmp_path, capsys, lines, kind):
+        # it used to drop them and decompose D as an isolated node
+        f = tmp_path / "mixed.graph"
+        f.write_text("nodes A B C D\nedge A B\nedge B C\n" + lines)
+        code, out, err = invoke(capsys, "decompose", str(f), "--graph")
+        assert code == 2
+        assert out == "" and f"'{kind}'" in err
+
 
 class TestDsep:
     def test_separated(self, capsys):

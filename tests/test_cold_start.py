@@ -1,4 +1,4 @@
-"""scipy loads only where an LP, an SVD or the dual's CG runs.
+"""scipy loads only where an LP or the dual's CG runs.
 
 Each check runs in a fresh interpreter (`sys.executable`, PYTHONPATH=src),
 because the test process has long since imported scipy.  The routes live
@@ -67,6 +67,8 @@ def numpy_routes():
         yield f"validate {name}", _cli("validate", path)
         yield f"decompose {name}", _cli("decompose", path)
         yield f"query {name}", _cli("query", path, "--event", "A")
+    # K >= 2^n: the rank test settles the verdict, so no LP runs
+    yield "check inconsistent-quad.cn", _cli("check", "models/inconsistent-quad.cn")
     yield "decompose sixring.graph", _cli("decompose", "models/sixring.graph", "--graph",
                                           "--fill", "anneal", "--seed", "11")
     yield "dsep mining.cn", _cli("dsep", "models/mining.cn", "--x", "A", "--y", "B",
@@ -92,6 +94,7 @@ def test_decomposed_route_loads_no_scipy():
     # the unsolvable models still fail as before, also without scipy
     assert codes.pop("query contradiction.cn") == 1
     assert codes.pop("query inconsistent-quad.cn") == 1
+    assert codes.pop("check inconsistent-quad.cn") == 1
     assert set(codes.values()) == {0}
 
 

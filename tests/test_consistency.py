@@ -2,7 +2,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
+import scipy.optimize
 
 import helpers
 from maxentbn import consistency
@@ -317,9 +317,9 @@ class TestRankPretest:
         # 32 rows on 256 states: the rank is below the number of states
         # whatever the singular values are
         def refuse(*args, **kwargs):
-            raise AssertionError("svdvals called")
+            raise AssertionError("svd called")
 
-        monkeypatch.setattr(scipy.linalg, "svdvals", refuse)
+        monkeypatch.setattr(np.linalg, "svd", refuse)
         report = global_consistent(helpers.ring_model(8, 0))
         assert report.rank_ok and report.consistent
 
@@ -327,16 +327,85 @@ class TestRankPretest:
         # the companion of the test above: 4 rows on 4 states take the SVD
         # through the attribute that test patches, so that patch is live
         calls = []
-        svdvals = scipy.linalg.svdvals
+        svd = np.linalg.svd
 
         def record(*args, **kwargs):
             calls.append(args[0].shape)
-            return svdvals(*args, **kwargs)
+            return svd(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, "svdvals", record)
+        monkeypatch.setattr(np.linalg, "svd", record)
         report = global_consistent(helpers.quad())
         assert calls == [(4, 4)]
         assert report.rank_ok is False and not report.consistent
+
+
+class TestPresolve:
+    """HiGHS presolves the LPs that couple tables through separator rows
+    and skips it on one table, where it costs more than it saves."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        settings = []
+        linprog = scipy.optimize.linprog
+
+        def record(*args, **kwargs):
+            settings.append(kwargs["options"]["presolve"])
+            return linprog(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "linprog", record)
+        return settings
+
+    def test_one_table_lps_skip_presolve(self, monkeypatch):
+        settings = self.spy(monkeypatch)
+        m = helpers.ring_model(8, 0)
+        assert global_consistent(m).consistent
+        assert nonneg_feasible(to_linear(m.constraints, ("A", "B"))) is not None
+        assert settings == [False, False]
+
+    def test_tree_lps_keep_presolve(self, monkeypatch):
+        settings = self.spy(monkeypatch)
+        m = helpers.mining()
+        d = decompose(m)
+        assert len(d.cliques) == 2 and local_check(m, d).consistent
+        assert settings == [True]
+        settings.clear()
+        # the tree LP fails, the first clique passes alone, and the
+        # culprit search couples each later clique with its anchor
+        m = helpers.contradiction()
+        d = decompose(m)
+        assert local_check(m, d).culprit is not None
+        assert len(d.cliques) >= 2 and len(settings) >= 3
+        assert settings == [True, False] + [True] * (len(settings) - 2)
+
+    def test_presolve_changes_no_status_or_optimum(self, monkeypatch):
+        # the one-table LP of each draw, solved both ways: the same status
+        # and the same largest smallest entry t, so a witness minimum of 0
+        # still marks a set whose feasible distributions all have zeros
+        outcomes = []
+        linprog = scipy.optimize.linprog
+
+        def both(*args, **kwargs):
+            res = {p: linprog(*args, **{**kwargs, "options": {"presolve": p}})
+                   for p in (True, False)}
+            outcomes.append([(r.status, r.x[-1] if r.status == 0 else None)
+                             for r in res.values()])
+            return res[kwargs["options"]["presolve"]]
+
+        monkeypatch.setattr(scipy.optimize, "linprog", both)
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            m = helpers.random_model(rng)
+            nonneg_feasible(to_linear(m.constraints, m.names))
+        statuses = {0: 0, 2: 0}
+        zeros = 0
+        for (s_on, t_on), (s_off, t_off) in outcomes:
+            assert s_on == s_off
+            statuses[s_on] += 1
+            if s_on == 0:
+                assert t_off == pytest.approx(t_on, abs=1e-12)
+                zeros += t_on < 1e-12
+        # four consistent draws have a zero in every feasible distribution
+        assert (statuses, zeros) == ({0: 240, 2: 60}, 4)
 
 
 class TestDenseOracles:
@@ -357,7 +426,7 @@ class TestDenseOracles:
             d = decompose(m)
             got = [global_consistent(m), local_check(m, d)]
             with monkeypatch.context() as mp:
-                mp.setattr(consistency, "_solve_feasible", lambda a_aug, b_eq:
+                mp.setattr(consistency, "_solve_feasible", lambda a_aug, b_eq, presolve:
                            helpers.solve_feasible_dense(a_aug[:, :-1].toarray(), b_eq))
                 mp.setattr(consistency, "rank_nontrivial", helpers.rank_nontrivial_nullspace)
                 want = [global_consistent(m), local_check(m, d)]
@@ -391,9 +460,9 @@ class TestDenseOracles:
             calls.append([systems, anchors])
             return tree(systems, anchors)
 
-        def solve_captured(a_aug, b_eq):
+        def solve_captured(a_aug, b_eq, presolve):
             calls[-1] += [a_aug, b_eq]
-            return solve(a_aug, b_eq)
+            return solve(a_aug, b_eq, presolve)
 
         monkeypatch.setattr(consistency, "_tree_witnesses", tree_captured)
         monkeypatch.setattr(consistency, "_solve_feasible", solve_captured)
@@ -421,9 +490,9 @@ class TestDenseOracles:
             calls.append([systems, anchors])
             return tree(systems, anchors)
 
-        def solve_captured(a_aug, b_eq):
+        def solve_captured(a_aug, b_eq, presolve):
             calls[-1] += [a_aug, b_eq]
-            return solve(a_aug, b_eq)
+            return solve(a_aug, b_eq, presolve)
 
         monkeypatch.setattr(consistency, "_tree_witnesses", tree_captured)
         monkeypatch.setattr(consistency, "_solve_feasible", solve_captured)
