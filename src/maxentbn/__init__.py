@@ -11,9 +11,8 @@ by successive single-constraint updating, full-joint or decomposed.
 
 from .model import (BeliefNetwork, ConditionalConstraint, Constraint,
                     ConstraintSet, Literal, MarginalConstraint, Model,
-                    NeighborGraph, ParseError, Variable, build_network,
-                    neighbor_graph, parse_model, serialize_model,
-                    validate_scope_rule)
+                    NeighborGraph, ParseError, build_network, neighbor_graph,
+                    parse_model, serialize_model, validate_scope_rule)
 from .dist import (JointTable, ResidualEntry, ResidualReport, check_ci,
                    check_mrf, conditional, marginalize, probability,
                    residuals, serialize_table, uniform)

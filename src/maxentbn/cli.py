@@ -65,7 +65,7 @@ def _cmd_validate(args) -> int:
     m = _load_model(args.model)
     for w in model.validate_scope_rule(m):
         print(f"warning: {w}")
-    print(f"ok: {len(m.variables)} variables, {len(m.constraints)} constraints")
+    print(f"ok: {len(m.names)} variables, {len(m.constraints)} constraints")
     return 0
 
 
@@ -82,12 +82,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_decompose(args) -> int:
     if args.graph:
-        gt = graphops.parse_graph_text(_read(args.model))
-        for kind, lines in (("arc", gt.arcs), ("hedge", gt.hedges)):
-            if lines:
-                raise ValueError(f"decompose --graph reads 'nodes' and 'edge' lines; "
-                                 f"the file has {kind!r} lines")
-        g = gt.as_neighbor_graph()
+        g = graphops.parse_graph_text(_read(args.model)).as_neighbor_graph()
         if args.fill == "anneal":
             d = graphops.fill_in_anneal(g, graphops.AnnealOptions(seed=args.seed))
         else:

@@ -184,9 +184,9 @@ class ConsistencyReport:
 def global_consistent(model: Model) -> ConsistencyReport:
     """Global check over the full state space: rank pre-test first,
     then nonnegative feasibility."""
-    if len(model.variables) > SCOPE_CAP:
+    if len(model.names) > SCOPE_CAP:
         raise ValueError(
-            f"{len(model.variables)} variables exceed the global-check cap "
+            f"{len(model.names)} variables exceed the global-check cap "
             f"{SCOPE_CAP}; use a decomposition and local_check")
     ls = to_linear(model.constraints, model.names)
     if not rank_nontrivial(ls):
@@ -234,14 +234,13 @@ def local_check(model: Model, d: Decomposition) -> ConsistencyReport:
                                 "calibrated per-clique tables exist")
 
 
-def format_report(report: ConsistencyReport, model: Model | None = None,
+def format_report(report: ConsistencyReport, model: Model,
                   show_witnesses: bool = False) -> str:
     lines = [report.verdict]
-    if model is not None:
-        for clique, _ in report.witnesses:
-            scope = ",".join(model.ordered_scope(clique))
-            count = sum(1 for c in model.constraints if c.scope <= clique)
-            lines.append(f"clique {{{scope}}}: {count} constraints")
+    for clique, _ in report.witnesses:
+        scope = ",".join(model.ordered_scope(clique))
+        count = sum(1 for c in model.constraints if c.scope <= clique)
+        lines.append(f"clique {{{scope}}}: {count} constraints")
     if report.culprit is not None:
         # a clique that fails alone is a culprit pair of itself
         lines.append("culprit: " + " vs ".join(

@@ -40,6 +40,8 @@ class JointTable:
         probs = np.array(self.probs, dtype=float)  # own copy; frozen below
         if probs.shape != (1 << len(scope),):
             raise ValueError(f"expected {1 << len(scope)} probabilities, got {probs.shape}")
+        if not np.isfinite(probs).all():  # NaN passes every comparison below
+            raise ValueError("non-finite probability")
         if probs.min() < -1e-12:
             raise ValueError(f"negative probability {probs.min()}")
         if abs(probs.sum() - 1.0) > 1e-9:
@@ -52,12 +54,6 @@ class JointTable:
     @property
     def size(self) -> int:
         return self.probs.size
-
-    def index(self, name: str) -> int:
-        try:
-            return self.scope.index(name)
-        except ValueError:
-            raise ValueError(f"variable {name!r} not in scope {self.scope}") from None
 
 
 def uniform(scope: Sequence[str]) -> JointTable:
@@ -195,9 +191,6 @@ class ResidualReport:
         mags.append(abs(self.universal))
         return max(mags)
 
-    def magnitudes(self) -> tuple[float, ...]:
-        return tuple(e.magnitude for e in self.entries)
-
 
 def residuals(table: JointTable, cs: ConstraintSet) -> ResidualReport:
     """Each constraint read as P(a | a or b) by its `constraint_scan`, as
@@ -219,9 +212,7 @@ def check_ci(table: JointTable, x: str, y: str, given: Iterable[str] = (),
     given = tuple(given)
     if x == y or x in given or y in given:
         raise ValueError("x, y, and the conditioning set must be disjoint")
-    axes = (given + (x, y))
-    for name in axes:
-        table.index(name)
+    axes = given + (x, y)
     arr = marginalize(table, axes).probs.reshape((2,) * len(axes))
     flat = arr.reshape(-1, 2, 2)
     for block in flat:

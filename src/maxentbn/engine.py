@@ -235,9 +235,11 @@ def bench(model: Model, d: Decomposition, opts: SolverOptions | None = None,
     Reports the smallest wall time over `repeats` runs of each method
     (timed runs skip trace recording) and the largest per-state gap
     between the decomposed clique tables and the exact joint's
-    marginals.  The returned SolveReport comes from one extra recorded,
-    untimed run.
+    marginals.  The returned SolveReport is the last timed run's, so it
+    carries no trace.
     """
+    if repeats < 1:
+        raise ValueError(f"repeats must be at least 1, got {repeats}")
     opts = opts or SolverOptions()
     timed_opts = replace(opts, tolerance=opts.tolerance or mce.DEFAULT_SUCCESSIVE_TOL)
     prior = dist.uniform(model.names)
@@ -251,9 +253,8 @@ def bench(model: Model, d: Decomposition, opts: SolverOptions | None = None,
     succ_best = float("inf")
     for _ in range(repeats):
         t0 = time.perf_counter()
-        solve_decomposed(model, d, timed_opts, record=False)
+        report = solve_decomposed(model, d, timed_opts, record=False)
         succ_best = min(succ_best, time.perf_counter() - t0)
-    report = solve_decomposed(model, d, timed_opts)
 
     deviation = 0.0
     for state in report.cliques:

@@ -354,7 +354,7 @@ def decompose(model: Model, method: str = "greedy",
               opts: AnnealOptions | None = None) -> Decomposition:
     """Neighbor graph, fill-in, clique cover, and running-intersection
     order for a model, via the chosen fill-in search."""
-    if not model.variables:
+    if not model.names:
         raise ValueError("model has no variables")
     g = neighbor_graph(model)
     if method == "greedy":
@@ -416,30 +416,19 @@ def constraint_homes(model: Model, d: Decomposition | SolverTree) -> list[int]:
 
 @dataclass(frozen=True)
 class GraphText:
-    """Parsed graph/hypergraph description."""
+    """Parsed graph description: an undirected graph."""
 
     nodes: tuple[str, ...]
     edges: frozenset[frozenset[str]]
-    arcs: frozenset[tuple[str, str]]
-    hedges: tuple[frozenset[str], ...]
 
     def as_neighbor_graph(self) -> NeighborGraph:
         return NeighborGraph(self.nodes, self.edges)
 
-    def as_belief_network(self) -> BeliefNetwork:
-        return BeliefNetwork(self.nodes, self.arcs)
-
-    def as_hypergraph(self) -> Hypergraph:
-        return Hypergraph(self.nodes, self.hedges)
-
 
 def parse_graph_text(text: str) -> GraphText:
-    """Line format: `nodes A B C`, `edge A B`, `arc A B`, `hedge A C D`;
-    '#' starts a comment."""
+    """Line format: `nodes A B C`, `edge A B`; '#' starts a comment."""
     nodes: list[str] = []
     edges: set[frozenset[str]] = set()
-    arcs: set[tuple[str, str]] = set()
-    hedges: list[frozenset[str]] = []
     for i, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -455,23 +444,12 @@ def parse_graph_text(text: str) -> GraphText:
             if len(args) != 2 or args[0] == args[1]:
                 raise ValueError(f"line {i}: 'edge' takes two distinct nodes")
             edges.add(frozenset(args))
-        elif kind == "arc":
-            if len(args) != 2:
-                raise ValueError(f"line {i}: 'arc' takes two nodes")
-            arcs.add((args[0], args[1]))
-        elif kind == "hedge":
-            if not args:
-                raise ValueError(f"line {i}: 'hedge' needs at least one node")
-            hedges.append(frozenset(args))
         else:
             raise ValueError(f"line {i}: unknown directive {kind!r}")
-    known = set(nodes)
-    mentioned = set().union(*edges, *hedges) if (edges or hedges) else set()
-    mentioned |= {v for arc in arcs for v in arc}
-    missing = mentioned - known
+    missing = set().union(*edges) - set(nodes)
     if missing:
         raise ValueError(f"nodes used but not declared: {sorted(missing)}")
-    return GraphText(tuple(nodes), frozenset(edges), frozenset(arcs), tuple(hedges))
+    return GraphText(tuple(nodes), frozenset(edges))
 
 
 def format_decomposition(d: Decomposition) -> str:

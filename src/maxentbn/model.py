@@ -29,12 +29,6 @@ class ParseError(ValueError):
 
 
 @dataclass(frozen=True)
-class Variable:
-    name: str
-    index: int  # 0-based declaration order; fixes state indexing
-
-
-@dataclass(frozen=True)
 class Literal:
     name: str
     positive: bool = True
@@ -111,12 +105,8 @@ class ConstraintSet:
 
 @dataclass(frozen=True)
 class Model:
-    variables: tuple[Variable, ...]
+    names: tuple[str, ...]  # declaration order; fixes state indexing
     constraints: ConstraintSet
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(v.name for v in self.variables)
 
     def ordered_scope(self, subset: Iterable[str]) -> tuple[str, ...]:
         """Names from `subset` in declaration order."""
@@ -155,9 +145,6 @@ class NeighborGraph:
         if x not in self.nodes:
             raise ValueError(f"unknown variable {x!r}")
         return {next(iter(e - {x})) for e in self.edges if x in e}
-
-    def adjacent(self, x: str, y: str) -> bool:
-        return frozenset({x, y}) in self.edges
 
 
 class _Cursor:
@@ -239,15 +226,15 @@ def parse_model(text: str) -> Model:
     kw, col = cur.name()
     if kw != "vars":
         raise ParseError("model must start with a 'vars' line", lineno, col)
-    variables: list[Variable] = []
+    names: list[str] = []
     declared: set[str] = set()
     while not cur.at_end():
         nm, col = cur.name()
         if nm in declared:
             raise ParseError(f"variable {nm!r} declared twice", lineno, col)
         declared.add(nm)
-        variables.append(Variable(nm, len(variables)))
-    if not variables:
+        names.append(nm)
+    if not names:
         raise ParseError("'vars' line declares no variables", lineno, len(line) + 1)
 
     constraints: list[Constraint] = []
@@ -312,7 +299,7 @@ def parse_model(text: str) -> Model:
             seen_cells.add(cell)
             constraints.append(MarginalConstraint(lits, value))
 
-    return Model(tuple(variables), ConstraintSet(tuple(constraints)))
+    return Model(tuple(names), ConstraintSet(tuple(constraints)))
 
 
 def serialize_model(model: Model) -> str:

@@ -22,8 +22,8 @@ import scipy.sparse
 from maxentbn import (AnnealOptions, BeliefNetwork, ConditionalConstraint, ConstraintSet,
                       Decomposition, Hypergraph, JointTable, Literal, MarginalConstraint,
                       Model, NeighborGraph, RipOrder, SolverOptions,
-                      UnreachableConstraintError, UpdateTrace, Variable, parse_model,
-                      rip_order, uniform)
+                      UnreachableConstraintError, UpdateTrace, parse_model, rip_order,
+                      uniform)
 from maxentbn.consistency import NULLSPACE_TOL
 from maxentbn.graphops import ANNEAL_COOLING, ANNEAL_MOVES, ANNEAL_PROBES, clique_cost
 from maxentbn.dist import (PROB_FLOOR, ResidualEntry, ResidualReport, conditional,
@@ -139,8 +139,7 @@ def homeless() -> Model:
 
 def model_of(names: str, *constraints) -> Model:
     """Short-hand model builder, e.g. model_of("AB", cc("A", "B", 0.7))."""
-    vars_ = tuple(Variable(n, i) for i, n in enumerate(names))
-    return Model(vars_, ConstraintSet(tuple(constraints)))
+    return Model(tuple(names), ConstraintSet(tuple(constraints)))
 
 
 def cc(target: str, condition: str, value: float) -> ConditionalConstraint:
@@ -196,8 +195,7 @@ def random_model(rng: np.random.Generator, n_vars: int | None = None,
             continue
         cells.add(cell)
         constraints.append(MarginalConstraint((lit,), float(rng.uniform(lo, hi))))
-    vars_ = tuple(Variable(nm, i) for i, nm in enumerate(names))
-    return Model(vars_, ConstraintSet(tuple(constraints)))
+    return Model(tuple(names), ConstraintSet(tuple(constraints)))
 
 
 def random_hypergraph(rng: np.random.Generator, max_vertices: int = 8,
@@ -248,8 +246,7 @@ def ring_model(n: int, seed: int = 0) -> Model:
                 Literal(names[i]),
                 (Literal(names[left], s_left > 0), Literal(names[right], s_right > 0)),
                 1.0 / (1.0 + math.exp(-2.0 * field))))
-    vars_ = tuple(Variable(nm, i) for i, nm in enumerate(names))
-    return Model(vars_, ConstraintSet(tuple(constraints)))
+    return Model(tuple(names), ConstraintSet(tuple(constraints)))
 
 
 def grid_model(height: int, seed: int = 0) -> Model:
@@ -275,8 +272,7 @@ def grid_model(height: int, seed: int = 0) -> Model:
             constraints.append(ConditionalConstraint(
                 Literal(name), tuple(Literal(names[k], s > 0) for (k, _), s in zip(nbrs[i], signs)),
                 1.0 / (1.0 + math.exp(-2.0 * field))))
-    vars_ = tuple(Variable(nm, i) for i, nm in enumerate(names))
-    return Model(vars_, ConstraintSet(tuple(constraints)))
+    return Model(tuple(names), ConstraintSet(tuple(constraints)))
 
 
 def rip_order_bfs(h):

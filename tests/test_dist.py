@@ -37,6 +37,15 @@ class TestJointTable:
         with pytest.raises(ValueError, match="negative"):
             table("AB", [0.6, 0.6, -0.1, -0.1])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        # every comparison with NaN is False, so the sign and sum tests
+        # alone would let an all-NaN table through
+        with pytest.raises(ValueError, match="non-finite"):
+            table("AB", [bad] * 4)
+        with pytest.raises(ValueError, match="non-finite"):
+            table("AB", [0.5, 0.5, 0.0, bad])
+
     def test_state_order_last_var_lsb(self):
         # index 1 flips only the last scope variable
         t = table("AB", [0.1, 0.2, 0.3, 0.4])
@@ -140,7 +149,7 @@ class TestResiduals:
         assert rep.universal == pytest.approx(0.0, abs=1e-12)
         assert rep.entries[0].residual == pytest.approx(-0.2, abs=1e-12)
         assert rep.entries[1].residual == pytest.approx(-0.3, abs=1e-12)
-        assert rep.magnitudes() == pytest.approx((0.2, 0.3), abs=1e-12)
+        assert [e.magnitude for e in rep.entries] == pytest.approx([0.2, 0.3], abs=1e-12)
 
     def test_marginal_gradient_at_uniform(self):
         cs = ConstraintSet((helpers.mc("A", 0.2),))
@@ -237,6 +246,10 @@ class TestCheckCI:
     def test_correlated(self):
         t = table("AB", [0.5, 0.0, 0.0, 0.5])
         assert not check_ci(t, "A", "B")
+
+    def test_unknown_variable(self):
+        with pytest.raises(ValueError, match="variable 'Z' not in scope"):
+            check_ci(uniform(("A", "B")), "A", "B", ("Z",))
 
     def test_agrees_with_brute_force(self):
         rng = np.random.default_rng(6)

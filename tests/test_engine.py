@@ -8,7 +8,7 @@ import pytest
 
 import helpers
 from helpers import subset_marginal_update
-from maxentbn import mce
+from maxentbn import engine, mce
 from maxentbn import (JointTable, Literal, SolverOptions, bench, check_ci,
                       check_mrf, decompose, fill_in_greedy, global_consistent, marginalize,
                       mce_dual_solve, neighbor_graph, query, solve_decomposed,
@@ -402,7 +402,7 @@ class TestDecomposedAgainstOracle:
                 cs = list(m.constraints)
                 j = int(rng.integers(len(cs)))
                 cs[j] = dataclasses.replace(cs[j], value=float(rng.integers(2)))
-                m = helpers.Model(m.variables, ConstraintSet(tuple(cs)))
+                m = helpers.Model(m.names, ConstraintSet(tuple(cs)))
             for schedule in ("gradient", SCHEDULE_ROUND_ROBIN):
                 opts = SolverOptions(schedule=schedule, max_cycles=20)
                 report = self.agree(m, opts)
@@ -586,6 +586,32 @@ class TestBench:
         b, report, joint = bench(m, fill_in_greedy(neighbor_graph(m)))
         np.testing.assert_allclose(joint.probs, uniform(("A", "B")).probs)
         assert report.converged
+
+    def test_times_every_solve_it_runs(self, monkeypatch):
+        # the returned report is the last timed run's: no untimed extra solve
+        calls = []
+        real = engine.solve_decomposed
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs.get("record"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "solve_decomposed", spy)
+        m = helpers.mining()
+        b, report, _ = bench(m, decompose(m), repeats=4)
+        assert calls == [False] * 4
+        want = real(m, decompose(m), SolverOptions(tolerance=b.tolerance))
+        assert (report.converged, report.cycles, report.error) == \
+            (want.converged, want.cycles, want.error)
+        assert report.final_residuals == want.final_residuals
+        for got, ref in zip(report.cliques, want.cliques):
+            assert got.scope == ref.scope
+            np.testing.assert_array_equal(got.table.probs, ref.table.probs)
+
+    def test_needs_a_timed_run(self):
+        m = helpers.mining()
+        with pytest.raises(ValueError, match="repeats must be at least 1"):
+            bench(m, decompose(m), repeats=0)
 
     def test_mining_reports_ratio(self):
         m = helpers.mining()

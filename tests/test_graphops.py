@@ -602,10 +602,13 @@ class TestDecompose:
 
 class TestGraphText:
     def test_parse_and_convert(self):
-        g = parse_graph_text("nodes A B C\nedge A B\narc B C\nhedge A B C\n")
-        assert g.as_neighbor_graph().edges == {fs("A", "B")}
-        assert g.as_belief_network().edges == {("B", "C")}
-        assert g.as_hypergraph().hyperedges == (fs("A", "B", "C"),)
+        g = parse_graph_text("nodes A B C\nedge A B\n").as_neighbor_graph()
+        assert g.nodes == ("A", "B", "C") and g.edges == {fs("A", "B")}
+        # a graph file holds an undirected graph: no arcs, no hyperedges
+        for line in ("arc B C", "hedge A B C"):
+            kind = line.split()[0]
+            with pytest.raises(ValueError, match=f"line 3: unknown directive '{kind}'"):
+                parse_graph_text(f"nodes A B C\nedge A B\n{line}\n")
 
     def test_undeclared_node(self):
         with pytest.raises(ValueError, match="not declared"):

@@ -486,7 +486,7 @@ class TestSuccessiveAgainstOracle:
                 cs = list(m.constraints)
                 j = int(rng.integers(len(cs)))
                 cs[j] = dataclasses.replace(cs[j], value=float(rng.integers(2)))
-                m = helpers.Model(m.variables, ConstraintSet(tuple(cs)))
+                m = helpers.Model(m.names, ConstraintSet(tuple(cs)))
             prior = uniform(m.names)
             for schedule in ("gradient", SCHEDULE_ROUND_ROBIN):
                 opts = SolverOptions(schedule=schedule, max_cycles=20)

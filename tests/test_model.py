@@ -133,7 +133,7 @@ class TestGraphs:
                 scope = sorted(c.scope)
                 for i, u in enumerate(scope):
                     for v in scope[i + 1:]:
-                        assert g.adjacent(u, v)
+                        assert frozenset({u, v}) in g.edges
 
 
 class TestScopeRule:
