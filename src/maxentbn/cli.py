@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import consistency, dist, engine, graphops, mce, model
+from . import consistency, dist, engine, graphops, mce, model, options
 
 
 def _read(path: str) -> str:
@@ -41,10 +41,10 @@ def _names(spec: str | None) -> list[str]:
     return [p.strip() for p in spec.split(",") if p.strip()]
 
 
-def _solver_opts(args) -> mce.SolverOptions:
-    return mce.SolverOptions(
+def _solver_opts(args) -> options.SolverOptions:
+    return options.SolverOptions(
         tolerance=args.tol,
-        max_iterations=getattr(args, "max_iterations", mce.SolverOptions.max_iterations),
+        max_iterations=getattr(args, "max_iterations", options.SolverOptions.max_iterations),
         max_cycles=args.max_cycles,
         schedule=args.schedule)
 
@@ -167,7 +167,7 @@ def _cmd_query(args) -> int:
 def _cmd_bench(args) -> int:
     m = _load_model(args.model)
     d = graphops.decompose(m, method=args.fill, opts=graphops.AnnealOptions(seed=args.seed))
-    timing, report, _ = engine.bench(m, d, mce.SolverOptions(tolerance=args.tol))
+    timing, report, _ = engine.bench(m, d, options.SolverOptions(tolerance=args.tol))
     if not report.converged:  # a speedup to an unfinished solve means nothing
         print(_outcome(report))
         return 1
@@ -178,9 +178,9 @@ def _cmd_bench(args) -> int:
 # Flags some mode leaves unread parse to None when absent, so that a given
 # one can be refused.  Their defaults; the fill-in search reads --seed only
 # when annealing.
-_DEFAULTS = {"trace": False, "schedule": mce.SolverOptions.schedule, "fill": "greedy",
-             "max_cycles": mce.SolverOptions.max_cycles, "seed": graphops.AnnealOptions.seed,
-             "max_iterations": mce.SolverOptions.max_iterations}
+_DEFAULTS = {"trace": False, "schedule": options.SolverOptions.schedule, "fill": "greedy",
+             "max_cycles": options.SolverOptions.max_cycles, "seed": graphops.AnnealOptions.seed,
+             "max_iterations": options.SolverOptions.max_iterations}
 _UNREAD = {"solve --method dual": ("trace", "schedule", "max_cycles", "fill", "seed"),
            "solve --method successive": ("max_iterations", "fill", "seed"),
            "solve --method decomposed": ("max_iterations",),
@@ -215,8 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_solver_flags(p):
         p.add_argument("--tol", type=float, default=None)
         p.add_argument("--max-cycles", type=int, default=None, dest="max_cycles")
-        p.add_argument("--schedule", choices=[mce.SCHEDULE_GRADIENT, mce.SCHEDULE_ROUND_ROBIN],
-                       default=None)
+        p.add_argument("--schedule", default=None,
+                       choices=[options.SCHEDULE_GRADIENT, options.SCHEDULE_ROUND_ROBIN])
 
     p = sub.add_parser("validate", help="parse a model and report scope-rule warnings")
     p.add_argument("model")
@@ -273,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="time the dual solve against decomposed updating")
     p.add_argument("model")
-    p.add_argument("--tol", type=float, default=mce.DEFAULT_SUCCESSIVE_TOL)
+    p.add_argument("--tol", type=float, default=options.DEFAULT_SUCCESSIVE_TOL)
     p.add_argument("--fill", choices=["greedy", "anneal"], default="greedy")
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=_cmd_bench)
@@ -295,7 +295,7 @@ def run(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (mce.ConvergenceError, mce.UnreachableConstraintError) as exc:
+    except (options.ConvergenceError, options.UnreachableConstraintError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

@@ -44,8 +44,9 @@ import numpy as np
 from . import dist, mce
 from .dist import PROB_FLOOR, JointTable, marginalize
 from .graphops import Decomposition, RipOrder, constraint_homes, merge_cliques
-from .mce import SolverOptions, UnreachableConstraintError, UpdateTrace
+from .mce import UpdateTrace
 from .model import Constraint, Literal, Model
+from .options import DEFAULT_SUCCESSIVE_TOL, SolverOptions, UnreachableConstraintError
 
 # The solver merges cliques into tables of at most this many variables
 # (64 states); see the module docstring for how it was chosen.
@@ -241,7 +242,7 @@ def bench(model: Model, d: Decomposition, opts: SolverOptions | None = None,
     if repeats < 1:
         raise ValueError(f"repeats must be at least 1, got {repeats}")
     opts = opts or SolverOptions()
-    timed_opts = replace(opts, tolerance=opts.tolerance or mce.DEFAULT_SUCCESSIVE_TOL)
+    timed_opts = replace(opts, tolerance=opts.tolerance or DEFAULT_SUCCESSIVE_TOL)
     prior = dist.uniform(model.names)
 
     dual_best = float("inf")

@@ -11,16 +11,16 @@ the size of its graph.  Both triangulations run one elimination kernel on
 int bitmasks, vertex i being bit i in sorted-name order, and the anneal
 eliminates each distinct ordering it scores once.  `merge_cliques` groups
 a decomposition's cliques into the coarser join tree the decomposed
-solver runs on.
+solver runs on.  Only the anneal uses numpy, for its seed generator, and
+imports it when it first needs it.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
-
-import numpy as np
 
 from .model import BeliefNetwork, Model, NeighborGraph, neighbor_graph
 
@@ -72,6 +72,10 @@ class AnnealOptions:
     restarts: int = 3
 
     def __post_init__(self):
+        # checked here, since numpy's seeding, which would refuse it, runs
+        # only when a graph is not chordal
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, not {self.seed!r}")
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
 
@@ -272,6 +276,7 @@ def fill_in_anneal(g: NeighborGraph, opts: AnnealOptions | None = None) -> Decom
     greedy_order, fill, cliques = _eliminate(adj)
     if not fill:  # g is chordal, and no triangulation of it costs less
         return _decomposition(g, names, fill, cliques)
+    import numpy as np  # only the seed generator needs it
     memo, n, best_order = {}, len(names), tuple(greedy_order)
     best_key = greedy_key = _score(adj, best_order, memo)
     for child in np.random.SeedSequence(opts.seed).spawn(opts.restarts):
@@ -324,12 +329,13 @@ def d_separated(net: BeliefNetwork, x: str, y: str, se: Iterable[str] = ()) -> b
     states (node, entered along an arc into it), passing a head-to-head
     ancestor of `se` by the detour down to `se` and back.
     """
-    se = frozenset(se)
+    given = list(se)  # unknown names are reported in the order given
+    se = frozenset(given)
     if x == y:
         raise ValueError("x and y must differ")
     if x in se or y in se:
         raise ValueError("x and y must not be in the separating set")
-    for v in (x, y, *se):
+    for v in (x, y, *given):
         if v not in net.nodes:
             raise ValueError(f"unknown variable {v!r}")
 

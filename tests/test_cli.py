@@ -1,4 +1,7 @@
 import glob
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -96,6 +99,14 @@ class TestDecompose:
         assert code == 2
         assert out == "" and f"'{kind}'" in err
 
+    @pytest.mark.parametrize("argv", [["models/mining.cn"], ["models/sixring.graph", "--graph"]],
+                             ids=["chordal-model", "graph-file"])
+    def test_negative_seed_exit_2(self, capsys, argv):
+        # mining is chordal, so its anneal never reads the seed; the graph
+        # file's used to fail in numpy with a message naming no flag
+        code, out, err = invoke(capsys, "decompose", *argv, "--fill", "anneal", "--seed", "-1")
+        assert (code, out, err) == (2, "", "error: seed must be a non-negative integer, not -1\n")
+
 
 class TestDsep:
     def test_separated(self, capsys):
@@ -114,6 +125,19 @@ class TestDsep:
         code, _, err = invoke(capsys, "dsep", "models/mining.cn",
                               "--x", "A", "--y", "Z")
         assert code == 2
+
+    @pytest.mark.parametrize("hash_seed", ["0", "6"])
+    def test_unknown_given_named_in_order_under_any_hash_seed(self, hash_seed):
+        # fig21 has no C or D; the name reported used to follow the string hash
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        entry = "import sys, maxentbn.cli as c; sys.exit(c.run(sys.argv[1:]))"
+        for given, first in (("C,D", "C"), ("D,C", "D")):
+            done = subprocess.run([sys.executable, "-c", entry, "dsep", "models/fig21.cn",
+                                   "--x", "A", "--y", "B", "--given", given],
+                                  env=env, capture_output=True, text=True)
+            assert (done.returncode, done.stdout, done.stderr) == (
+                2, "", f"error: unknown variable '{first}'\n")
 
     @pytest.mark.parametrize("spec", [",", "", " , "])
     def test_empty_given_exit_2(self, capsys, spec):

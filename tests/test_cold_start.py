@@ -1,12 +1,14 @@
-"""scipy loads only where an LP or the dual's CG runs.
+"""numpy loads only where a table is built, and scipy only where an LP
+or the dual's CG runs.
 
 Each check runs in a fresh interpreter (`sys.executable`, PYTHONPATH=src),
-because the test process has long since imported scipy.  The routes live
+because the test process has long since imported both.  The routes live
 in this module, so the child runs the same code the in-process side
-runs; this module imports no scipy itself.
+runs; this module imports neither itself.
 """
 
 import contextlib
+import importlib
 import io
 import json
 import os
@@ -18,6 +20,7 @@ import pytest
 TESTS = os.path.dirname(os.path.abspath(__file__))
 REPO = os.path.dirname(TESTS)
 MODELS = ("contradiction.cn", "fig21.cn", "inconsistent-quad.cn", "mining.cn")
+SUBMODULES = ("model", "graphops", "dist", "mce", "consistency", "engine")
 
 
 def _child(script: str):
@@ -38,6 +41,106 @@ def _cli(*argv) -> int:
     from maxentbn import cli
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         return cli.run(list(argv))
+
+
+def _loaded(package: str) -> str:
+    """A one-line expression, for the child: is any of `package` loaded?"""
+    return f"any(m.partition('.')[0] == {package!r} for m in sys.modules)"
+
+
+def structural_routes():
+    """Every route that builds no table, as (step, exit code or None)."""
+    from maxentbn import (build_network, d_separated, decompose, fill_in_greedy,
+                          parse_graph_text, validate_scope_rule)
+    models = [_load(name) for name in MODELS]
+    yield "parse_model", None
+    with open(os.path.join(REPO, "models", "sixring.graph"), encoding="utf-8") as fh:
+        g = parse_graph_text(fh.read()).as_neighbor_graph()
+    yield "parse_graph_text", None
+    for m in models:
+        validate_scope_rule(m)
+    yield "validate_scope_rule", None
+    for m in models:
+        decompose(m)
+    yield "decompose greedy", None
+    fill_in_greedy(g)
+    yield "fill_in_greedy sixring.graph", None
+    d_separated(build_network(models[MODELS.index("mining.cn")]), "A", "B", ["C", "D"])
+    yield "build_network + d_separated", None
+    for name in MODELS:
+        yield f"validate {name}", _cli("validate", f"models/{name}")
+        yield f"decompose {name}", _cli("decompose", f"models/{name}")
+    yield "dsep mining.cn", _cli("dsep", "models/mining.cn", "--x", "A", "--y", "B",
+                                 "--given", "C,D")
+    yield "dsep unknown variable", _cli("dsep", "models/fig21.cn", "--x", "A", "--y", "B",
+                                        "--given", "C,D")
+    yield "decompose sixring.graph", _cli("decompose", "models/sixring.graph", "--graph")
+    yield "decompose sixring.graph --seed -1", _cli("decompose", "models/sixring.graph",
+                                                    "--graph", "--fill", "anneal", "--seed", "-1")
+
+
+def test_structural_routes_load_no_numpy():
+    steps = _child(
+        "import json\n"
+        "import maxentbn, maxentbn.cli\n"
+        f"steps = [['import maxentbn, maxentbn.cli', None, {_loaded('numpy')}]]\n"
+        "import test_cold_start\n"
+        "for step, code in test_cold_start.structural_routes():\n"
+        f"    steps.append([step, code, {_loaded('numpy')}])\n"
+        "print(json.dumps(steps))\n")
+    assert [step for step, _, loaded in steps if loaded] == []
+    codes = {step: code for step, code, _ in steps if code is not None}
+    # the usage errors still exit 2, also without numpy
+    assert codes.pop("dsep unknown variable") == 2
+    assert codes.pop("decompose sixring.graph --seed -1") == 2
+    assert set(codes.values()) == {0}
+
+
+def test_import_registers_every_submodule_unexecuted():
+    registered, numpy_before, numpy_after = _child(
+        "import json, maxentbn\n"
+        "registered = sorted(m for m in sys.modules if m.startswith('maxentbn.'))\n"
+        f"before = {_loaded('numpy')}\n"
+        "sys.modules['maxentbn.engine'].solve_decomposed  # the benchmark's tracer does this\n"
+        f"print(json.dumps([registered, before, {_loaded('numpy')}]))\n")
+    assert {f"maxentbn.{m}" for m in SUBMODULES} <= set(registered)
+    assert (numpy_before, numpy_after) == (False, True)
+
+
+def test_exports_are_their_home_modules_objects():
+    import maxentbn
+    modules = [importlib.import_module(f"maxentbn.{m}") for m in SUBMODULES + ("options",)]
+    for name in maxentbn.__all__:
+        bound = [vars(m)[name] for m in modules if name in vars(m)]
+        assert bound and all(obj is getattr(maxentbn, name) for obj in bound), name
+    assert set(maxentbn.__all__) <= set(dir(maxentbn))
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        maxentbn.no_such_name
+
+
+def numeric_route(name: str):
+    """The first call of one table-building route on mining, as JSON data."""
+    from maxentbn import decompose, local_check, solve_decomposed, uniform
+    m = _load("mining.cn")
+    if name == "uniform":
+        return uniform(m.names).probs.tolist()
+    if name == "local_check":
+        return _report(local_check(m, decompose(m)))
+    r = solve_decomposed(m, decompose(m))
+    return [r.converged, r.cycles, list(r.final_residuals),
+            [[list(c.table.scope), c.table.probs.tolist()] for c in r.cliques]]
+
+
+@pytest.mark.parametrize("name", ["uniform", "solve_decomposed", "local_check"])
+def test_first_numeric_call_in_fresh_interpreter(name):
+    loaded_before, result, loaded_after = _child(
+        "import json\n"
+        "import maxentbn, test_cold_start\n"
+        f"before = {_loaded('numpy')}\n"
+        f"result = test_cold_start.numeric_route({name!r})\n"
+        f"print(json.dumps([before, result, {_loaded('numpy')}]))\n")
+    assert (loaded_before, loaded_after) == (False, True)
+    assert result == json.loads(json.dumps(numeric_route(name)))
 
 
 def numpy_routes():

@@ -288,6 +288,16 @@ class TestFillIn:
         with pytest.raises(ValueError, match="restarts must be at least 1"):
             AnnealOptions(restarts=0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None], ids=repr)
+    def test_anneal_seed_is_a_non_negative_integer(self, seed):
+        # refused at once, also where the graph is chordal and no seed is read
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            AnnealOptions(seed=seed)
+
+    def test_anneal_takes_a_numpy_integer_seed(self):
+        assert (fill_in_anneal(sixring(), AnnealOptions(seed=np.int64(9)))
+                == fill_in_anneal(sixring(), AnnealOptions(seed=9)))
+
     def test_anneal_reproducible(self):
         g = sixring()
         a = fill_in_anneal(g, AnnealOptions(seed=9))
@@ -454,6 +464,13 @@ class TestDSeparation:
             d_separated(net, "A", "A", set())
         with pytest.raises(ValueError):
             d_separated(net, "A", "B", {"A"})
+
+    @pytest.mark.parametrize("given", [["Y", "Z"], ["Z", "Y"], ["C", "Z", "Y"]])
+    def test_first_unknown_name_in_given_order(self, given):
+        net = build_network(helpers.mining())
+        first = next(v for v in given if v not in net.nodes)
+        with pytest.raises(ValueError, match=f"unknown variable '{first}'"):
+            d_separated(net, "A", "B", given)
 
     def test_soundness_vs_numerical_ci(self):
         # Graphical separation implies conditional independence in the
