@@ -23,7 +23,7 @@ import numpy as np
 
 from . import dist
 from .dist import SCOPE_CAP, JointTable
-from .graphops import Decomposition, Hypergraph, constraint_homes, graham_acyclic
+from .graphops import Decomposition, constraint_homes
 from .model import Constraint, ConstraintSet, Model
 
 NULLSPACE_TOL = 1e-10
@@ -212,9 +212,6 @@ def local_check(model: Model, d: Decomposition) -> ConsistencyReport:
     misses a longer-range contradiction.  Each clique is encoded once, and
     its rows serve every one of these problems.
     """
-    hg = Hypergraph(tuple(sorted(set().union(*d.cliques))), d.cliques)
-    if not graham_acyclic(hg):
-        raise ValueError("decomposition is not acyclic; local check inapplicable")
     constraint_homes(model, d)
     order, anchors = d.rip.order, d.rip.anchors
     systems = [to_linear(model.constraints, model.ordered_scope(c)) for c in order]

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from .model import BeliefNetwork, Model, NeighborGraph, neighbor_graph
@@ -55,10 +55,20 @@ class RipOrder:
 
 @dataclass(frozen=True)
 class Decomposition:
+    """A clique cover and its fill-in.  The running-intersection order and
+    the cost are derived from the cliques; a cyclic cover is refused."""
+
     fill_in: frozenset[frozenset[str]]
     cliques: tuple[frozenset[str], ...]
-    rip: RipOrder
-    cost: int  # sum over cliques of 2^|clique|
+    rip: RipOrder = field(init=False)
+    cost: int = field(init=False)  # sum over cliques of 2^|clique|
+
+    def __post_init__(self):
+        rip = rip_order(Hypergraph(tuple(sorted(set().union(*self.cliques))), self.cliques))
+        if rip is None:
+            raise ValueError("clique cover is not acyclic: it has no running-intersection order")
+        object.__setattr__(self, "rip", rip)
+        object.__setattr__(self, "cost", clique_cost(self.cliques))
 
 
 ANNEAL_PROBES = 20     # random orderings whose cost spread is the start temperature
@@ -76,8 +86,8 @@ class AnnealOptions:
         # only when a graph is not chordal
         if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, not {self.seed!r}")
-        if self.restarts < 1:
-            raise ValueError("restarts must be at least 1")
+        if not isinstance(self.restarts, numbers.Integral) or self.restarts < 1:
+            raise ValueError(f"restarts must be at least 1 and an integer, not {self.restarts!r}")
 
 
 def _edge_key(e: frozenset[str]) -> tuple[str, ...]:
@@ -224,15 +234,11 @@ def _eliminate(adj: list[int], order: Sequence[int] | None = None
     return out, sorted(fill), cliques
 
 
-def _decomposition(g: NeighborGraph, names: list[str], fill: list[int],
-                   cliques: Iterable[int]) -> Decomposition:
+def _decomposition(names: list[str], fill: list[int], cliques: Iterable[int]) -> Decomposition:
     cliques = tuple(sorted((frozenset(names[i] for i in _bits(c)) for c in cliques),
                            key=_edge_key))
-    rip = rip_order(Hypergraph(g.nodes, cliques))
-    if rip is None:
-        raise ValueError("fill-in did not produce an acyclic clique cover")
     fill = frozenset(frozenset(names[i] for i in divmod(f, len(names))) for f in fill)
-    return Decomposition(fill, cliques, rip, clique_cost(cliques))
+    return Decomposition(fill, cliques)
 
 
 def fill_in_greedy(g: NeighborGraph) -> Decomposition:
@@ -240,7 +246,7 @@ def fill_in_greedy(g: NeighborGraph) -> Decomposition:
     an empty fill."""
     names, adj = _bitsets(g)
     _, fill, cliques = _eliminate(adj)
-    return _decomposition(g, names, fill, cliques)
+    return _decomposition(names, fill, cliques)
 
 
 def _score(adj: list[int], order: tuple[int, ...], memo: dict) -> tuple:
@@ -275,7 +281,7 @@ def fill_in_anneal(g: NeighborGraph, opts: AnnealOptions | None = None) -> Decom
     names, adj = _bitsets(g)
     greedy_order, fill, cliques = _eliminate(adj)
     if not fill:  # g is chordal, and no triangulation of it costs less
-        return _decomposition(g, names, fill, cliques)
+        return _decomposition(names, fill, cliques)
     import numpy as np  # only the seed generator needs it
     memo, n, best_order = {}, len(names), tuple(greedy_order)
     best_key = greedy_key = _score(adj, best_order, memo)
@@ -305,7 +311,7 @@ def fill_in_anneal(g: NeighborGraph, opts: AnnealOptions | None = None) -> Decom
                     state[i], state[j] = state[j], state[i]  # reject
             t *= ANNEAL_COOLING
     _, fill, cliques = _eliminate(adj, best_order)
-    return _decomposition(g, names, fill, cliques)
+    return _decomposition(names, fill, cliques)
 
 
 def _reach(start: Iterable, step: Callable[[object], set]) -> set:
@@ -452,6 +458,8 @@ def parse_graph_text(text: str) -> GraphText:
             edges.add(frozenset(args))
         else:
             raise ValueError(f"line {i}: unknown directive {kind!r}")
+    if not nodes:
+        raise ValueError("graph declares no nodes")
     missing = set().union(*edges) - set(nodes)
     if missing:
         raise ValueError(f"nodes used but not declared: {sorted(missing)}")

@@ -56,19 +56,19 @@ class TraceEvent:
 
 
 class UpdateLog(Sequence):
-    """The updates of a recorded loop, held as three flat columns: the
-    cycle, the kernel index and the signed residual before the update
-    (NaN where undefined), 24 bytes an update.  A TraceEvent is built
-    only when read.  Only the loop that fills the log appends to it."""
+    """The updates of a recorded loop, held as two flat columns: the
+    kernel index and the signed residual before the update (NaN where
+    undefined), 16 bytes an update.  Every cycle but the last applies
+    one update per kernel, so update j is in cycle j // K + 1 for K
+    kernels.  A TraceEvent is built only when read.  Only the loop that
+    fills the log appends to it."""
 
     def __init__(self, constraints: Sequence[Constraint]):
         self._constraints = tuple(constraints)  # by kernel index
-        self._cycles = array("q")
         self._kernels = array("q")
         self._residuals = array("d")
 
-    def append(self, cycle: int, kernel: int, residual: float) -> None:
-        self._cycles.append(cycle)
+    def append(self, kernel: int, residual: float) -> None:
         self._kernels.append(kernel)
         self._residuals.append(residual)
 
@@ -80,9 +80,6 @@ class UpdateLog(Sequence):
             return tuple(map(self._event, range(len(self))[i]))
         return self._event(range(len(self))[i])
 
-    def __iter__(self):
-        return map(self._event, range(len(self)))
-
     def __eq__(self, other) -> bool:  # equal to the tuple of its events
         if not isinstance(other, (tuple, UpdateLog)):
             return NotImplemented
@@ -93,8 +90,8 @@ class UpdateLog(Sequence):
 
     def _event(self, j: int) -> TraceEvent:
         r = self._residuals[j]
-        return TraceEvent(self._cycles[j], self._constraints[self._kernels[j]],
-                          None if math.isnan(r) else r)
+        return TraceEvent(j // len(self._constraints) + 1,
+                          self._constraints[self._kernels[j]], None if math.isnan(r) else r)
 
 
 @dataclass(frozen=True)
@@ -113,26 +110,20 @@ class UpdateTrace:
 
 class Kernel:
     """One constraint on one table, held as the slice `lo:hi` of the
-    solver's flat float64 state vector: `a` and `b` are the vector
-    indices of the table's states where the constraint's event holds and
-    where it fails (see `dist.constraint_sides`), and `code` marks each
-    state of the slice 0 outside both, 1 in a, 2 in b.  `table` says
-    which of the solver's tables the slice is."""
+    solver's flat float64 state vector: `code` marks each state of the
+    slice 1 where the constraint's event holds (side a), 2 where it
+    fails (side b) and 0 outside both (see `dist.constraint_sides`).
+    `table` says which of the solver's tables the slice is."""
 
-    __slots__ = ("constraint", "table", "value", "a", "b", "code", "lo", "hi")
+    __slots__ = ("constraint", "table", "code", "lo", "hi")
 
     def __init__(self, c: Constraint, scope: tuple[str, ...], table: int = 0,
                  offset: int = 0):
         a, b = dist.constraint_sides(scope, c)
         self.constraint = c
         self.table = table
-        self.value = c.value
         self.lo, self.hi = offset, offset + a.size
-        self.code = np.zeros(a.size, np.intp)
-        self.code[a] = 1
-        self.code[b] = 2
-        self.a = np.flatnonzero(a) + offset
-        self.b = np.flatnonzero(b) + offset
+        self.code = a + 2 * b
 
     def apply(self, p: np.ndarray, s1: float, s0: float) -> None:
         """In-place cross-entropy projection onto the constraint, given
@@ -143,17 +134,17 @@ class Kernel:
         the table's slice is renormalized in the same multiply.  Boundary
         v is hard conditioning.
         """
-        v = self.value
+        v = self.constraint.value
         if s1 + s0 < PROB_FLOOR:
             raise UnreachableConstraintError(
                 f"{self.constraint}: conditioning event has zero prior probability")
         table = p[self.lo:self.hi]
         if v >= 1.0 or v <= 0.0:
-            keep_mass, drop = (s1, self.b) if v >= 1.0 else (s0, self.a)
+            keep_mass, drop = (s1, 2) if v >= 1.0 else (s0, 1)
             if keep_mass < PROB_FLOOR:
                 raise UnreachableConstraintError(
                     f"{self.constraint}: required half of the event has zero mass")
-            p[drop] = 0.0
+            table[self.code == drop] = 0.0
             table *= 1.0 / np.add.reduce(table)
         else:
             if s1 < PROB_FLOOR or s0 < PROB_FLOOR:
@@ -170,7 +161,7 @@ def apply_constraint(prior: JointTable, c: Constraint) -> JointTable:
     constraint; the constraint holds exactly afterwards."""
     p = np.array(prior.probs)
     k = Kernel(c, prior.scope)
-    k.apply(p, p[k.a].sum(), p[k.b].sum())
+    k.apply(p, p[k.code == 1].sum(), p[k.code == 2].sum())
     return JointTable(prior.scope, p)
 
 
@@ -322,16 +313,15 @@ def _successive(p: np.ndarray, kernels: list[Kernel], opts: SolverOptions,
     tol = opts.tolerance if opts.tolerance is not None else DEFAULT_SUCCESSIVE_TOL
     round_robin = opts.schedule == SCHEDULE_ROUND_ROBIN
     n = len(kernels)
-    scan = dist.side_scan([(k.a, k.b) for k in kernels], [k.value for k in kernels])
+    scan = dist.side_scan([(np.flatnonzero(k.code == 1) + k.lo, np.flatnonzero(k.code == 2) + k.lo)
+                           for k in kernels], [k.constraint.value for k in kernels])
     log = UpdateLog(k.constraint for k in kernels) if record else None
     converged = n == 0
     error = None
-    cycle = 0
-    cycles_used = 0
+    cycle = updates = 0
     floor_free = bool(np.minimum.reduce(p) >= PROB_FLOOR)
     while cycle < opts.max_cycles and not converged and error is None:
         cycle += 1
-        applied_this_cycle = 0
         for step in range(n):
             mass, r, mags = scan(p, floor_free)
             best = int(mags.argmax())
@@ -349,11 +339,10 @@ def _successive(p: np.ndarray, kernels: list[Kernel], opts: SolverOptions,
                 error = exc
                 break
             floor_free = bool(np.minimum.reduce(p) >= PROB_FLOOR)
-            applied_this_cycle += 1
+            updates += 1
             if log is not None:
-                log.append(cycle, best, r.item(best))
-        if applied_this_cycle:
-            cycles_used = cycle
+                log.append(best, r.item(best))
+    cycles_used = -(-updates // (n or 1))  # every cycle but the last applies n updates
     mags = tuple(scan(p)[2].tolist())
     if error is None and not converged:
         converged = max(mags, default=0.0) <= tol

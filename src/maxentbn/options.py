@@ -8,6 +8,7 @@ and `engine` import them from here.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 DEFAULT_DUAL_TOL = 1e-8
@@ -39,6 +40,9 @@ class SolverOptions:
     def __post_init__(self):
         if self.tolerance is not None and not 0 < self.tolerance < math.inf:
             raise ValueError("tolerance must be positive and finite")
+        for name in ("max_iterations", "max_cycles"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, not {getattr(self, name)!r}")
         if self.max_iterations < 1 or self.max_cycles < 1:
             raise ValueError("iteration caps must be at least 1")
         if self.schedule not in (SCHEDULE_GRADIENT, SCHEDULE_ROUND_ROBIN):

@@ -20,10 +20,9 @@ import scipy.optimize
 import scipy.sparse
 
 from maxentbn import (AnnealOptions, BeliefNetwork, ConditionalConstraint, ConstraintSet,
-                      Decomposition, Hypergraph, JointTable, Literal, MarginalConstraint,
+                      Decomposition, JointTable, Literal, MarginalConstraint,
                       Model, NeighborGraph, RipOrder, SolverOptions,
-                      UnreachableConstraintError, UpdateTrace, parse_model, rip_order,
-                      uniform)
+                      UnreachableConstraintError, UpdateTrace, parse_model, uniform)
 from maxentbn.consistency import NULLSPACE_TOL
 from maxentbn.graphops import ANNEAL_COOLING, ANNEAL_MOVES, ANNEAL_PROBES, clique_cost
 from maxentbn.dist import (PROB_FLOOR, ResidualEntry, ResidualReport, conditional,
@@ -394,17 +393,14 @@ def min_fill_sets(work: dict[str, set[str]]) -> str:
     return min(sorted(work), key=fill_needed)
 
 
-def _decomposition_of(g, fill, cliques):
-    cliques = tuple(sorted(cliques, key=lambda c: tuple(sorted(c))))
-    rip = rip_order(Hypergraph(g.nodes, cliques))
-    assert rip is not None
-    return Decomposition(fill, cliques, rip, clique_cost(cliques))
+def _decomposition_of(fill, cliques):
+    return Decomposition(fill, tuple(sorted(cliques, key=lambda c: tuple(sorted(c)))))
 
 
 def fill_in_greedy_oracle(g) -> Decomposition:
     """Reference `graphops.fill_in_greedy`: set-based min-fill elimination."""
     _, fill, cliques = eliminate_sets(g.adjacency(), min_fill_sets)
-    return _decomposition_of(g, fill, cliques)
+    return _decomposition_of(fill, cliques)
 
 
 def fill_in_anneal_oracle(g, opts=None) -> Decomposition:
@@ -415,7 +411,7 @@ def fill_in_anneal_oracle(g, opts=None) -> Decomposition:
     adj = g.adjacency()
     greedy_order, fill, cliques = eliminate_sets(adj, min_fill_sets)
     if not fill:
-        return _decomposition_of(g, fill, cliques)
+        return _decomposition_of(fill, cliques)
 
     def key_of(cost, fill):
         return (cost, len(fill), tuple(sorted(tuple(sorted(e)) for e in fill)))
@@ -453,7 +449,7 @@ def fill_in_anneal_oracle(g, opts=None) -> Decomposition:
                 else:
                     state[i], state[j] = state[j], state[i]
             t *= ANNEAL_COOLING
-    return _decomposition_of(g, *best)
+    return _decomposition_of(*best)
 
 
 def random_graph(rng: np.random.Generator, n: int, density: float = 0.45) -> NeighborGraph:

@@ -99,6 +99,14 @@ class TestDecompose:
         assert code == 2
         assert out == "" and f"'{kind}'" in err
 
+    @pytest.mark.parametrize("text", ["# no nodes\n", "nodes\n"], ids=["comment", "bare-nodes"])
+    def test_graph_file_without_nodes_exit_2(self, tmp_path, capsys, text):
+        # it used to print an empty decomposition and exit 0
+        f = tmp_path / "empty.graph"
+        f.write_text(text)
+        code, out, err = invoke(capsys, "decompose", str(f), "--graph")
+        assert (code, out, err) == (2, "", "error: graph declares no nodes\n")
+
     @pytest.mark.parametrize("argv", [["models/mining.cn"], ["models/sixring.graph", "--graph"]],
                              ids=["chordal-model", "graph-file"])
     def test_negative_seed_exit_2(self, capsys, argv):

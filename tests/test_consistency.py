@@ -267,13 +267,28 @@ class TestLocalCheck:
             local_check(m, fill_in_greedy(neighbor_graph(m)))
 
     def test_cyclic_cover_raises(self):
-        # c06's raw sixring cover, with an order and anchors that only
-        # look like a running-intersection order
+        # c06's raw sixring cover: it has no running-intersection order,
+        # so no decomposition of it, and no local check, can be made
         cover = (fs("A", "C", "F"), fs("B", "D", "E"), fs("C", "D"), fs("E", "F"))
-        d = Decomposition(frozenset(), cover, RipOrder(cover, (None, 0, 0, 0)), 32)
-        m = helpers.model_of("ABCDEF", helpers.cc("A", "C", 0.5))
         with pytest.raises(ValueError, match="not acyclic"):
-            local_check(m, d)
+            Decomposition(frozenset(), cover)
+
+    def test_chain_contradiction_reaches_no_hand_built_order(self):
+        # P(C) would have to be 0.9 through B and 0.1 through D.  An order
+        # (AB, CD, BC) with anchors (None, 0, 0) checked CD against AB
+        # alone and answered consistent; the order now comes from the
+        # cliques, so BC sits between them
+        m = helpers.model_of("ABCD", helpers.cc("B", "A", 0.5),
+                             helpers.cc("C", "B", 0.9), helpers.cc("C", "~B", 0.9),
+                             helpers.cc("C", "D", 0.1), helpers.cc("C", "~D", 0.1))
+        cover = (fs("A", "B"), fs("C", "D"), fs("B", "C"))
+        with pytest.raises(TypeError):
+            Decomposition(frozenset(), cover, RipOrder(cover, (None, 0, 0)), 12)
+        d = Decomposition(frozenset(), cover)
+        assert d.rip == RipOrder((fs("A", "B"), fs("B", "C"), fs("C", "D")), (None, 0, 1))
+        assert d.cost == 12
+        assert not local_check(m, d).consistent
+        assert not global_consistent(m).consistent
 
     def test_single_clique_matches_global(self):
         m = helpers.fig21()

@@ -503,13 +503,13 @@ class TestRecordedTrace:
         log = report.trace.events
         updates = len(log)
         assert isinstance(log, UpdateLog) and updates > 1000
-        columns = (log._cycles, log._kernels, log._residuals)
-        assert [len(c) for c in columns] == [updates] * 3
-        assert sum(c.itemsize for c in columns) == 24
+        columns = (log._kernels, log._residuals)
+        assert [len(c) for c in columns] == [updates] * 2
+        assert sum(c.itemsize for c in columns) == 16
         # the recording keeps nothing per cycle (snapshots are replayed),
-        # so the bound allows 32 B an update, where one tuple and one
+        # so the bound allows 24 B an update, where one tuple and one
         # TraceEvent an update took about 200 B
-        assert loud - quiet < 32 * updates
+        assert loud - quiet < 24 * updates
 
     @pytest.mark.parametrize("schedule", ["gradient", SCHEDULE_ROUND_ROBIN])
     def test_events_read_as_a_sequence(self, schedule):
@@ -534,10 +534,13 @@ class TestRecordedTrace:
     def test_undefined_residual_reads_none(self):
         c1, c2 = helpers.cc("B", "A", 0.8), helpers.mc("A,~B", 0.1)
         log = UpdateLog([c1, c2])
-        log.append(1, 1, math.nan)
-        log.append(2, 0, -0.25)
-        assert list(log) == [TraceEvent(1, c2, None), TraceEvent(2, c1, -0.25)]
-        assert UpdateTrace(log, False, 2).to_tsv() == f"1\t{c2}\tundefined\n2\t{c1}\t-0.25\n"
+        log.append(1, math.nan)
+        log.append(0, -0.25)
+        log.append(0, 0.5)  # two kernels, so the third update is in cycle 2
+        assert list(log) == [TraceEvent(1, c2, None), TraceEvent(1, c1, -0.25),
+                             TraceEvent(2, c1, 0.5)]
+        assert UpdateTrace(log, False, 2).to_tsv() == (
+            f"1\t{c2}\tundefined\n1\t{c1}\t-0.25\n2\t{c1}\t0.5\n")
 
 
 class TestQuery:

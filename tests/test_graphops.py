@@ -173,6 +173,35 @@ class TestRipOrder:
             assert graham_acyclic(Hypergraph(m.names, d.cliques))
 
 
+class TestDecomposition:
+    """A `Decomposition` takes a fill-in and a clique cover and derives
+    its running-intersection order and cost from the cover."""
+
+    def test_rebuilt_from_its_cliques(self):
+        rng = np.random.default_rng(5)
+        for _ in range(60):
+            m = helpers.random_model(rng)
+            for method in ("greedy", "anneal"):
+                d = decompose(m, method)
+                assert graphops.Decomposition(d.fill_in, d.cliques) == d
+
+    def test_builds_exactly_when_a_rip_order_exists(self):
+        rng = np.random.default_rng(37)
+        built = refused = 0
+        for _ in range(400):
+            h = helpers.random_hypergraph(rng, max_edges=10)
+            r = rip_order(h)
+            if r is None:
+                with pytest.raises(ValueError, match="not acyclic"):
+                    graphops.Decomposition(frozenset(), h.hyperedges)
+                refused += 1
+            else:
+                d = graphops.Decomposition(frozenset(), h.hyperedges)
+                assert d.rip == r and d.cost == clique_cost(h.hyperedges)
+                built += 1
+        assert built >= 60 and refused >= 60
+
+
 class TestMergeCliques:
     """`merge_cliques` groups the cliques of a decomposition into the
     tables the decomposed solver runs on."""
@@ -287,6 +316,12 @@ class TestFillIn:
     def test_anneal_needs_a_restart(self):
         with pytest.raises(ValueError, match="restarts must be at least 1"):
             AnnealOptions(restarts=0)
+
+    @pytest.mark.parametrize("restarts", [2.5, "3", None], ids=repr)
+    def test_anneal_restarts_is_an_integer(self, restarts):
+        # refused at once, also where the graph is chordal and no restart runs
+        with pytest.raises(ValueError, match="restarts must be at least 1 and an integer"):
+            AnnealOptions(restarts=restarts)
 
     @pytest.mark.parametrize("seed", [-1, 1.5, "3", None], ids=repr)
     def test_anneal_seed_is_a_non_negative_integer(self, seed):
@@ -641,6 +676,11 @@ class TestGraphText:
     def test_node_declared_twice(self, text):
         line = text.count("\n")
         with pytest.raises(ValueError, match=f"line {line}: node 'C' declared twice"):
+            parse_graph_text(text)
+
+    @pytest.mark.parametrize("text", ["", "# no nodes\n", "nodes\n"], ids=repr)
+    def test_no_nodes_refused(self, text):
+        with pytest.raises(ValueError, match="graph declares no nodes"):
             parse_graph_text(text)
 
     def test_sixring_file_matches(self):

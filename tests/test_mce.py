@@ -153,6 +153,12 @@ class TestSolverOptions:
         with pytest.raises(ValueError, match="iteration caps must be at least 1"):
             SolverOptions(**{field: 0})
 
+    @pytest.mark.parametrize("field", ["max_cycles", "max_iterations"])
+    @pytest.mark.parametrize("value", [2.5, "3", None], ids=repr)
+    def test_caps_are_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SolverOptions(**{field: value})
+
     def test_unknown_schedule(self):
         with pytest.raises(ValueError, match="unknown schedule 'x'"):
             SolverOptions(schedule="x")
