@@ -25,14 +25,13 @@ from . import graphops, model, options  # numpy-free, so imported at once
 _EXPORTS = {
     "model": ("BeliefNetwork", "ConditionalConstraint", "Constraint", "ConstraintSet", "Literal",
               "MarginalConstraint", "Model", "NeighborGraph", "ParseError", "build_network",
-              "neighbor_graph", "parse_model", "serialize_model", "validate_scope_rule"),
+              "neighbor_graph", "parse_model", "validate_scope_rule"),
     "options": ("ConvergenceError", "SolverOptions", "UnreachableConstraintError"),
     "graphops": ("AnnealOptions", "Decomposition", "Hypergraph", "RipOrder", "d_separated",
                  "decompose", "fill_in_anneal", "fill_in_greedy", "graham_acyclic",
                  "maximal_cliques", "parse_graph_text", "rip_order"),
     "dist": ("JointTable", "ResidualEntry", "ResidualReport", "check_ci", "check_mrf",
-             "conditional", "marginalize", "probability", "residuals", "serialize_table",
-             "uniform"),
+             "marginalize", "probability", "residuals", "serialize_table", "uniform"),
     "mce": ("UpdateTrace", "conditional_update", "mce_dual_solve", "successive_solve"),
     "consistency": ("ConsistencyReport", "LinearSystem", "global_consistent", "local_check",
                     "to_linear"),

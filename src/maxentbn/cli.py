@@ -22,23 +22,26 @@ def _load_model(path: str) -> model.Model:
     return model.parse_model(_read(path))
 
 
-def _literals(spec: str) -> list[model.Literal]:
-    out = []
-    for part in spec.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if part.startswith("~"):
-            out.append(model.Literal(part[1:], False))
-        else:
-            out.append(model.Literal(part, True))
-    return out
-
-
 def _names(spec: str | None) -> list[str]:
     if not spec:
         return []
     return [p.strip() for p in spec.split(",") if p.strip()]
+
+
+def _literals(spec: str | None) -> list[model.Literal]:
+    return [model.Literal(p[1:], False) if p.startswith("~") else model.Literal(p, True)
+            for p in _names(spec)]
+
+
+def _decompose(args, m: model.Model | None = None) -> graphops.Decomposition:
+    """The decomposition --fill and --seed choose: of model `m`, or, with
+    none, of the graph file the model argument names.  The input is read
+    first, so a missing or malformed one is reported before a bad seed."""
+    g = graphops.parse_graph_text(_read(args.model)).as_neighbor_graph() if m is None else None
+    opts = graphops.AnnealOptions(seed=args.seed) if args.fill == "anneal" else None
+    if g is None:
+        return graphops.decompose(m, args.fill, opts)
+    return graphops.fill_in_anneal(g, opts) if opts else graphops.fill_in_greedy(g)
 
 
 def _solver_opts(args) -> options.SolverOptions:
@@ -72,8 +75,7 @@ def _cmd_validate(args) -> int:
 def _cmd_check(args) -> int:
     m = _load_model(args.model)
     if args.local:
-        d = graphops.decompose(m, method=args.fill, opts=graphops.AnnealOptions(seed=args.seed))
-        report = consistency.local_check(m, d)
+        report = consistency.local_check(m, _decompose(args, m))
     else:
         report = consistency.global_consistent(m)
     print(consistency.format_report(report, m, show_witnesses=args.witness), end="")
@@ -81,15 +83,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    if args.graph:
-        g = graphops.parse_graph_text(_read(args.model)).as_neighbor_graph()
-        if args.fill == "anneal":
-            d = graphops.fill_in_anneal(g, graphops.AnnealOptions(seed=args.seed))
-        else:
-            d = graphops.fill_in_greedy(g)
-    else:
-        m = _load_model(args.model)
-        d = graphops.decompose(m, method=args.fill, opts=graphops.AnnealOptions(seed=args.seed))
+    d = _decompose(args, None if args.graph else _load_model(args.model))
     print(graphops.format_decomposition(d), end="")
     return 0
 
@@ -121,8 +115,7 @@ def _cmd_solve(args) -> int:
         if args.trace:
             print(trace.to_tsv(), end="")
         return 0 if trace.converged else 1
-    d = graphops.decompose(m, method=args.fill, opts=graphops.AnnealOptions(seed=args.seed))
-    report = engine.solve_decomposed(m, d, opts, record=args.trace)
+    report = engine.solve_decomposed(m, _decompose(args, m), opts, record=args.trace)
     for state in report.cliques:
         _print_table(state.table, args.format, label="clique " + ",".join(state.scope))
     print(_outcome(report))
@@ -145,12 +138,11 @@ def _cmd_query(args) -> int:
     event = _literals(args.event)
     if not event:
         raise ValueError(f"--event {args.event!r} names no literal")
-    given = _literals(args.given or "")
+    given = _literals(args.given)
     if args.given is not None and not given:
         raise ValueError(f"--given {args.given!r} names no literal")
     m = _load_model(args.model)
-    d = graphops.decompose(m, method=args.fill, opts=graphops.AnnealOptions(seed=args.seed))
-    report = engine.solve_decomposed(m, d, _solver_opts(args), record=False)
+    report = engine.solve_decomposed(m, _decompose(args, m), _solver_opts(args), record=False)
     if not report.converged:
         print(f"error: {report.error or 'solve did not converge'}", file=sys.stderr)
         return 1
@@ -166,8 +158,8 @@ def _cmd_query(args) -> int:
 
 def _cmd_bench(args) -> int:
     m = _load_model(args.model)
-    d = graphops.decompose(m, method=args.fill, opts=graphops.AnnealOptions(seed=args.seed))
-    timing, report, _ = engine.bench(m, d, options.SolverOptions(tolerance=args.tol))
+    timing, report, _ = engine.bench(m, _decompose(args, m),
+                                     options.SolverOptions(tolerance=args.tol))
     if not report.converged:  # a speedup to an unfinished solve means nothing
         print(_outcome(report))
         return 1
@@ -218,6 +210,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--schedule", default=None,
                        choices=[options.SCHEDULE_GRADIENT, options.SCHEDULE_ROUND_ROBIN])
 
+    def add_fill_flags(p):
+        p.add_argument("--fill", choices=["greedy", "anneal"], default=None)
+        p.add_argument("--seed", type=int, default=None)
+
     p = sub.add_parser("validate", help="parse a model and report scope-rule warnings")
     p.add_argument("model")
     p.set_defaults(func=_cmd_validate)
@@ -229,15 +225,13 @@ def build_parser() -> argparse.ArgumentParser:
                       help="full state-space check (default)")
     mode.add_argument("--local", dest="local", action="store_true",
                       help="clique-local check over a decomposition")
-    p.add_argument("--fill", choices=["greedy", "anneal"], default=None)
-    p.add_argument("--seed", type=int, default=None)
+    add_fill_flags(p)
     p.add_argument("--witness", action="store_true", help="print witness tables")
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("decompose", help="fill-in, cliques, and RIP order")
     p.add_argument("model")
-    p.add_argument("--fill", choices=["greedy", "anneal"], default="greedy")
-    p.add_argument("--seed", type=int, default=None)
+    add_fill_flags(p)
     p.add_argument("--graph", action="store_true",
                    help="input is a graph file (nodes/edge lines), not a model")
     p.set_defaults(func=_cmd_decompose)
@@ -253,8 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("--method", choices=["dual", "successive", "decomposed"],
                    default="decomposed")
-    p.add_argument("--fill", choices=["greedy", "anneal"], default=None)
-    p.add_argument("--seed", type=int, default=None)
+    add_fill_flags(p)
     p.add_argument("--trace", action="store_true", default=None)
     p.add_argument("--format", choices=["text", "tsv"], default="text")
     p.add_argument("--max-iterations", type=int, default=None, dest="max_iterations",
@@ -266,16 +259,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("--event", required=True, help="comma-separated literals, e.g. A,~B")
     p.add_argument("--given")
-    p.add_argument("--fill", choices=["greedy", "anneal"], default="greedy")
-    p.add_argument("--seed", type=int, default=None)
+    add_fill_flags(p)
     add_solver_flags(p)
     p.set_defaults(func=_cmd_query)
 
     p = sub.add_parser("bench", help="time the dual solve against decomposed updating")
     p.add_argument("model")
     p.add_argument("--tol", type=float, default=options.DEFAULT_SUCCESSIVE_TOL)
-    p.add_argument("--fill", choices=["greedy", "anneal"], default="greedy")
-    p.add_argument("--seed", type=int, default=None)
+    add_fill_flags(p)
     p.set_defaults(func=_cmd_bench)
 
     return parser

@@ -219,7 +219,8 @@ def local_check(model: Model, d: Decomposition) -> ConsistencyReport:
     if sol is not None:
         return ConsistencyReport(True, rank_ok=None, feasible=True, witnesses=tuple(
             (c, JointTable(ls.scope, p)) for c, ls, p in zip(order, systems, sol)))
-    if nonneg_feasible(systems[0]) is None:
+    # with one clique, the first relaxation is the LP that just failed
+    if len(systems) == 1 or nonneg_feasible(systems[0]) is None:
         culprit = (order[0], order[0])
     else:
         culprit = next(((order[i], order[j]) for i, j in enumerate(anchors)

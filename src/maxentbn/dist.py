@@ -64,24 +64,16 @@ def uniform(scope: Sequence[str]) -> JointTable:
     return JointTable(scope, np.full(n, 1.0 / n))
 
 
-def var_mask(scope: Sequence[str], name: str, positive: bool = True) -> np.ndarray:
-    """Boolean mask over states where `name` takes the given polarity."""
-    scope = tuple(scope)
-    pos = scope.index(name)
-    shift = len(scope) - 1 - pos
-    bits = (np.arange(1 << len(scope)) >> shift) & 1
-    return (bits == 1) if positive else (bits == 0)
-
-
 def event_mask(scope: Sequence[str], literals: Iterable[Literal]) -> np.ndarray:
     """Mask over states satisfying every literal.  Contradictory literals
     yield the empty event."""
     scope = tuple(scope)
-    mask = np.ones(1 << len(scope), dtype=bool)
+    states = np.arange(1 << len(scope))
+    mask = np.ones(states.size, dtype=bool)
     for lit in literals:
         if lit.name not in scope:
             raise ValueError(f"variable {lit.name!r} not in scope {scope}")
-        mask &= var_mask(scope, lit.name, lit.positive)
+        mask &= ((states >> (len(scope) - 1 - scope.index(lit.name))) & 1) == lit.positive
     return mask
 
 
@@ -123,14 +115,6 @@ def marginalize(table: JointTable, subscope: Sequence[str]) -> JointTable:
     sub = project_index(table.scope, subscope)
     out = np.bincount(sub, weights=table.probs, minlength=1 << len(subscope))
     return JointTable(subscope, out)
-
-
-def conditional(table: JointTable, target: Literal, given: Sequence[Literal] = ()) -> float:
-    """P(target | given) read off the table."""
-    denom = probability(table, given)
-    if denom < PROB_FLOOR:
-        raise ValueError(f"conditioning event has probability {denom}; conditional undefined")
-    return probability(table, [*given, target]) / denom
 
 
 def side_scan(sides: Sequence[tuple[np.ndarray, np.ndarray]], values: Sequence[float]

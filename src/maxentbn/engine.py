@@ -134,8 +134,10 @@ def solve_decomposed(model: Model, d: Decomposition,
     offsets = np.cumsum([0] + [1 << len(s) for s in scopes]).tolist()
     p = np.concatenate([dist.uniform(s).probs for s in scopes])
     views = [p[lo:hi] for lo, hi in zip(offsets, offsets[1:])]
-    kernels = [mce.Kernel(c, scopes[home], home, offsets[home])
-               for c, home in zip(model.constraints, constraint_homes(model, tree))]
+    # a constraint's table is its home clique's group, which is, by the
+    # running intersection, the first group whose scope holds it
+    kernels = [mce.Kernel(c, scopes[g], g, offsets[g])
+               for c, g in zip(model.constraints, (tree.groups[h] for h in homes))]
 
     # One stored marginal per join edge; the uniform start is calibrated.
     # At the end of every pass each stored entry is a sum of current

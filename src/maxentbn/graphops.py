@@ -365,11 +365,14 @@ def d_separated(net: BeliefNetwork, x: str, y: str, se: Iterable[str] = ()) -> b
 def decompose(model: Model, method: str = "greedy",
               opts: AnnealOptions | None = None) -> Decomposition:
     """Neighbor graph, fill-in, clique cover, and running-intersection
-    order for a model, via the chosen fill-in search."""
+    order for a model, via the chosen fill-in search.  `opts` is the
+    anneal's; greedy min-fill, which reads none, refuses them."""
     if not model.names:
         raise ValueError("model has no variables")
     g = neighbor_graph(model)
     if method == "greedy":
+        if opts is not None:
+            raise ValueError("greedy fill-in reads no AnnealOptions")
         d = fill_in_greedy(g)
     elif method == "anneal":
         d = fill_in_anneal(g, opts)
@@ -411,10 +414,9 @@ def merge_cliques(d: Decomposition, max_vars: int) -> SolverTree:
     return SolverTree(RipOrder(tuple(scopes), tuple(anchors)), tuple(groups))
 
 
-def constraint_homes(model: Model, d: Decomposition | SolverTree) -> list[int]:
+def constraint_homes(model: Model, d: Decomposition) -> list[int]:
     """Per constraint, in declaration order, the index of its home: the
-    first clique (or group) in running-intersection order that holds its
-    scope."""
+    first clique in running-intersection order that holds its scope."""
     homes = []
     for c in model.constraints:
         home = next((i for i, cl in enumerate(d.rip.order) if c.scope <= cl), None)

@@ -302,13 +302,6 @@ def parse_model(text: str) -> Model:
     return Model(tuple(names), ConstraintSet(tuple(constraints)))
 
 
-def serialize_model(model: Model) -> str:
-    """Inverse of parse_model; parse(serialize(m)) == m."""
-    lines = ["vars " + " ".join(model.names)]
-    lines.extend(str(c) for c in model.constraints)
-    return "\n".join(lines) + "\n"
-
-
 def build_network(model: Model) -> BeliefNetwork:
     edges = set()
     for c in model.constraints.conditionals:

@@ -25,8 +25,8 @@ from maxentbn import (AnnealOptions, BeliefNetwork, ConditionalConstraint, Const
                       UnreachableConstraintError, UpdateTrace, parse_model, uniform)
 from maxentbn.consistency import NULLSPACE_TOL
 from maxentbn.graphops import ANNEAL_COOLING, ANNEAL_MOVES, ANNEAL_PROBES, clique_cost
-from maxentbn.dist import (PROB_FLOOR, ResidualEntry, ResidualReport, conditional,
-                           constraint_sides, event_mask, probability, project_index)
+from maxentbn.dist import (PROB_FLOOR, ResidualEntry, ResidualReport, constraint_sides,
+                           event_mask, probability, project_index)
 from maxentbn.mce import (DEFAULT_SUCCESSIVE_TOL, SCHEDULE_ROUND_ROBIN,
                           TraceEvent, apply_constraint)
 
@@ -154,6 +154,13 @@ def mc(literals: str, value: float) -> MarginalConstraint:
 def _lit(s: str) -> Literal:
     s = s.strip()
     return Literal(s[1:], False) if s.startswith("~") else Literal(s, True)
+
+
+def serialize_model(model: Model) -> str:
+    """Inverse of parse_model; parse(serialize(m)) == m."""
+    lines = ["vars " + " ".join(model.names)]
+    lines.extend(str(c) for c in model.constraints)
+    return "\n".join(lines) + "\n"
 
 
 def random_positive_table(rng: np.random.Generator, k: int) -> np.ndarray:
@@ -517,6 +524,14 @@ def oracle_update(prior, c):
     else:
         out = jeffrey_raw(prior.probs, event_mask(scope, c.literals), c.value, str(c))
     return JointTable(scope, out)
+
+
+def conditional(table: JointTable, target: Literal, given=()) -> float:
+    """P(target | given) read off the table."""
+    denom = probability(table, given)
+    if denom < PROB_FLOOR:
+        raise ValueError(f"conditioning event has probability {denom}; conditional undefined")
+    return probability(table, [*given, target]) / denom
 
 
 def constraint_current(table, c):

@@ -115,6 +115,14 @@ class TestDecompose:
         code, out, err = invoke(capsys, "decompose", *argv, "--fill", "anneal", "--seed", "-1")
         assert (code, out, err) == (2, "", "error: seed must be a non-negative integer, not -1\n")
 
+    @pytest.mark.parametrize("flags", [[], ["--graph"]], ids=["model", "graph-file"])
+    def test_missing_file_named_before_seed(self, capsys, flags):
+        # the input is read before the anneal's options are built
+        code, out, err = invoke(capsys, "decompose", "models/missing.cn", *flags,
+                                "--fill", "anneal", "--seed", "-1")
+        assert (code, out) == (2, "")
+        assert "models/missing.cn" in err and "seed" not in err
+
 
 class TestDsep:
     def test_separated(self, capsys):

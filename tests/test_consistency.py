@@ -252,6 +252,10 @@ class TestLocalCheck:
         report = local_check(m, decompose(m))
         assert report.culprit == (fs("B", "C"), fs("A", "B")) and report.note == ""
         assert len(calls) == 3  # joint, first clique, second against its anchor
+        calls.clear()
+        m = helpers.quad()  # one clique: the joint LP that failed is that clique's own
+        report = local_check(m, decompose(m))
+        assert report.culprit == (fs("A", "B"), fs("A", "B")) and len(calls) == 1
 
     def test_constraint_without_home_raises(self, monkeypatch):
         # P(A,C) fits in no clique; leaving it out of every clique's rows
@@ -481,8 +485,20 @@ class TestDenseOracles:
 
         monkeypatch.setattr(consistency, "_tree_witnesses", tree_captured)
         monkeypatch.setattr(consistency, "_solve_feasible", solve_captured)
+        # chains whose last variable is held at 0.9 by its left neighbour
+        # and at 0.1 by its right one: the culprit search pairs every
+        # clique with its anchor up to the last
+        chains = []
+        for n in range(5, 9):
+            v = "ABCDEFGH"[:n]
+            links = [helpers.cc(b, a, 0.5) for i in range(n - 3) for a, b in
+                     ((v[i], v[i + 1]), ("~" + v[i], v[i + 1]))]
+            x, y, z = v[-3:]
+            chains.append(helpers.model_of(v, *links, helpers.cc(y, x, 0.9),
+                                           helpers.cc(y, "~" + x, 0.9), helpers.cc(y, z, 0.1),
+                                           helpers.cc(y, "~" + z, 0.1)))
         kinds = {"global": 0, "tree": 0, "culprit": 0}
-        for m in self.models():
+        for m in self.models() + chains:
             for kind, check in (("global", lambda: global_consistent(m)),
                                 ("tree", lambda: local_check(m, decompose(m)))):
                 calls.clear()

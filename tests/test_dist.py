@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import helpers
+from helpers import conditional
 from maxentbn import (ConditionalConstraint, ConstraintSet, JointTable, Literal,
                       MarginalConstraint, NeighborGraph,
-                      check_ci, check_mrf, conditional, marginalize,
+                      check_ci, check_mrf, marginalize,
                       neighbor_graph, residuals, serialize_table, uniform)
 from maxentbn.dist import constraint_sides, event_mask, probability, project_index
 

@@ -252,6 +252,27 @@ class TestMergeCliques:
         grid = decompose(helpers.grid_model(3))
         assert self.check(grid, budget).rip.order == grid.rip.order
 
+    def test_home_clique_group_is_first_holding_group(self):
+        # the decomposed solver puts each constraint on its home clique's
+        # group; that is the first group whose scope holds the constraint
+        rng = np.random.default_rng(5)
+        models = ([helpers.random_model(rng) for _ in range(150)]
+                  + [helpers.ring_model(n) for n in (6, 9, 12, 16)]
+                  + [helpers.grid_model(h) for h in (2, 3, 4)])
+        checked = joined = 0
+        for m in models:
+            for opts in (None, AnnealOptions(seed=1, restarts=1)):
+                d = decompose(m, "anneal" if opts else "greedy", opts)
+                homes = graphops.constraint_homes(m, d)
+                for max_vars in range(3, 9):
+                    tree = graphops.merge_cliques(d, max_vars)
+                    for c, h in zip(m.constraints, homes):
+                        first = next(g for g, s in enumerate(tree.rip.order) if c.scope <= s)
+                        assert tree.groups[h] == first
+                        checked += 1
+                        joined += tree.groups.index(first) != h  # not its group's first
+        assert checked >= 15000 and joined >= 2000, (checked, joined)
+
     def test_disconnected_components(self):
         # two 4-variable components: one table of 8 variables, or two
         # joined by an empty separator
@@ -621,6 +642,15 @@ class TestDecompose:
                              helpers.mc("A,C", 0.2))
         with pytest.raises(ValueError, match="no clique"):
             decompose(m)
+
+    def test_greedy_refuses_anneal_options(self):
+        # greedy min-fill reads no AnnealOptions, so it refuses any given
+        m = helpers.ring_model(6)
+        for opts in (AnnealOptions(), AnnealOptions(seed=3, restarts=7)):
+            with pytest.raises(ValueError, match="greedy fill-in reads no AnnealOptions"):
+                decompose(m, "greedy", opts)
+        assert decompose(m, "greedy", None) == decompose(m)
+        assert decompose(m, "anneal", AnnealOptions(seed=3)).cost <= decompose(m).cost
 
     def test_unknown_method(self):
         with pytest.raises(ValueError, match="unknown fill-in method 'bogus'"):

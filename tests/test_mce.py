@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 import helpers
-from helpers import jeffrey_update
+from helpers import conditional, jeffrey_update
 from maxentbn import dist
 from maxentbn import (ConstraintSet, ConvergenceError, JointTable, Literal,
                       SolverOptions, UnreachableConstraintError,
                       conditional_update, mce_dual_solve,
                       residuals, successive_solve, uniform)
-from maxentbn.dist import PROB_FLOOR, conditional, probability
+from maxentbn.dist import PROB_FLOOR, probability
 from maxentbn.mce import DualProblem, SCHEDULE_ROUND_ROBIN, apply_constraint
 from maxentbn.model import ConditionalConstraint
 

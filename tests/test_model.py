@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import helpers
+from helpers import serialize_model
 from maxentbn import (ConditionalConstraint, Literal, MarginalConstraint,
                       ParseError, build_network, neighbor_graph, parse_model,
-                      serialize_model, validate_scope_rule)
+                      validate_scope_rule)
 
 
 class TestParse:
