@@ -155,8 +155,7 @@ def constraint_scan(scope: Sequence[str], cs: ConstraintSet) -> Callable:
 class ResidualEntry:
     constraint: Constraint
     current: float | None   # None when a and b have ~zero mass together
-    target: float
-    residual: float | None  # current - target, signed
+    residual: float | None  # current - constraint.value, signed
 
     @property
     def magnitude(self) -> float:
@@ -184,7 +183,7 @@ def residuals(table: JointTable, cs: ConstraintSet) -> ResidualReport:
     entries = []
     for c, s1, s0, resid in zip(cs, *mass.reshape(2, -1).tolist(), r.tolist()):
         defined = not math.isnan(resid)
-        entries.append(ResidualEntry(c, s1 / (s1 + s0) if defined else None, c.value,
+        entries.append(ResidualEntry(c, s1 / (s1 + s0) if defined else None,
                                      resid if defined else None))
     return ResidualReport(tuple(entries), float(table.probs.sum()) - 1.0)
 

@@ -29,14 +29,12 @@ took about 40 us instead of 55-66, and the pass 43% of it instead of
 of 7 variables was no faster and one of 8 was slower: larger tables make
 the scan of the constraints' sides grow.  The report stays per clique of
 the decomposition: its tables, built at the end, are marginals of the
-merged tables.  No state is kept per cycle: the solve is deterministic,
-so a snapshot is replayed when read, as the same solve cut at that cycle.
+merged tables.
 """
 
 from __future__ import annotations
 
 import time
-from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -55,7 +53,6 @@ SOLVER_TABLE_VARS = 6
 
 @dataclass
 class CliqueState:
-    clique: frozenset[str]
     scope: tuple[str, ...]
     table: JointTable
     constraints: tuple[Constraint, ...]
@@ -72,36 +69,11 @@ class JoinEdge:
 class SolveReport:
     cliques: list[CliqueState]
     join_edges: tuple[JoinEdge, ...]
-    snapshots: Sequence[list[JointTable]]  # clique tables after each cycle, replayed when read
     final_residuals: tuple[float, ...]  # magnitudes, constraint declaration order
     converged: bool
     cycles: int
     trace: UpdateTrace
     error: str | None = None
-
-
-class _Snapshots(Sequence):
-    """The clique tables at each cycle boundary, rebuilt when read.  The
-    solve is deterministic, so snapshot i is the clique tables of the same
-    solve cut at i + 1 cycles, replayed with record=False."""
-
-    def __init__(self, model: Model, d: Decomposition, opts: SolverOptions, cycles: int):
-        self._solve = (model, d, opts)
-        self._cycles = cycles
-
-    def __len__(self) -> int:
-        return self._cycles
-
-    def _replay(self, cycles: int) -> list[JointTable]:
-        model, d, opts = self._solve
-        report = solve_decomposed(model, d, replace(opts, max_cycles=cycles), record=False)
-        return [s.table for s in report.cliques]
-
-    def __getitem__(self, i):
-        cycles = range(1, self._cycles + 1)[i]
-        if isinstance(cycles, range):
-            return [self._replay(c) for c in cycles]
-        return self._replay(cycles)
 
 
 def _join_edges(model: Model, rip: RipOrder) -> tuple[JoinEdge, ...]:
@@ -123,9 +95,7 @@ def solve_decomposed(model: Model, d: Decomposition,
     The tables are those of the solver tree, `d`'s cliques merged into
     groups of up to SOLVER_TABLE_VARS variables (`graphops.merge_cliques`);
     the report's tables and join edges are per clique of `d`, each table
-    a marginal of its group's.  Snapshot i, the tables after cycle i + 1,
-    is rebuilt when read by replaying this solve with max_cycles = i + 1.
-    With record=False the trace is skipped and there are no snapshots.
+    a marginal of its group's.  With record=False the trace is skipped.
     """
     opts = opts or SolverOptions()
     homes = constraint_homes(model, d)
@@ -192,23 +162,23 @@ def solve_decomposed(model: Model, d: Decomposition,
     for i, (cl, g) in enumerate(zip(d.rip.order, tree.groups)):
         s = model.ordered_scope(cl)
         m = np.bincount(dist.project_index(scopes[g], s), views[g], 1 << len(s))
-        states.append(CliqueState(cl, s, JointTable(s, m / m.sum()),
+        states.append(CliqueState(s, JointTable(s, m / m.sum()),
                                   tuple(c for c, h in zip(model.constraints, homes) if h == i)))
-    return SolveReport(states, _join_edges(model, d.rip),
-                       _Snapshots(model, d, opts, trace.cycles if record else 0),
-                       magnitudes, trace.converged, trace.cycles, trace,
-                       None if error is None else str(error))
+    return SolveReport(states, _join_edges(model, d.rip), magnitudes, trace.converged,
+                       trace.cycles, trace, None if error is None else str(error))
 
 
 def query(report: SolveReport, event: list[Literal], given: list[Literal] = ()) -> float:
     """Probability of `event` (optionally conditioned) read from the first
     clique containing every queried variable."""
-    names = {l.name for l in event} | {l.name for l in given}
-    unknown = sorted(names.difference(*(s.clique for s in report.cliques)))
-    if unknown:
-        raise ValueError(f"unknown variable {unknown[0]!r}")
+    order = [l.name for l in (*event, *given)]  # unknown names are reported in this order
+    known = {v for s in report.cliques for v in s.scope}
+    for v in order:
+        if v not in known:
+            raise ValueError(f"unknown variable {v!r}")
+    names = set(order)
     for state in report.cliques:
-        if names <= state.clique:
+        if names.issubset(state.scope):
             denom = dist.probability(state.table, given) if given else 1.0
             if denom < PROB_FLOOR:
                 raise ValueError("conditioning event has zero probability")

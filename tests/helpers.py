@@ -551,7 +551,7 @@ def residuals_masks(table, cs):
     for c in cs:
         cur = constraint_current(table, c)
         resid = None if cur is None else cur - c.value
-        entries.append(ResidualEntry(c, cur, c.value, resid))
+        entries.append(ResidualEntry(c, cur, resid))
     return ResidualReport(tuple(entries), float(table.probs.sum()) - 1.0)
 
 

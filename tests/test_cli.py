@@ -1,4 +1,5 @@
 import glob
+import json
 import os
 import subprocess
 import sys
@@ -7,6 +8,9 @@ import pytest
 
 from maxentbn import engine
 from maxentbn.cli import run
+
+# the package source, for subprocesses that import it under another hash seed
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def invoke(capsys, *argv):
@@ -145,8 +149,7 @@ class TestDsep:
     @pytest.mark.parametrize("hash_seed", ["0", "6"])
     def test_unknown_given_named_in_order_under_any_hash_seed(self, hash_seed):
         # fig21 has no C or D; the name reported used to follow the string hash
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=SRC)
         entry = "import sys, maxentbn.cli as c; sys.exit(c.run(sys.argv[1:]))"
         for given, first in (("C,D", "C"), ("D,C", "D")):
             done = subprocess.run([sys.executable, "-c", entry, "dsep", "models/fig21.cn",
@@ -282,6 +285,9 @@ QUERIES = {
 ROUTE_GOLDEN += [(f"query-{m}-{kind}", ("query", f"models/{m}.cn") + flags)
                  for kind, per_model in QUERIES.items() for m, flags in per_model.items()]
 ROUTE_GOLDEN += [("query-mining-spans-cliques", ("query", "models/mining.cn", "--event", "A,B"))]
+# the tables after cycle 5, the last of the paper's trajectory (helpers.TABLE71)
+ROUTE_GOLDEN += [("mining-decomposed-5-cycles",
+                  ("solve", "models/mining.cn", "--method", "decomposed", "--max-cycles", "5"))]
 
 
 @pytest.mark.parametrize("name,argv", ROUTE_GOLDEN, ids=[n for n, _ in ROUTE_GOLDEN])
@@ -362,6 +368,13 @@ class TestQueryVerb:
         code, _, err = invoke(capsys, "query", "models/mining.cn", *flags)
         assert code == 2
         assert f"unknown variable {flags[-1]!r}" in err
+
+    @pytest.mark.parametrize("flags, first", [(("--event", "A", "--given", "Z,Y"), "Z"),
+                                              (("--event", "Z,A", "--given", "Y"), "Z")])
+    def test_first_unknown_name_in_given_order(self, capsys, flags, first):
+        # event literals, then --given, as dsep reports them
+        code, out, err = invoke(capsys, "query", "models/mining.cn", *flags)
+        assert (code, out, err) == (2, "", f"error: unknown variable {first!r}\n")
 
     def test_solver_error_reported(self, capsys):
         code, out, err = invoke(capsys, "query", "models/contradiction.cn", "--event", "A")
@@ -448,6 +461,41 @@ class TestDeterminism:
         code1, out1, err1 = invoke(capsys, *argv)
         code2, out2, err2 = invoke(capsys, *argv)
         assert (code1, out1, err1) == (code2, out2, err2)
+
+    # every verb whose output could follow the order of a set of strings
+    HASH_SEED_COMMANDS = [
+        ["validate", "models/mining.cn"],
+        ["check", "models/mining.cn"],
+        ["check", "models/mining.cn", "--local", "--witness"],
+        ["check", "models/contradiction.cn", "--local"],
+        ["decompose", "models/mining.cn"],
+        ["decompose", "models/mining.cn", "--fill", "anneal", "--seed", "1"],
+        ["decompose", "models/sixring.graph", "--graph"],
+        ["decompose", "models/sixring.graph", "--graph", "--fill", "anneal", "--seed", "1"],
+        ["dsep", "models/mining.cn", "--x", "A", "--y", "B", "--given", "C,D"],
+        ["solve", "models/mining.cn", "--method", "decomposed", "--trace"],
+        ["solve", "models/mining.cn", "--method", "successive", "--schedule", "round-robin",
+         "--trace"],
+        ["solve", "models/mining.cn", "--method", "dual"],
+        ["query", "models/mining.cn", "--event", "C", "--given", "D"],
+        ["query", "models/mining.cn", "--event", "A", "--given", "Z,Y"],
+    ]
+
+    def test_output_does_not_depend_on_the_hash_seed(self):
+        # one process per seed runs the whole list through cli.run
+        entry = ("import json, sys, maxentbn.cli as c\n"
+                 "for argv in json.loads(sys.argv[1]):\n"
+                 "    print('exit', c.run(argv), flush=True)")
+        runs = []
+        for hash_seed in ("0", "6"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=SRC)
+            done = subprocess.run([sys.executable, "-c", entry,
+                                   json.dumps(self.HASH_SEED_COMMANDS)],
+                                  env=env, capture_output=True)
+            runs.append((done.returncode, done.stdout, done.stderr))
+        assert runs[0] == runs[1]
+        code, out, _ = runs[0]
+        assert code == 0 and out.count(b"exit ") == len(self.HASH_SEED_COMMANDS)
 
     def test_usage_error_exit_2(self, capsys):
         assert run(["frobnicate"]) == 2

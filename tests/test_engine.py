@@ -82,46 +82,38 @@ class TestSolveDecomposed:
         np.testing.assert_allclose(bcd.probs, helpers.MINING_BCD, atol=5e-3)
 
     def test_mining_cycle5_snapshot_near_reference_trajectory(self):
-        report = solve_decomposed(self.model, self.d)
+        cut = solve_decomposed(self.model, self.d, SolverOptions(max_cycles=5))
         acd5, bcd5 = helpers.TABLE71[5]
-        snap = report.snapshots[4]
-        np.testing.assert_allclose(snap[0].probs, acd5, atol=7e-3)
-        np.testing.assert_allclose(snap[1].probs, bcd5, atol=7e-3)
+        np.testing.assert_allclose(cut.cliques[0].table.probs, acd5, atol=7e-3)
+        np.testing.assert_allclose(cut.cliques[1].table.probs, bcd5, atol=7e-3)
 
     @staticmethod
-    def snapshots_match_oracle(m, opts):
-        """Snapshot i against the list oracle run for i + 1 cycles."""
+    def cut_solves_match_oracle(m, opts):
+        """The solve cut at each c <= its cycle count against the list
+        oracle cut at c."""
         d = decompose(m)
         report = solve_decomposed(m, d, opts)
-        assert len(report.snapshots) == report.cycles >= 2
-        for i, snap in enumerate(report.snapshots):
-            tables = helpers.solve_decomposed_oracle(
-                m, d, dataclasses.replace(opts, max_cycles=i + 1))[0]
-            assert [t.scope for t in snap] == [t.scope for t in tables]
-            for t, want in zip(snap, tables):
+        assert report.cycles >= 2
+        for c in range(1, report.cycles + 1):
+            cut = dataclasses.replace(opts, max_cycles=c)
+            got = [s.table for s in solve_decomposed(m, d, cut).cliques]
+            tables = helpers.solve_decomposed_oracle(m, d, cut)[0]
+            assert [t.scope for t in got] == [t.scope for t in tables]
+            for t, want in zip(got, tables):
                 np.testing.assert_allclose(t.probs, want.probs, rtol=0, atol=1e-12)
         return report
 
     @pytest.mark.parametrize("schedule", ["gradient", SCHEDULE_ROUND_ROBIN])
     def test_snapshots_are_the_tables_of_shorter_runs(self, schedule):
-        self.snapshots_match_oracle(self.model, SolverOptions(schedule=schedule))
+        self.cut_solves_match_oracle(self.model, SolverOptions(schedule=schedule))
 
     @pytest.mark.parametrize("schedule", ["gradient", SCHEDULE_ROUND_ROBIN])
     def test_snapshots_on_several_tables(self, schedule):
         m = helpers.ring_model(10, 10)
         assert len(merge_cliques(decompose(m), SOLVER_TABLE_VARS).rip.order) >= 2
-        report = self.snapshots_match_oracle(
+        report = self.cut_solves_match_oracle(
             m, SolverOptions(schedule=schedule, max_cycles=8))
         assert report.cycles == 8
-        # indexed like a list: negative indices, slices and IndexError
-        last = [s.table.probs for s in report.cliques]
-        for t, want in zip(report.snapshots[-1], last):
-            np.testing.assert_array_equal(t.probs, want)
-        assert len(report.snapshots[2:5]) == 3 and report.snapshots[9:] == []
-        with pytest.raises(IndexError):
-            report.snapshots[8]
-        with pytest.raises(IndexError):
-            report.snapshots[-9]
 
     def test_separator_marginals_agree(self):
         report = solve_decomposed(self.model, self.d)
@@ -131,7 +123,7 @@ class TestSolveDecomposed:
 
     def test_constraint_assignment_first_fit(self):
         report = solve_decomposed(self.model, self.d)
-        by_clique = {state.clique: {str(c) for c in state.constraints}
+        by_clique = {frozenset(state.scope): {str(c) for c in state.constraints}
                      for state in report.cliques}
         assert "P(A)=0.2" in by_clique[fs("A", "C", "D")]
         assert "P(B)=0.7" in by_clique[fs("B", "C", "D")]
@@ -414,7 +406,7 @@ class TestDecomposedAgainstOracle:
                             report.final_residuals))
                 for a, b in zip(quiet.cliques, report.cliques):
                     np.testing.assert_array_equal(a.table.probs, b.table.probs)
-                assert len(quiet.snapshots) == 0 and quiet.trace.events == ()
+                assert quiet.trace.events == ()
         assert outcomes == {"error", True, False}
 
 
@@ -506,9 +498,9 @@ class TestRecordedTrace:
         columns = (log._kernels, log._residuals)
         assert [len(c) for c in columns] == [updates] * 2
         assert sum(c.itemsize for c in columns) == 16
-        # the recording keeps nothing per cycle (snapshots are replayed),
-        # so the bound allows 24 B an update, where one tuple and one
-        # TraceEvent an update took about 200 B
+        # the recording keeps nothing per cycle, so the bound allows
+        # 24 B an update, where one tuple and one TraceEvent an update
+        # took about 200 B
         assert loud - quiet < 24 * updates
 
     @pytest.mark.parametrize("schedule", ["gradient", SCHEDULE_ROUND_ROBIN])
