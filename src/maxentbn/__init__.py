@@ -8,18 +8,18 @@ checks constraint consistency globally or clique-locally, and computes
 the constrained max-entropy distribution either exactly (convex dual) or
 by successive single-constraint updating, full-joint or decomposed.
 
-Importing the package loads no numpy.  `model`, `graphops` and `options`
-are imported at once; `dist`, `mce`, `consistency` and `engine` are in
-`sys.modules` from the start but run their code, and import numpy, on
-the first access to one of their attributes, through the package or
-directly.  The package resolves each exported name in its home module
-when it is read.
+Importing the package loads no numpy.  `model` and `options` are
+imported at once; `graphops`, `dist`, `mce`, `consistency` and `engine`
+are in `sys.modules` from the start but run their code on the first
+access to one of their attributes, through the package or directly, and
+all but `graphops` import numpy then.  The package resolves each
+exported name in its home module when it is read.
 """
 
 import importlib.util
 import sys
 
-from . import graphops, model, options  # numpy-free, so imported at once
+from . import model, options  # what parsing a model reads, so imported at once
 
 # every exported name, by the submodule it comes from
 _EXPORTS = {
@@ -53,7 +53,8 @@ def _lazy_module(name: str):
     return module
 
 
-dist, mce, consistency, engine = map(_lazy_module, ("dist", "mce", "consistency", "engine"))
+graphops, dist, mce, consistency, engine = map(
+    _lazy_module, ("graphops", "dist", "mce", "consistency", "engine"))
 
 
 def __getattr__(name: str):

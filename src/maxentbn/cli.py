@@ -236,7 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="input is a graph file (nodes/edge lines), not a model")
     p.set_defaults(func=_cmd_decompose)
 
-    p = sub.add_parser("dsep", help="generalized d-separation query")
+    p = sub.add_parser("dsep", help="d-separation in the network's directed graph (not an "
+                                    "independence of the max-entropy solution)")
     p.add_argument("model")
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)

@@ -16,9 +16,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Union
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
-
-
 class ParseError(ValueError):
     """Constraint-file syntax or semantic error, with source position."""
 
@@ -147,57 +144,71 @@ class NeighborGraph:
         return {next(iter(e - {x})) for e in self.edges if x in e}
 
 
-class _Cursor:
-    """Single-line scanner with 1-based column reporting."""
-
-    def __init__(self, text: str, lineno: int):
-        self.text = text
-        self.lineno = lineno
-        self.pos = 0
-
-    def error(self, message: str, column: int | None = None) -> ParseError:
-        return ParseError(message, self.lineno, (self.pos if column is None else column) + 1)
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
-
-    def peek(self, s: str) -> bool:
-        self.skip_ws()
-        return self.text.startswith(s, self.pos)
-
-    def take(self, s: str) -> None:
-        if not self.peek(s):
-            raise self.error(f"expected {s!r}")
-        self.pos += len(s)
-
-    def name(self) -> tuple[str, int]:
-        self.skip_ws()
-        m = _NAME_RE.match(self.text, self.pos)
-        if not m:
-            raise self.error("expected a variable name")
-        self.pos = m.end()
-        return m.group(0), m.start() + 1
+_NAME = r"[A-Za-z_][A-Za-z_0-9]*"
+_LITERALS = rf"\s*~?\s*{_NAME}(?:\s*,\s*~?\s*{_NAME})*"
+_NAME_RE = re.compile(_NAME)
+# a constraint line: the left literals, the condition if any, the value text
+_CONSTRAINT_RE = re.compile(rf"\s*P\s*\(({_LITERALS})(?:\s*\|({_LITERALS}))?\s*\)\s*=\s*(.*)")
+_TOKEN_RE = re.compile(rf"{_NAME}|\S")  # a name, or one other non-space character
+_EXPECT_NAME = "expected a variable name"
+# The same grammar up to "=", for locating errors: state -> (the error at
+# any other token, {token: next state}); "name" stands for every name.
+_STATES = {
+    "P": ("expected 'P'", {"P": "("}),
+    "(": ("expected '('", {"(": "left"}),
+    "left": (_EXPECT_NAME, {"~": "left~", "name": "left,"}),
+    "left~": (_EXPECT_NAME, {"name": "left,"}),
+    "left,": ("expected ')'", {",": "left", "|": "cond", ")": "="}),
+    "cond": (_EXPECT_NAME, {"~": "cond~", "name": "cond,"}),
+    "cond~": (_EXPECT_NAME, {"name": "cond,"}),
+    "cond,": ("expected ')'", {",": "cond", ")": "="}),
+    "=": ("expected '='", {"=": "value"}),
+}
 
 
-def _parse_literal(cur: _Cursor) -> tuple[Literal, int]:
-    negated = cur.peek("~")
-    if negated:
-        cur.take("~")
-    nm, col = cur.name()
-    return Literal(nm, not negated), col
+def _tokens(line: str) -> list[tuple[str, int]]:
+    """Each token of `line` with its 1-based column, then ("", one past the end)."""
+    return [(m.group(), m.start() + 1) for m in _TOKEN_RE.finditer(line)] + [("", len(line) + 1)]
 
 
-def _parse_literal_list(cur: _Cursor) -> list[tuple[Literal, int]]:
-    lits = [_parse_literal(cur)]
-    while cur.peek(","):
-        cur.take(",")
-        lits.append(_parse_literal(cur))
-    return lits
+def _syntax_error(line: str, lineno: int) -> ParseError:
+    """The error in a constraint line that `_CONSTRAINT_RE` rejects, at the
+    first token that a left-to-right reading of the grammar refuses."""
+    tokens = _tokens(line)
+    head, col = tokens[0]
+    if head[:1] == "P" and len(head) > 1:  # "Px(": the 'P' is read, then '(' is missing
+        tokens[:1] = [("P", col), (head[1:], col + 1)]
+    state = "P"
+    for token, col in tokens:
+        message, moves = _STATES[state]
+        state = moves.get(token) or (_NAME_RE.match(token) and moves.get("name"))
+        if state is None:
+            return ParseError(message, lineno, col)
+        if state == "value":
+            break
+    raise AssertionError(f"line {lineno} is a valid constraint: {line!r}")
+
+
+def _column(m: re.Match, group: int, i: int) -> int:
+    """The column of the i-th literal's name in group `group` of `m`."""
+    # the group is a valid literal list: its tokens are names, '~' and ','
+    tokens = _TOKEN_RE.finditer(m.string, *m.span(group))
+    return [t.start() + 1 for t in tokens if t.group() not in "~,"][i]
+
+
+def _keys(literals: str) -> list[str]:
+    """The literals of a valid literal list, as written less whitespace."""
+    return "".join(literals.split()).split(",")
+
+
+def _repeat(lits: tuple[Literal, ...], seen: set[str]) -> int | None:
+    """The index of the first literal whose name is in `seen` or named
+    before it, or None."""
+    for i, lit in enumerate(lits):
+        if lit.name in seen:
+            return i
+        seen.add(lit.name)
+    return None
 
 
 def parse_model(text: str) -> Model:
@@ -212,6 +223,7 @@ def parse_model(text: str) -> Model:
 
     A constraint with a "|" part is conditional and takes a single target
     literal; without "|" it is a marginal over the listed literals.
+    Whitespace may separate any two tokens.
     """
     content: list[tuple[int, str]] = []
     for i, raw in enumerate(text.splitlines()):
@@ -222,37 +234,31 @@ def parse_model(text: str) -> Model:
         raise ParseError("empty model: expected a 'vars' line", 1, 1)
 
     lineno, line = content[0]
-    cur = _Cursor(line, lineno)
-    kw, col = cur.name()
+    (kw, col), *declared, _ = _tokens(line)
+    if not _NAME_RE.match(kw):
+        raise ParseError(_EXPECT_NAME, lineno, col)
     if kw != "vars":
         raise ParseError("model must start with a 'vars' line", lineno, col)
     names: list[str] = []
-    declared: set[str] = set()
-    while not cur.at_end():
-        nm, col = cur.name()
-        if nm in declared:
+    table: dict[str, Literal] = {}  # "X" and "~X" to the one literal each, shared
+    for nm, col in declared:
+        if not _NAME_RE.match(nm):
+            raise ParseError(_EXPECT_NAME, lineno, col)
+        if nm in table:
             raise ParseError(f"variable {nm!r} declared twice", lineno, col)
-        declared.add(nm)
         names.append(nm)
+        table[nm], table["~" + nm] = Literal(nm), Literal(nm, False)
     if not names:
         raise ParseError("'vars' line declares no variables", lineno, len(line) + 1)
 
     constraints: list[Constraint] = []
     seen_cells: set = set()
     for lineno, line in content[1:]:
-        cur = _Cursor(line, lineno)
-        cur.take("P")
-        cur.take("(")
-        left = _parse_literal_list(cur)
-        condition: list[tuple[Literal, int]] | None = None
-        if cur.peek("|"):
-            cur.take("|")
-            condition = _parse_literal_list(cur)
-        cur.take(")")
-        cur.take("=")
-        cur.skip_ws()
-        value_col = cur.pos + 1
-        value_text = line[cur.pos:].strip()
+        m = _CONSTRAINT_RE.fullmatch(line)
+        if m is None:
+            raise _syntax_error(line, lineno)
+        value_col = m.start(3) + 1
+        value_text = m.group(3).strip()
         try:
             value = float(value_text)
         except ValueError:
@@ -260,40 +266,42 @@ def parse_model(text: str) -> Model:
         if not 0.0 <= value <= 1.0:
             raise ParseError(f"probability {value_text} outside [0,1]", lineno, value_col)
 
-        for lit, col in left + (condition or []):
-            if lit.name not in declared:
-                raise ParseError(f"undeclared variable {lit.name!r}", lineno, col)
+        left = _keys(m.group(1))
+        condition = None if m.group(2) is None else _keys(m.group(2))
+        try:
+            lits = tuple(map(table.__getitem__, left))
+            cond = condition and tuple(map(table.__getitem__, condition))
+        except KeyError as exc:
+            key = exc.args[0]
+            group, i = (1, left.index(key)) if key in left else (2, condition.index(key))
+            raise ParseError(f"undeclared variable {key.lstrip('~')!r}", lineno,
+                             _column(m, group, i))
 
         if condition is not None:
-            if len(left) != 1:
+            if len(lits) != 1:
                 raise ParseError("conditional constraint takes a single target literal",
-                                 lineno, left[1][1])
-            target, _ = left[0]
-            cond_names: set[str] = set()
-            for lit, col in condition:
-                if lit.name == target.name:
-                    raise ParseError(f"target {target.name!r} appears in its own condition",
-                                     lineno, col)
-                if lit.name in cond_names:
-                    raise ParseError(f"variable {lit.name!r} repeated in condition", lineno, col)
-                cond_names.add(lit.name)
-            if not target.positive:
-                target = Literal(target.name, True)
-                value = 1.0 - value
-            cond = tuple(lit for lit, _ in condition)
-            cell = (target.name, frozenset((l.name, l.positive) for l in cond))
+                                 lineno, _column(m, 1, 1))
+            (target,) = lits
+            i = _repeat(cond, {target.name})
+            if i is not None:
+                name = cond[i].name
+                raise ParseError(f"target {name!r} appears in its own condition"
+                                 if name == target.name else
+                                 f"variable {name!r} repeated in condition", lineno,
+                                 _column(m, 2, i))
+            cell = (target.name, frozenset(condition))
             if cell in seen_cells:
                 raise ParseError(f"duplicate constraint on P({target.name}|...)", lineno, 1)
             seen_cells.add(cell)
-            constraints.append(ConditionalConstraint(target, cond, value))
+            # a negated target is normalized: P(~X|E)=v is P(X|E)=1-v
+            constraints.append(ConditionalConstraint(
+                table[target.name], cond, value if target.positive else 1.0 - value))
         else:
-            marg_names: set[str] = set()
-            for lit, col in left:
-                if lit.name in marg_names:
-                    raise ParseError(f"variable {lit.name!r} repeated in constraint", lineno, col)
-                marg_names.add(lit.name)
-            lits = tuple(lit for lit, _ in left)
-            cell = frozenset((l.name, l.positive) for l in lits)
+            i = _repeat(lits, set())
+            if i is not None:
+                raise ParseError(f"variable {lits[i].name!r} repeated in constraint", lineno,
+                                 _column(m, 1, i))
+            cell = frozenset(left)
             if cell in seen_cells:
                 raise ParseError("duplicate constraint on the same cell", lineno, 1)
             seen_cells.add(cell)

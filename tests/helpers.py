@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +22,7 @@ import scipy.sparse
 
 from maxentbn import (AnnealOptions, BeliefNetwork, ConditionalConstraint, ConstraintSet,
                       Decomposition, JointTable, Literal, MarginalConstraint,
-                      Model, NeighborGraph, RipOrder, SolverOptions,
+                      Model, NeighborGraph, ParseError, RipOrder, SolverOptions,
                       UnreachableConstraintError, UpdateTrace, parse_model, uniform)
 from maxentbn.consistency import NULLSPACE_TOL
 from maxentbn.graphops import ANNEAL_COOLING, ANNEAL_MOVES, ANNEAL_PROBES, clique_cost
@@ -161,6 +162,166 @@ def serialize_model(model: Model) -> str:
     lines = ["vars " + " ".join(model.names)]
     lines.extend(str(c) for c in model.constraints)
     return "\n".join(lines) + "\n"
+
+
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+
+
+class _Cursor:
+    """Single-line scanner with 1-based column reporting."""
+
+    def __init__(self, text: str, lineno: int):
+        self.text = text
+        self.lineno = lineno
+        self.pos = 0
+
+    def error(self, message: str, column: int | None = None) -> ParseError:
+        return ParseError(message, self.lineno, (self.pos if column is None else column) + 1)
+
+    def skip_ws(self) -> None:
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def at_end(self) -> bool:
+        self.skip_ws()
+        return self.pos >= len(self.text)
+
+    def peek(self, s: str) -> bool:
+        self.skip_ws()
+        return self.text.startswith(s, self.pos)
+
+    def take(self, s: str) -> None:
+        if not self.peek(s):
+            raise self.error(f"expected {s!r}")
+        self.pos += len(s)
+
+    def name(self) -> tuple[str, int]:
+        self.skip_ws()
+        m = _NAME_RE.match(self.text, self.pos)
+        if not m:
+            raise self.error("expected a variable name")
+        self.pos = m.end()
+        return m.group(0), m.start() + 1
+
+
+def _parse_literal(cur: _Cursor) -> tuple[Literal, int]:
+    negated = cur.peek("~")
+    if negated:
+        cur.take("~")
+    nm, col = cur.name()
+    return Literal(nm, not negated), col
+
+
+def _parse_literal_list(cur: _Cursor) -> list[tuple[Literal, int]]:
+    lits = [_parse_literal(cur)]
+    while cur.peek(","):
+        cur.take(",")
+        lits.append(_parse_literal(cur))
+    return lits
+
+
+def parse_model_cursor(text: str) -> Model:
+    """The character-cursor parser that `parse_model` replaced, kept as
+    its oracle: it reads a constraint file the same way, with the same
+    errors, token by token.
+
+    Grammar (line oriented, '#' starts a comment)::
+
+        file       := varsline constraint*
+        varsline   := "vars" name+
+        constraint := "P(" literal ("," literal)* ["|" literal ("," literal)*] ")" "=" float
+        literal    := ["~"] name
+
+    A constraint with a "|" part is conditional and takes a single target
+    literal; without "|" it is a marginal over the listed literals.
+    """
+    content: list[tuple[int, str]] = []
+    for i, raw in enumerate(text.splitlines()):
+        stripped = raw.split("#", 1)[0]
+        if stripped.strip():
+            content.append((i + 1, stripped))
+    if not content:
+        raise ParseError("empty model: expected a 'vars' line", 1, 1)
+
+    lineno, line = content[0]
+    cur = _Cursor(line, lineno)
+    kw, col = cur.name()
+    if kw != "vars":
+        raise ParseError("model must start with a 'vars' line", lineno, col)
+    names: list[str] = []
+    declared: set[str] = set()
+    while not cur.at_end():
+        nm, col = cur.name()
+        if nm in declared:
+            raise ParseError(f"variable {nm!r} declared twice", lineno, col)
+        declared.add(nm)
+        names.append(nm)
+    if not names:
+        raise ParseError("'vars' line declares no variables", lineno, len(line) + 1)
+
+    constraints: list[ConditionalConstraint | MarginalConstraint] = []
+    seen_cells: set = set()
+    for lineno, line in content[1:]:
+        cur = _Cursor(line, lineno)
+        cur.take("P")
+        cur.take("(")
+        left = _parse_literal_list(cur)
+        condition: list[tuple[Literal, int]] | None = None
+        if cur.peek("|"):
+            cur.take("|")
+            condition = _parse_literal_list(cur)
+        cur.take(")")
+        cur.take("=")
+        cur.skip_ws()
+        value_col = cur.pos + 1
+        value_text = line[cur.pos:].strip()
+        try:
+            value = float(value_text)
+        except ValueError:
+            raise ParseError(f"invalid probability value {value_text!r}", lineno, value_col)
+        if not 0.0 <= value <= 1.0:
+            raise ParseError(f"probability {value_text} outside [0,1]", lineno, value_col)
+
+        for lit, col in left + (condition or []):
+            if lit.name not in declared:
+                raise ParseError(f"undeclared variable {lit.name!r}", lineno, col)
+
+        if condition is not None:
+            if len(left) != 1:
+                raise ParseError("conditional constraint takes a single target literal",
+                                 lineno, left[1][1])
+            target, _ = left[0]
+            cond_names: set[str] = set()
+            for lit, col in condition:
+                if lit.name == target.name:
+                    raise ParseError(f"target {target.name!r} appears in its own condition",
+                                     lineno, col)
+                if lit.name in cond_names:
+                    raise ParseError(f"variable {lit.name!r} repeated in condition", lineno, col)
+                cond_names.add(lit.name)
+            if not target.positive:
+                target = Literal(target.name, True)
+                value = 1.0 - value
+            cond = tuple(lit for lit, _ in condition)
+            cell = (target.name, frozenset((l.name, l.positive) for l in cond))
+            if cell in seen_cells:
+                raise ParseError(f"duplicate constraint on P({target.name}|...)", lineno, 1)
+            seen_cells.add(cell)
+            constraints.append(ConditionalConstraint(target, cond, value))
+        else:
+            marg_names: set[str] = set()
+            for lit, col in left:
+                if lit.name in marg_names:
+                    raise ParseError(f"variable {lit.name!r} repeated in constraint", lineno, col)
+                marg_names.add(lit.name)
+            lits = tuple(lit for lit, _ in left)
+            cell = frozenset((l.name, l.positive) for l in lits)
+            if cell in seen_cells:
+                raise ParseError("duplicate constraint on the same cell", lineno, 1)
+            seen_cells.add(cell)
+            constraints.append(MarginalConstraint(lits, value))
+
+    return Model(tuple(names), ConstraintSet(tuple(constraints)))
 
 
 def random_positive_table(rng: np.random.Generator, k: int) -> np.ndarray:

@@ -107,6 +107,21 @@ def test_import_registers_every_submodule_unexecuted():
     assert (numpy_before, numpy_after) == (False, True)
 
 
+def test_parsing_leaves_graphops_unexecuted():
+    # type() reads no attribute, so it does not execute a lazy module
+    steps = _child(
+        "import json, types\n"
+        "import maxentbn, test_cold_start\n"
+        "def executed():\n"
+        "    return type(sys.modules['maxentbn.graphops']) is types.ModuleType\n"
+        "models = [test_cold_start._load(name) for name in test_cold_start.MODELS]\n"
+        f"steps = [executed(), {_loaded('numpy')}]\n"
+        "maxentbn.decompose(models[-1])\n"
+        f"steps += [executed(), {_loaded('numpy')}]\n"
+        "print(json.dumps(steps))\n")
+    assert steps == [False, False, True, False]
+
+
 def test_exports_are_their_home_modules_objects():
     import maxentbn
     modules = [importlib.import_module(f"maxentbn.{m}") for m in SUBMODULES + ("options",)]

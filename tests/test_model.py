@@ -1,4 +1,7 @@
 import dataclasses
+import glob
+import os
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +11,8 @@ from helpers import serialize_model
 from maxentbn import (ConditionalConstraint, Literal, MarginalConstraint,
                       ParseError, build_network, neighbor_graph, parse_model,
                       validate_scope_rule)
+
+MODELS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "models")
 
 
 class TestParse:
@@ -178,3 +183,75 @@ class TestRoundTrip:
             assert again == m
             # serialization is a fixed point after one round
             assert serialize_model(again) == serialize_model(m)
+
+
+def _outcome(parse, text):
+    """The parsed model, or the ParseError's message, line and column."""
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return str(exc), exc.line, exc.column
+
+
+def _respaced(text: str, ws: str) -> str:
+    """`text` with `ws` around every token of its constraint lines, as the
+    grammar allows, and a trailing comment on every line."""
+    head, *lines = text.splitlines()
+    lines = [ws + re.sub(r"([()|,~=])", rf"{ws}\1{ws}", line).replace("P", "P" + ws, 1)
+             for line in lines]
+    return "\n".join(f"{line}{ws}# note" for line in [head] + lines) + "\n"
+
+
+class TestParserOracle:
+    """`parse_model` against the character-cursor parser it replaced."""
+
+    @staticmethod
+    def texts():
+        texts = [open(path, encoding="utf-8").read()
+                 for path in sorted(glob.glob(os.path.join(MODELS, "*.cn")))]
+        rng = np.random.default_rng(71)
+        models = [helpers.ring_model(6, 1), helpers.grid_model(4, 2)]
+        models += [helpers.random_model(rng) for _ in range(20)]
+        texts += [serialize_model(m) for m in models]
+        # negated targets, which parsing normalizes, and negated cells
+        texts.append("vars A B C\nP(~A|B)=0.3\nP(~A|~B,C)=0.4\nP(~C)=0.2\nP(B,~C)=0.1\n")
+        return texts
+
+    def test_valid_texts_and_spacing(self):
+        texts = self.texts()
+        spaced = [_respaced(t, ws) for t in texts for ws in (" ", "\t", " \t ")]
+        spaced.append("vars A B\nP (A | ~ B) = 0.5\n")
+        for text in texts + spaced:
+            model = parse_model(text)
+            assert model == helpers.parse_model_cursor(text)
+        # a respaced text is the same model, with the same literals
+        for text in texts:
+            assert parse_model(_respaced(text, " \t ")) == parse_model(text)
+
+    @pytest.mark.parametrize("line", [
+        "P(D)=2", "P(D|A)=x", "P(A|D)=-0.1", "P(A,B|A)=0.5", "P(A,D|A)=0.5", "P(A|A,A)=0.5",
+        "P(A|B,B,A)=0.5", "P(A|~B,D,~B)=0.5", "P(A,~A,D)=0.5", "P(A|B=2", "P(A|B)=0.7 0.3"])
+    def test_first_of_several_errors(self, line):
+        # the checks run in a fixed order, so the first failing one is reported
+        text = f"vars A B C\nP(~A|B)=0.3\n{line}\n"
+        got = _outcome(parse_model, text)
+        assert isinstance(got, tuple) and got == _outcome(helpers.parse_model_cursor, text)
+
+    def test_single_character_mutations(self):
+        rng = np.random.default_rng(72)
+        alphabet = "P()|,~=.-+e0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ_ \t#"
+        texts = [t for t in self.texts() if t.count("\n") <= 40]
+        outcomes = {True: 0, False: 0}
+        for _ in range(2500):
+            lines = texts[rng.integers(len(texts))].splitlines()
+            k = int(rng.integers(len(lines)))
+            line, at = lines[k], int(rng.integers(len(lines[k]) + 1))
+            char = alphabet[rng.integers(len(alphabet))]
+            kind = rng.integers(3)  # replace, insert, delete
+            lines[k] = line[:at] + ("" if kind == 2 else char) + line[at + (kind != 1):]
+            text = "\n".join(lines)
+            got = _outcome(parse_model, text)
+            assert got == _outcome(helpers.parse_model_cursor, text), lines[k]
+            outcomes[isinstance(got, tuple)] += 1
+        # both kinds of outcome are exercised
+        assert min(outcomes.values()) >= 500
