@@ -38,7 +38,8 @@ def _decompose(args, m: model.Model | None = None) -> graphops.Decomposition:
     none, of the graph file the model argument names.  The input is read
     first, so a missing or malformed one is reported before a bad seed."""
     g = graphops.parse_graph_text(_read(args.model)).as_neighbor_graph() if m is None else None
-    opts = graphops.AnnealOptions(seed=args.seed) if args.fill == "anneal" else None
+    seed = {} if args.seed is None else {"seed": args.seed}
+    opts = graphops.AnnealOptions(**seed) if args.fill == "anneal" else None
     if g is None:
         return graphops.decompose(m, args.fill, opts)
     return graphops.fill_in_anneal(g, opts) if opts else graphops.fill_in_greedy(g)
@@ -168,10 +169,10 @@ def _cmd_bench(args) -> int:
 
 
 # Flags some mode leaves unread parse to None when absent, so that a given
-# one can be refused.  Their defaults; the fill-in search reads --seed only
-# when annealing.
+# one can be refused.  Their defaults, but --seed's, which `_decompose`
+# leaves to AnnealOptions, so importing this module executes no graphops.
 _DEFAULTS = {"trace": False, "schedule": options.SolverOptions.schedule, "fill": "greedy",
-             "max_cycles": options.SolverOptions.max_cycles, "seed": graphops.AnnealOptions.seed,
+             "max_cycles": options.SolverOptions.max_cycles,
              "max_iterations": options.SolverOptions.max_iterations}
 _UNREAD = {"solve --method dual": ("trace", "schedule", "max_cycles", "fill", "seed"),
            "solve --method successive": ("max_iterations", "fill", "seed"),
@@ -236,8 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="input is a graph file (nodes/edge lines), not a model")
     p.set_defaults(func=_cmd_decompose)
 
-    p = sub.add_parser("dsep", help="d-separation in the network's directed graph (not an "
-                                    "independence of the max-entropy solution)")
+    p = sub.add_parser("dsep", help="d-separation read off the network's graph, not the solution")
     p.add_argument("model")
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)

@@ -145,7 +145,7 @@ class NeighborGraph:
 
 
 _NAME = r"[A-Za-z_][A-Za-z_0-9]*"
-_LITERALS = rf"\s*~?\s*{_NAME}(?:\s*,\s*~?\s*{_NAME})*"
+_LITERALS = rf"\s*(?:~\s*)?{_NAME}(?:\s*,\s*(?:~\s*)?{_NAME})*"  # one way to match spaces
 _NAME_RE = re.compile(_NAME)
 # a constraint line: the left literals, the condition if any, the value text
 _CONSTRAINT_RE = re.compile(rf"\s*P\s*\(({_LITERALS})(?:\s*\|({_LITERALS}))?\s*\)\s*=\s*(.*)")

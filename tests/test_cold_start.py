@@ -107,19 +107,21 @@ def test_import_registers_every_submodule_unexecuted():
     assert (numpy_before, numpy_after) == (False, True)
 
 
-def test_parsing_leaves_graphops_unexecuted():
+def test_parsing_and_validate_leave_graphops_unexecuted():
     # type() reads no attribute, so it does not execute a lazy module
     steps = _child(
         "import json, types\n"
-        "import maxentbn, test_cold_start\n"
+        "import maxentbn, maxentbn.cli, test_cold_start\n"
         "def executed():\n"
         "    return type(sys.modules['maxentbn.graphops']) is types.ModuleType\n"
         "models = [test_cold_start._load(name) for name in test_cold_start.MODELS]\n"
-        f"steps = [executed(), {_loaded('numpy')}]\n"
+        "codes = [test_cold_start._cli('validate', f'models/{name}')\n"
+        "         for name in test_cold_start.MODELS]\n"
+        f"steps = [codes, executed(), {_loaded('numpy')}]\n"
         "maxentbn.decompose(models[-1])\n"
         f"steps += [executed(), {_loaded('numpy')}]\n"
         "print(json.dumps(steps))\n")
-    assert steps == [False, False, True, False]
+    assert steps == [[0] * len(MODELS), False, False, True, False]
 
 
 def test_exports_are_their_home_modules_objects():

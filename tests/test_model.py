@@ -2,6 +2,7 @@ import dataclasses
 import glob
 import os
 import re
+import time
 
 import numpy as np
 import pytest
@@ -235,6 +236,18 @@ class TestParserOracle:
         # the checks run in a fixed order, so the first failing one is reported
         text = f"vars A B C\nP(~A|B)=0.3\n{line}\n"
         got = _outcome(parse_model, text)
+        assert isinstance(got, tuple) and got == _outcome(helpers.parse_model_cursor, text)
+
+    @pytest.mark.parametrize("sep", [", ", ",  ", " , ~ "])
+    @pytest.mark.parametrize("tail", [") 0.5", " = 0.5", ""])
+    def test_long_rejected_line_fails_fast(self, sep, tail):
+        # a missing '=' or ')' after 40 spaced literals: an ambiguous
+        # pattern would try every split of the spaces before failing
+        names = [f"V{i}" for i in range(40)]
+        text = f"vars {' '.join(names)}\nP({sep.join(names)}{tail}\n"
+        start = time.perf_counter()
+        got = _outcome(parse_model, text)
+        assert time.perf_counter() - start < 0.5
         assert isinstance(got, tuple) and got == _outcome(helpers.parse_model_cursor, text)
 
     def test_single_character_mutations(self):
