@@ -1,17 +1,16 @@
 """Constraint-consistency checking.
 
-Globally: a constraint set is satisfiable iff there is a nonnegative,
-normalized solution to its linear-equality encoding, decided here by
-linear-programming feasibility with a null-space rank test as a fast
-necessary filter.  Locally: on an acyclic clique decomposition it is
-enough to check the first clique alone and every later clique against its
-running-intersection anchor, which keeps each feasibility problem at
-clique size instead of the full state space.
+A constraint set is satisfiable iff its homogeneous linear encoding (a
+`LinearSystem`, one row per constraint) has a nonnegative, normalized
+solution.  Globally: a null-space rank test as a fast necessary filter,
+then one LP over all 2^n states.  Locally, on an acyclic decomposition:
+one LP over the clique tables joined on their separators.  The LP
+writes each row from `dist.constraint_sides` into one reused buffer;
+only the rank test (K >= 2^n) and `mce.DualProblem` read the dense rows.
 
 scipy is imported on first use, by the LP alone (`_tree_witnesses`
-builds its sparse matrix, `_solve_feasible` runs it), so that importing
-the package costs numpy alone; the rank test's SVD is numpy's, and a
-check that the rank test settles loads no scipy.
+builds its sparse matrix, `_solve_feasible` runs it); the rank test's
+SVD is numpy's, so a check that the rank test settles loads no scipy.
 """
 
 from __future__ import annotations
@@ -29,36 +28,37 @@ from .model import Constraint, ConstraintSet, Model
 NULLSPACE_TOL = 1e-10
 
 
+def _write_row(out: np.ndarray, scope: tuple[str, ...], c: Constraint) -> None:
+    """Write c's row, (1-v)*sum(a) - v*sum(b) = 0, into the zeros of `out`,
+    with (a, b) from `dist.constraint_sides`: a = E&x, b = E&~x for P(x|E)=v."""
+    a, b = dist.constraint_sides(scope, c)
+    out[a], out[b] = 1.0 - c.value, -c.value
+
+
 @dataclass(frozen=True)
 class LinearSystem:
-    """Homogeneous encoding of a constraint set over one scope: row k of
-    `matrix` is constraint k, right-hand side 0.  The normalization row
-    (all ones, right-hand side 1) is implied and kept out."""
+    """Homogeneous encoding of the constraints over one scope, a row each
+    (`matrix`, right-hand side 0); the normalization row is implied."""
 
     scope: tuple[str, ...]
     constraints: tuple[Constraint, ...]
-    matrix: np.ndarray
 
     @property
     def size(self) -> int:
         return 1 << len(self.scope)
 
+    @property
+    def matrix(self) -> np.ndarray:
+        """The K x 2^n rows, built anew from the constraints when read."""
+        out = np.zeros((len(self.constraints), self.size))
+        for row, c in zip(out, self.constraints):
+            _write_row(row, self.scope, c)
+        return out
+
 
 def to_linear(cs: ConstraintSet, scope: Sequence[str]) -> LinearSystem:
-    """Encode every constraint whose variables fit in `scope` as the row
-    (1-v)*sum(a) - v*sum(b) = 0, with (a, b) from `dist.constraint_sides`.
-
-    Conditional P(x|E)=v:  (1-v)*sum(E&x) - v*sum(E&~x) = 0.
-    Cell P(E)=v:           sum(E) - v*sum(all) = 0.
-    """
-    scope = tuple(scope)
-    fits = tuple(c for c in cs if c.scope <= set(scope))
-    matrix = np.zeros((len(fits), 1 << len(scope)))
-    for row, c in zip(matrix, fits):
-        a, b = dist.constraint_sides(scope, c)
-        row[a] = 1.0 - c.value
-        row[b] = -c.value
-    return LinearSystem(scope, fits, matrix)
+    """The system of every constraint whose variables fit in `scope`."""
+    return LinearSystem(tuple(scope), tuple(c for c in cs if c.scope <= set(scope)))
 
 
 def rank_nontrivial(ls: LinearSystem) -> bool:
@@ -66,7 +66,7 @@ def rank_nontrivial(ls: LinearSystem) -> bool:
     solution (otherwise no distribution can satisfy the constraints), so
     its rank is below the number of states: always, with fewer rows than
     states; else as counted by singular values above NULLSPACE_TOL times the largest."""
-    if len(ls.matrix) < ls.size:
+    if len(ls.constraints) < ls.size:
         return True
     s = np.linalg.svd(ls.matrix, compute_uv=False)
     return int(np.sum(s > NULLSPACE_TOL * np.amax(s, initial=0.0))) < ls.size
@@ -104,10 +104,7 @@ def _solve_feasible(a_aug, b_eq: np.ndarray, presolve: bool) -> np.ndarray | Non
 
 
 def nonneg_feasible(ls: LinearSystem) -> np.ndarray | None:
-    """A probability vector satisfying all rows, or None.
-
-    Phase-one style feasibility via linear programming.
-    """
+    """A probability vector satisfying all rows, found by the LP, or None."""
     sol = _tree_witnesses([ls], [None])
     return None if sol is None else sol[0]
 
@@ -129,17 +126,22 @@ def _tree_witnesses(systems: Sequence[LinearSystem], anchors: Sequence[int | Non
     rows, cols, vals, sums, b_eq = [], [], [], [], []
     dense_row = np.zeros(offs[-1])  # sums a row in the order a dense a_eq does
     for i, ls in enumerate(systems):
-        r, k, lo, hi = len(b_eq), len(ls.matrix), offs[i], offs[i + 1]
-        at = np.flatnonzero(ls.matrix)
-        rows += [r + at // ls.size, np.full(ls.size, r + k)]
-        cols += [lo + at % ls.size, np.arange(lo, hi)]
-        vals += [ls.matrix.ravel()[at], np.ones(ls.size)]
-        for row in ls.matrix:
-            dense_row[lo:hi] = row
+        lo, hi = offs[i], offs[i + 1]
+        row = dense_row[lo:hi]
+        for c in ls.constraints:
+            _write_row(row, ls.scope, c)
+            at = np.flatnonzero(row)
+            rows.append(np.full(at.size, len(b_eq)))
+            cols.append(lo + at)
+            vals.append(row[at])
             sums.append(dense_row.sum())
-        dense_row[lo:hi] = 0.0
+            b_eq.append(0.0)
+            row[:] = 0.0
+        rows.append(np.full(ls.size, len(b_eq)))
+        cols.append(np.arange(lo, hi))
+        vals.append(np.ones(ls.size))
         sums.append(float(ls.size))
-        b_eq += [0.0] * k + [1.0]
+        b_eq.append(1.0)
     for i, (j, sep) in enumerate(zip(anchors, seps)):
         if sep:
             for t, sign in ((i, 1.0), (j, -1.0)):
@@ -158,7 +160,7 @@ def _tree_witnesses(systems: Sequence[LinearSystem], anchors: Sequence[int | Non
     rows, cols = (np.concatenate(x, dtype=np.int32) for x in (rows, cols))
     a_aug = scipy.sparse.csc_matrix((np.concatenate(vals), (rows, cols)),
                                     shape=(len(b_eq), offs[-1] + 1))
-    del rows, cols, vals, dense_row  # freed before HiGHS runs, which lowers the peak RSS
+    del rows, cols, vals  # freed before HiGHS runs, which lowers the peak RSS
     # presolve pays only where separator rows couple tables
     x = _solve_feasible(a_aug, np.array(b_eq), presolve=len(systems) > 1)
     if x is None:

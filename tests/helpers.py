@@ -62,6 +62,12 @@ HOMELESS_TEXT = "vars A B C\nP(A|B)=0.5\nP(C|B)=0.5\nP(A)=0.1\nP(A,C)=0.9\n"
 HOMELESS_ERROR = (r"constraint P\(A,C\)=0\.9 fits in no clique of the decomposition; "
                   "see the marginal scope-rule warnings")
 
+# C and D each copy A through B, so P(C)=0.2 and P(D)=0.7 cannot both hold.
+# Each clique ({A,B}, {A,C}, {B,D}) passes alone and against its anchor
+# {A,B}; only the joint tree LP sees that C and D disagree about A.
+PAIRWISE_BLIND_TEXT = ("vars A B C D\nP(C|A)=1\nP(C|~A)=0\nP(C)=0.2\nP(B|A)=1\n"
+                       "P(B|~A)=0\nP(D|B)=1\nP(D|~B)=0\nP(D)=0.7\n")
+
 # Six-node ring-of-triangles neighbor graph whose raw clique cover is not
 # acyclic; the reference answer resolves it with a single chord.
 SIXRING_EDGES = [("A", "C"), ("A", "F"), ("C", "F"), ("B", "D"), ("B", "E"),

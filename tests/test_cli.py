@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import helpers
 from maxentbn import engine
 from maxentbn.cli import run
 
@@ -70,6 +71,15 @@ class TestCheck:
         code, out, _ = invoke(capsys, "check", path, "--local")
         assert code == 1
         assert out.splitlines() == ["inconsistent", line]
+
+    def test_local_note_without_culprit(self, tmp_path, capsys):
+        f = tmp_path / "blind.cn"
+        f.write_text(helpers.PAIRWISE_BLIND_TEXT)
+        code, out, _ = invoke(capsys, "check", str(f), "--local")
+        assert code == 1
+        assert out.splitlines() == [
+            "inconsistent", "note: anchor-pairwise checks passed but no jointly "
+                            "calibrated per-clique tables exist"]
 
     def test_local_mining_with_witness(self, capsys):
         code, out, _ = invoke(capsys, "check", "models/mining.cn", "--local",
@@ -375,6 +385,12 @@ class TestQueryVerb:
         # event literals, then --given, as dsep reports them
         code, out, err = invoke(capsys, "query", "models/mining.cn", *flags)
         assert (code, out, err) == (2, "", f"error: unknown variable {first!r}\n")
+
+    def test_zero_probability_condition_exit_2(self, tmp_path, capsys):
+        f = tmp_path / "sure.cn"
+        f.write_text("vars A B\nP(A)=1\nP(B|A)=0.3\n")
+        code, out, err = invoke(capsys, "query", str(f), "--event", "B", "--given", "~A")
+        assert (code, out, err) == (2, "", "error: conditioning event has zero probability\n")
 
     def test_solver_error_reported(self, capsys):
         code, out, err = invoke(capsys, "query", "models/contradiction.cn", "--event", "A")

@@ -1,4 +1,6 @@
+import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from maxentbn import (ConstraintSet, Decomposition, JointTable, RipOrder, decomp
                       fill_in_greedy, global_consistent, local_check, neighbor_graph,
                       parse_model, to_linear)
 from maxentbn.consistency import LinearSystem, nonneg_feasible, rank_nontrivial
-from maxentbn.dist import marginalize, residuals
+from maxentbn.dist import SCOPE_CAP, marginalize, residuals
 
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -79,6 +81,31 @@ class TestToLinear:
             ls = to_linear(ConstraintSet((cc,)), ("A", "B"))
             assert abs(ls.matrix[0] @ sat.probs) < 1e-12
 
+    def test_system_is_its_scope_and_constraints(self):
+        # the rows are derived, not stored, so a system compares and hashes
+        # by what it encodes
+        m = helpers.mining()
+        ls = to_linear(m.constraints, ("A", "C", "D"))
+        same = LinearSystem(("A", "C", "D"), ls.constraints)
+        assert ls == same and hash(ls) == hash(same)
+        assert ls != LinearSystem(("A", "D", "C"), ls.constraints)
+        assert ls != to_linear(m.constraints, ("A", "B", "C", "D"))
+        np.testing.assert_array_equal(ls.matrix, same.matrix)
+
+    def test_checks_read_no_dense_rows(self, monkeypatch):
+        # with fewer rows than states the rank test needs no dense rows, and
+        # the LPs write each row from its sides
+        def dense(self):
+            raise AssertionError("dense rows built")
+
+        want = {"mining": True, "ring-8": True, "contradiction": False}
+        models = {"mining": helpers.mining(), "ring-8": helpers.ring_model(8, 0),
+                  "contradiction": helpers.contradiction()}
+        monkeypatch.setattr(consistency.LinearSystem, "matrix", property(dense))
+        for name, m in models.items():
+            assert global_consistent(m).consistent == want[name], name
+            assert local_check(m, decompose(m)).consistent == want[name], name
+
 
 class TestGlobalConsistent:
     def test_contradictory_quad(self):
@@ -101,6 +128,18 @@ class TestGlobalConsistent:
         m = helpers.model_of("AB")
         report = global_consistent(m)
         assert report.consistent
+
+    def test_scope_cap_refused_before_any_table(self):
+        m = helpers.ring_model(SCOPE_CAP + 1, 0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"{SCOPE_CAP + 1} variables exceed the "
+                                                 f"global-check cap {SCOPE_CAP}"):
+                global_consistent(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (8 << (SCOPE_CAP + 1)) // 100  # one float per state is 16 MB
 
     def test_mining_consistent(self):
         assert global_consistent(helpers.mining()).consistent
@@ -256,6 +295,15 @@ class TestLocalCheck:
         m = helpers.quad()  # one clique: the joint LP that failed is that clique's own
         report = local_check(m, decompose(m))
         assert report.culprit == (fs("A", "B"), fs("A", "B")) and len(calls) == 1
+
+    def test_pairwise_checks_pass_but_tree_fails(self):
+        # no clique fails alone or against its anchor, so no culprit is
+        # named, and the note says why
+        m = parse_model(helpers.PAIRWISE_BLIND_TEXT)
+        report = local_check(m, decompose(m))
+        assert not report.consistent and report.culprit is None
+        assert report.note.startswith("anchor-pairwise checks passed")
+        assert not global_consistent(m).consistent
 
     def test_constraint_without_home_raises(self, monkeypatch):
         # P(A,C) fits in no clique; leaving it out of every clique's rows
@@ -549,7 +597,12 @@ class TestDenseOracles:
 
     def test_rank_pretest_matches_null_space(self):
         # row matrices of every rank, with as many rows as states or more
-        # (as quad has) as well as fewer, and the encodings of random models
+        # (as quad has) as well as fewer, and the encodings of random models;
+        # a LinearSystem derives its rows, so arbitrary rows ride a stand-in
+        def rows(scope, m):
+            return SimpleNamespace(scope=scope, constraints=(None,) * len(m),
+                                   size=1 << len(scope), matrix=m)
+
         rng = np.random.default_rng(45)
         systems = [to_linear(helpers.quad().constraints, ("A", "B"))]
         for _ in range(150):
@@ -558,7 +611,7 @@ class TestDenseOracles:
             k = int(rng.integers(1, 2 * (1 << n) + 1))
             r = int(rng.integers(0, min(k, 1 << n) + 1))
             m = rng.normal(size=(k, r)) @ rng.normal(size=(r, 1 << n))
-            systems.append(LinearSystem(scope, (None,) * k, m))
+            systems.append(rows(scope, m))
         for _ in range(60):
             # as many rows as states or more, one singular value 10^-e and
             # the others in [0.1, 1]: the rank is full iff 10^-e clears the
@@ -569,7 +622,7 @@ class TestDenseOracles:
             v, _ = np.linalg.qr(rng.normal(size=(1 << n, 1 << n)))
             sv = rng.uniform(0.1, 1.0, 1 << n)
             sv[0] = 10.0 ** -float(rng.choice([4, 6, 8, 12, 14]))
-            systems.append(LinearSystem(tuple("ABC"[:n]), (None,) * k, (u * sv) @ v.T))
+            systems.append(rows(tuple("ABC"[:n]), (u * sv) @ v.T))
         for _ in range(60):
             mdl = helpers.random_model(rng, n_vars=int(rng.integers(2, 4)),
                                        n_conditionals=8, n_marginals=2)

@@ -32,6 +32,17 @@ def unreachable_model():
         helpers.cc("C", "~B", 0.5), helpers.mc("~B", 0.0))
 
 
+def zero_chain_model():
+    """The chain A -> B -> ... -> I with P(A)=0.3, P(X|prev)=0.7 and
+    P(X|~prev)=0.4, except P(E|D)=1: two solver tables, and the zero that
+    P(E|D)=1 puts in them sends updates through the guarded Hugin pass."""
+    names = "ABCDEFGHI"
+    cons = [helpers.mc("A", 0.3)]
+    for prev, x in zip(names, names[1:]):
+        cons += [helpers.cc(x, prev, 1.0 if x == "E" else 0.7), helpers.cc(x, "~" + prev, 0.4)]
+    return helpers.model_of(names, *cons)
+
+
 class TestSubsetMarginalUpdate:
     def test_identity(self):
         rng = np.random.default_rng(51)
@@ -384,16 +395,21 @@ class TestDecomposedAgainstOracle:
     @pytest.mark.parametrize("name,max_cycles", [
         ("fig21", 1000), ("mining", 1000), ("quad", 40), ("contradiction", 1000),
         ("unreachable", 50), ("ring6/0", 80), ("ring6/1", 15), ("ring6/2", 15),
-        ("ring8/0", 10), ("ring8/1", 10), ("ring8/2", 10)])
+        ("ring8/0", 10), ("ring8/1", 10), ("ring8/2", 10), ("zero-chain", 1000)])
     def test_trace_matches(self, name, max_cycles, schedule):
         if name.startswith("ring"):
             n, seed = name[4:].split("/")
             m = helpers.ring_model(int(n), int(seed))
         elif name == "unreachable":
             m = unreachable_model()
+        elif name == "zero-chain":
+            m = zero_chain_model()
+            assert len(merge_cliques(decompose(m), SOLVER_TABLE_VARS).rip.order) == 2
         else:
             m = getattr(helpers, name)()
         report = self.agree(m, SolverOptions(schedule=schedule, max_cycles=max_cycles))
+        if name == "zero-chain":  # a zero in the tables: the pass is the guarded one
+            assert report.converged and min(s.table.probs.min() for s in report.cliques) == 0.0
         if report.error is None:
             for e in report.join_edges:
                 child = marginalize(report.cliques[e.child].table, e.separator)

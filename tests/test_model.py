@@ -250,6 +250,11 @@ class TestParserOracle:
         assert time.perf_counter() - start < 0.5
         assert isinstance(got, tuple) and got == _outcome(helpers.parse_model_cursor, text)
 
+    def test_duplicate_cell_in_another_order(self):
+        text = "vars A B\nP(A,~B)=0.1\nP(~B,A)=0.2\n"
+        want = ("line 3, column 1: duplicate constraint on the same cell", 3, 1)
+        assert _outcome(parse_model, text) == _outcome(helpers.parse_model_cursor, text) == want
+
     def test_single_character_mutations(self):
         rng = np.random.default_rng(72)
         alphabet = "P()|,~=.-+e0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ_ \t#"
