@@ -118,9 +118,7 @@ def _tree_witnesses(systems: Sequence[LinearSystem], anchors: Sequence[int | Non
     full joint distribution, so existence matches global consistency.
     Returns the normalized tables, or None when infeasible."""
     import scipy.sparse
-    offs = np.cumsum([0] + [ls.size for ls in systems])
-    seps = [() if j is None else tuple(n for n in ls.scope if n in systems[j].scope)
-            for ls, j in zip(systems, anchors)]
+    offs, edges = dist.join_layout([ls.scope for ls in systems], anchors)
     # (a_eq | a_eq 1) as triplets: table by table its rows and normalization row,
     # then separator blocks; sums is the last column
     rows, cols, vals, sums, b_eq = [], [], [], [], []
@@ -142,10 +140,9 @@ def _tree_witnesses(systems: Sequence[LinearSystem], anchors: Sequence[int | Non
         vals.append(np.ones(ls.size))
         sums.append(float(ls.size))
         b_eq.append(1.0)
-    for i, (j, sep) in enumerate(zip(anchors, seps)):
+    for i, j, sep, sub_i, sub_j in edges:
         if sep:
-            for t, sign in ((i, 1.0), (j, -1.0)):
-                sub = dist.project_index(systems[t].scope, sep)
+            for t, sub, sign in ((i, sub_i, 1.0), (j, sub_j, -1.0)):
                 rows.append(len(b_eq) + sub)
                 cols.append(offs[t] + np.arange(sub.size))
                 vals.append(np.full(sub.size, sign))

@@ -107,6 +107,18 @@ def project_index(scope: Sequence[str], sub: Sequence[str]) -> np.ndarray:
     return out
 
 
+def join_layout(scopes: Sequence[tuple[str, ...]], anchors: Sequence[int | None]) -> tuple:
+    """Tables over the ordered `scopes`, back to back in one flat vector:
+    each table's offset (the total size last), and per table i with an
+    anchor j the edge (i, j, separator in i's order, i's index map, j's
+    index map), by `project_index`.  An empty separator keeps its edge."""
+    offsets = np.cumsum([0] + [1 << len(s) for s in scopes]).tolist()
+    seps = [(i, j, tuple(n for n in scopes[i] if n in scopes[j]))
+            for i, j in enumerate(anchors) if j is not None]
+    return offsets, [(i, j, s, project_index(scopes[i], s), project_index(scopes[j], s))
+                     for i, j, s in seps]
+
+
 def marginalize(table: JointTable, subscope: Sequence[str]) -> JointTable:
     """Sum the table down to `subscope`, in the order given."""
     subscope = tuple(subscope)

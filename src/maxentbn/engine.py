@@ -41,7 +41,7 @@ import numpy as np
 
 from . import dist, mce
 from .dist import PROB_FLOOR, JointTable, marginalize
-from .graphops import Decomposition, RipOrder, constraint_homes, merge_cliques
+from .graphops import Decomposition, constraint_homes, merge_cliques
 from .mce import UpdateTrace
 from .model import Constraint, Literal, Model
 from .options import DEFAULT_SUCCESSIVE_TOL, SolverOptions, UnreachableConstraintError
@@ -76,11 +76,6 @@ class SolveReport:
     error: str | None = None
 
 
-def _join_edges(model: Model, rip: RipOrder) -> tuple[JoinEdge, ...]:
-    return tuple(JoinEdge(i, rip.anchors[i], model.ordered_scope(rip.separator(i)))
-                 for i in range(1, len(rip.order)))
-
-
 def solve_decomposed(model: Model, d: Decomposition,
                      opts: SolverOptions | None = None,
                      record: bool = True) -> SolveReport:
@@ -101,7 +96,7 @@ def solve_decomposed(model: Model, d: Decomposition,
     homes = constraint_homes(model, d)
     tree = merge_cliques(d, SOLVER_TABLE_VARS)
     scopes = [model.ordered_scope(c) for c in tree.rip.order]
-    offsets = np.cumsum([0] + [1 << len(s) for s in scopes]).tolist()
+    offsets, edges = dist.join_layout(scopes, tree.rip.anchors)
     p = np.concatenate([dist.uniform(s).probs for s in scopes])
     views = [p[lo:hi] for lo, hi in zip(offsets, offsets[1:])]
     # a constraint's table is its home clique's group, which is, by the
@@ -115,14 +110,11 @@ def solve_decomposed(model: Model, d: Decomposition,
     # entry has one either and the zero-mass check can be skipped.
     stored: list[np.ndarray] = []
     adjacency: dict[int, list[tuple[int, int, np.ndarray, np.ndarray]]] = {}
-    for e in _join_edges(model, tree.rip):
-        if not e.separator:
-            continue
-        sub_c = dist.project_index(scopes[e.child], e.separator)
-        sub_p = dist.project_index(scopes[e.parent], e.separator)
-        adjacency.setdefault(e.child, []).append((e.parent, len(stored), sub_c, sub_p))
-        adjacency.setdefault(e.parent, []).append((e.child, len(stored), sub_p, sub_c))
-        stored.append(dist.uniform(e.separator).probs.copy())
+    for child, parent, sep, sub_c, sub_p in edges:
+        if sep:
+            adjacency.setdefault(child, []).append((parent, len(stored), sub_c, sub_p))
+            adjacency.setdefault(parent, []).append((child, len(stored), sub_p, sub_c))
+            stored.append(dist.uniform(sep).probs.copy())
 
     # per start table, the directed edges (edge, sender, receiver,
     # sub_sender, sub_receiver, separator states) in depth-first order
@@ -158,13 +150,13 @@ def solve_decomposed(model: Model, d: Decomposition,
 
     trace, magnitudes, error = mce._successive(p, kernels, opts, record, propagate)
     # each clique of d reads its marginal of its group's slice of p
-    states = []
-    for i, (cl, g) in enumerate(zip(d.rip.order, tree.groups)):
-        s = model.ordered_scope(cl)
+    states, cliques = [], [model.ordered_scope(cl) for cl in d.rip.order]
+    for i, (s, g) in enumerate(zip(cliques, tree.groups)):
         m = np.bincount(dist.project_index(scopes[g], s), views[g], 1 << len(s))
         states.append(CliqueState(s, JointTable(s, m / m.sum()),
                                   tuple(c for c, h in zip(model.constraints, homes) if h == i)))
-    return SolveReport(states, _join_edges(model, d.rip), magnitudes, trace.converged,
+    join_edges = tuple(JoinEdge(*e[:3]) for e in dist.join_layout(cliques, d.rip.anchors)[1])
+    return SolveReport(states, join_edges, magnitudes, trace.converged,
                        trace.cycles, trace, None if error is None else str(error))
 
 

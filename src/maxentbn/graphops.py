@@ -18,11 +18,11 @@ imports it when it first needs it.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from .model import BeliefNetwork, Model, NeighborGraph, neighbor_graph
+from .options import is_integer
 
 
 @dataclass(frozen=True)
@@ -84,9 +84,9 @@ class AnnealOptions:
     def __post_init__(self):
         # checked here, since numpy's seeding, which would refuse it, runs
         # only when a graph is not chordal
-        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+        if not is_integer(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, not {self.seed!r}")
-        if not isinstance(self.restarts, numbers.Integral) or self.restarts < 1:
+        if not is_integer(self.restarts) or self.restarts < 1:
             raise ValueError(f"restarts must be at least 1 and an integer, not {self.restarts!r}")
 
 

@@ -42,7 +42,7 @@ import numpy as np
 
 from . import consistency, dist
 from .dist import JointTable, PROB_FLOOR, residuals
-from .model import ConditionalConstraint, Constraint, ConstraintSet
+from .model import Constraint, ConstraintSet
 from .options import (DEFAULT_DUAL_TOL, DEFAULT_SUCCESSIVE_TOL, SCHEDULE_GRADIENT,
                       SCHEDULE_ROUND_ROBIN, ConvergenceError, SolverOptions,
                       UnreachableConstraintError)
@@ -156,19 +156,13 @@ class Kernel:
             table *= np.array((g, g * up, g * down))[self.code]
 
 
-def apply_constraint(prior: JointTable, c: Constraint) -> JointTable:
-    """Closed-form cross-entropy projection of the prior onto one
-    constraint; the constraint holds exactly afterwards."""
+def conditional_update(prior: JointTable, c: Constraint) -> JointTable:
+    """Closed-form cross-entropy projection onto one constraint, which then
+    holds exactly: an exponential tilt for a conditional, Jeffrey's rule for a cell."""
     p = np.array(prior.probs)
     k = Kernel(c, prior.scope)
     k.apply(p, p[k.code == 1].sum(), p[k.code == 2].sum())
     return JointTable(prior.scope, p)
-
-
-def conditional_update(prior: JointTable, cc: ConditionalConstraint) -> JointTable:
-    """Exponential-tilt projection onto P(target|condition) = v; states
-    outside the conditioning event keep their relative weights."""
-    return apply_constraint(prior, cc)
 
 
 class DualProblem:

@@ -18,6 +18,10 @@ SCHEDULE_GRADIENT = "gradient"
 SCHEDULE_ROUND_ROBIN = "round-robin"
 
 
+def is_integer(value) -> bool:  # a bool is a numbers.Integral, but no count or seed
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 class ConvergenceError(RuntimeError):
     """Solver failed to drive residuals below tolerance."""
 
@@ -41,7 +45,7 @@ class SolverOptions:
         if self.tolerance is not None and not 0 < self.tolerance < math.inf:
             raise ValueError("tolerance must be positive and finite")
         for name in ("max_iterations", "max_cycles"):
-            if not isinstance(getattr(self, name), numbers.Integral):
+            if not is_integer(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer, not {getattr(self, name)!r}")
         if self.max_iterations < 1 or self.max_cycles < 1:
             raise ValueError("iteration caps must be at least 1")

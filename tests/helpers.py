@@ -29,7 +29,7 @@ from maxentbn.graphops import ANNEAL_COOLING, ANNEAL_MOVES, ANNEAL_PROBES, cliqu
 from maxentbn.dist import (PROB_FLOOR, ResidualEntry, ResidualReport, constraint_sides,
                            event_mask, probability, project_index)
 from maxentbn.mce import (DEFAULT_SUCCESSIVE_TOL, SCHEDULE_ROUND_ROBIN,
-                          TraceEvent, apply_constraint)
+                          TraceEvent, conditional_update)
 
 # Directed 2-cycle model: P(A|B)=0.7, P(B|A)=0.8.
 FIG21_TEXT = "vars A B\nP(A|B)=0.7\nP(B|A)=0.8\n"
@@ -757,7 +757,7 @@ def successive_solve_oracle(prior, cs, opts=None):
 def jeffrey_update(prior, mc):
     """Jeffrey's rule by the package's update rule: the event block gets
     mass v and its complement 1-v, each rescaled proportionally."""
-    return apply_constraint(prior, mc)
+    return conditional_update(prior, mc)
 
 
 def subset_marginal_update(table, new_marginal):

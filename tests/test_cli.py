@@ -7,8 +7,9 @@ import sys
 import pytest
 
 import helpers
-from maxentbn import engine
+from maxentbn import decompose, engine, parse_model
 from maxentbn.cli import run
+from maxentbn.graphops import merge_cliques
 
 # the package source, for subprocesses that import it under another hash seed
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -298,6 +299,15 @@ ROUTE_GOLDEN += [("query-mining-spans-cliques", ("query", "models/mining.cn", "-
 # the tables after cycle 5, the last of the paper's trajectory (helpers.TABLE71)
 ROUTE_GOLDEN += [("mining-decomposed-5-cycles",
                   ("solve", "models/mining.cn", "--method", "decomposed", "--max-cycles", "5"))]
+# a model whose solver tree has two tables, so that its routes cross a separator:
+# helpers.serialize_model(helpers.ring_model(8, 0)), solved on two 64-state tables
+# joined on {X2,X3,X6,X7}; the witness is not pinned, since the LP's optimal point
+# may differ between HiGHS versions
+ROUTE_GOLDEN += [
+    ("ring-8-decomposed", ("solve", "tests/ring-8.cn", "--method", "decomposed")),
+    ("query-ring-8-event", ("query", "tests/ring-8.cn", "--event", "X0,X1")),
+    ("check-ring-8-local", ("check", "tests/ring-8.cn", "--local")),
+    ("decompose-ring-8", ("decompose", "tests/ring-8.cn"))]
 
 
 @pytest.mark.parametrize("name,argv", ROUTE_GOLDEN, ids=[n for n, _ in ROUTE_GOLDEN])
@@ -305,6 +315,15 @@ def test_route_output_matches_golden(capsys, name, argv):
     code, out, err = invoke(capsys, *argv)
     with open(f"tests/golden/{name}.out", encoding="utf-8", newline="") as fh:
         assert f"exit {code}\n--- stdout\n{out}--- stderr\n{err}" == fh.read()
+
+
+def test_ring_8_file_solves_on_two_tables():
+    with open("tests/ring-8.cn", encoding="utf-8") as fh:
+        model = parse_model(fh.read())
+    assert model == helpers.ring_model(8, 0)
+    tree = merge_cliques(decompose(model), engine.SOLVER_TABLE_VARS)
+    assert [len(s) for s in tree.rip.order] == [6, 6]
+    assert tree.rip.separator(1) == {"X2", "X3", "X6", "X7"}
 
 
 class TestUnreadFlags:

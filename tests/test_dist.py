@@ -9,7 +9,11 @@ from maxentbn import (ConditionalConstraint, ConstraintSet, JointTable, Literal,
                       MarginalConstraint, NeighborGraph,
                       check_ci, check_mrf, marginalize,
                       neighbor_graph, residuals, serialize_table, uniform)
-from maxentbn.dist import constraint_sides, event_mask, probability, project_index
+from maxentbn import SolverOptions, decompose, solve_decomposed
+from maxentbn.dist import (constraint_sides, event_mask, join_layout, probability,
+                           project_index)
+from maxentbn.engine import JoinEdge
+from maxentbn.graphops import merge_cliques
 
 
 def table(scope, values):
@@ -115,6 +119,55 @@ class TestProjectIndex:
     def test_unknown_variable(self):
         with pytest.raises(ValueError, match="not in scope"):
             project_index(("A",), ("B",))
+
+
+class TestJoinLayout:
+    """`join_layout` on the fine join tree `d` and the solver tree
+    `merge_cliques(d, 6)`, each edge against the definitions: a separator
+    is a set's overlap with every earlier set of the order."""
+
+    @staticmethod
+    def _models():
+        rng = np.random.default_rng(23)
+        return ([helpers.ring_model(n, 0) for n in (4, 8, 12)]
+                + [helpers.grid_model(h, 0) for h in (2, 4)]
+                + [helpers.random_model(rng) for _ in range(40)])
+
+    def test_edges_match_definitions(self):
+        trees = empty = 0
+        for m in self._models():
+            d = decompose(m)
+            for rip in (d.rip, merge_cliques(d, 6).rip):
+                scopes = [m.ordered_scope(c) for c in rip.order]
+                offsets, edges = join_layout(scopes, rip.anchors)
+                assert offsets[0] == 0 and len(offsets) == len(scopes) + 1
+                assert [hi - lo for lo, hi in zip(offsets, offsets[1:])] == [
+                    2 ** len(s) for s in scopes]
+                assert [e[:2] for e in edges] == list(enumerate(rip.anchors))[1:]
+                for i, j, sep, sub_i, sub_j in edges:
+                    assert sep == m.ordered_scope(helpers.separator_oracle(rip, i))
+                    np.testing.assert_array_equal(sub_i, project_index(scopes[i], sep))
+                    np.testing.assert_array_equal(sub_j, project_index(scopes[j], sep))
+                    empty += not sep
+                trees += len(rip.order) > 1
+        assert trees > 20 and empty > 0  # some draws have a variable in no constraint
+
+    def test_separator_in_the_childs_order_and_empty_kept(self):
+        scopes = [("A", "B", "C"), ("C", "B", "D"), ("E",)]
+        offsets, edges = join_layout(scopes, [None, 0, 0])
+        assert offsets == [0, 8, 16, 18]
+        assert [e[:3] for e in edges] == [(1, 0, ("C", "B")), (2, 0, ())]
+        np.testing.assert_array_equal(edges[0][3], project_index(scopes[1], ("C", "B")))
+        np.testing.assert_array_equal(edges[0][4], project_index(scopes[0], ("C", "B")))
+        assert edges[1][3].tolist() == [0] * 2 and edges[1][4].tolist() == [0] * 8
+
+    def test_report_join_edges_are_the_fine_trees(self):
+        for m in self._models():
+            d = decompose(m)
+            report = solve_decomposed(m, d, SolverOptions(max_cycles=1), record=False)
+            assert report.join_edges == tuple(
+                JoinEdge(i, d.rip.anchors[i], m.ordered_scope(d.rip.separator(i)))
+                for i in range(1, len(d.rip.order)))
 
 
 class TestConstraintSides:

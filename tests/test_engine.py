@@ -17,7 +17,7 @@ from maxentbn.dist import residuals
 from maxentbn.engine import SOLVER_TABLE_VARS
 from maxentbn.graphops import constraint_homes, merge_cliques
 from maxentbn.mce import (SCHEDULE_ROUND_ROBIN, TraceEvent, UnreachableConstraintError,
-                         UpdateLog, UpdateTrace, apply_constraint)
+                         UpdateLog, UpdateTrace, conditional_update)
 from maxentbn.model import ConstraintSet
 
 
@@ -278,7 +278,7 @@ class TestSolveDecomposed:
                 assert abs(ev.residual_before) == pytest.approx(mags[applied],
                                                                 abs=1e-12)
             i = home[applied]
-            states[i] = apply_constraint(states[i], ev.constraint)
+            states[i] = conditional_update(states[i], ev.constraint)
             # eager outward propagation
             stack = [(i, -1)]
             while stack:

@@ -338,13 +338,13 @@ class TestFillIn:
         with pytest.raises(ValueError, match="restarts must be at least 1"):
             AnnealOptions(restarts=0)
 
-    @pytest.mark.parametrize("restarts", [2.5, "3", None], ids=repr)
+    @pytest.mark.parametrize("restarts", [2.5, "3", None, True], ids=repr)
     def test_anneal_restarts_is_an_integer(self, restarts):
         # refused at once, also where the graph is chordal and no restart runs
         with pytest.raises(ValueError, match="restarts must be at least 1 and an integer"):
             AnnealOptions(restarts=restarts)
 
-    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None], ids=repr)
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None, True], ids=repr)
     def test_anneal_seed_is_a_non_negative_integer(self, seed):
         # refused at once, also where the graph is chordal and no seed is read
         with pytest.raises(ValueError, match="seed must be a non-negative integer"):

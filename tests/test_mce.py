@@ -11,7 +11,7 @@ from maxentbn import (ConstraintSet, ConvergenceError, JointTable, Literal,
                       conditional_update, mce_dual_solve,
                       residuals, successive_solve, uniform)
 from maxentbn.dist import PROB_FLOOR, probability
-from maxentbn.mce import DualProblem, SCHEDULE_ROUND_ROBIN, apply_constraint
+from maxentbn.mce import DualProblem, SCHEDULE_ROUND_ROBIN
 from maxentbn.model import ConditionalConstraint
 
 
@@ -153,8 +153,9 @@ class TestSolverOptions:
         with pytest.raises(ValueError, match="iteration caps must be at least 1"):
             SolverOptions(**{field: 0})
 
+    # True is a numbers.Integral, and max_cycles=True would run one cycle
     @pytest.mark.parametrize("field", ["max_cycles", "max_iterations"])
-    @pytest.mark.parametrize("value", [2.5, "3", None], ids=repr)
+    @pytest.mark.parametrize("value", [2.5, "3", None, True], ids=repr)
     def test_caps_are_integers(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             SolverOptions(**{field: value})
@@ -386,7 +387,7 @@ class TestOracleEquivalence:
             c = (helpers.cc("A", "B", float(rng.uniform(0.05, 0.95)))
                  if rng.integers(2) else
                  helpers.mc("A", float(rng.uniform(0.05, 0.95))))
-            out = apply_constraint(prior, c)
+            out = conditional_update(prior, c)
             assert out.probs.min() >= 0.0
             assert out.probs.sum() == pytest.approx(1.0, abs=1e-12)
             assert residuals(out, ConstraintSet((c,))).max_magnitude <= 1e-12
@@ -424,7 +425,7 @@ class TestKernelAgainstOracle:
             prior = JointTable(scope, helpers.random_positive_table(rng, k))
             c = self._random_constraint(rng, scope)
             kinds.add((type(c).__name__, c.value in (0.0, 1.0)))
-            got = apply_constraint(prior, c)
+            got = conditional_update(prior, c)
             want = helpers.oracle_update(prior, c)
             np.testing.assert_allclose(got.probs, want.probs, rtol=0, atol=1e-12,
                                        err_msg=f"trial {trial}: {c}")
@@ -442,7 +443,7 @@ class TestKernelAgainstOracle:
                 continue
             prior = JointTable(scope, p / p.sum())
             c = self._random_constraint(rng, scope)
-            got = self._outcome(apply_constraint, prior, c)
+            got = self._outcome(conditional_update, prior, c)
             want = self._outcome(helpers.oracle_update, prior, c)
             assert (got is None) == (want is None), f"trial {trial}: {c} on {p}"
             if got is None:
