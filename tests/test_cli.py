@@ -1,6 +1,7 @@
 import glob
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -308,6 +309,17 @@ ROUTE_GOLDEN += [
     ("query-ring-8-event", ("query", "tests/ring-8.cn", "--event", "X0,X1")),
     ("check-ring-8-local", ("check", "tests/ring-8.cn", "--local")),
     ("decompose-ring-8", ("decompose", "tests/ring-8.cn"))]
+# the tab-separated tables of a full joint and of two clique tables
+ROUTE_GOLDEN += [
+    ("fig21-dual-tsv", ("solve", "models/fig21.cn", "--method", "dual", "--format", "tsv")),
+    ("mining-decomposed-tsv",
+     ("solve", "models/mining.cn", "--method", "decomposed", "--format", "tsv"))]
+# witnesses of a model whose constraints fix its joint, so that every LP
+# solver returns the same one, through the global and the clique-local check
+ROUTE_GOLDEN += [
+    ("check-determined-witness", ("check", "tests/determined.cn", "--witness")),
+    ("check-determined-local-witness",
+     ("check", "tests/determined.cn", "--local", "--witness"))]
 
 
 @pytest.mark.parametrize("name,argv", ROUTE_GOLDEN, ids=[n for n, _ in ROUTE_GOLDEN])
@@ -456,6 +468,18 @@ class TestBenchVerb:
         assert code == 0
         assert "speedup:" in out
         assert "max marginal deviation:" in out
+
+    def test_five_line_layout(self, capsys):
+        # the timings vary from run to run, so each line's shape is matched
+        code, out, _ = invoke(capsys, "bench", "models/fig21.cn")
+        assert code == 0
+        shapes = [r"tolerance: 0\.0001", r"dual solve: \d+\.\d{3} ms",
+                  r"decomposed successive: \d+\.\d{3} ms", r"speedup: \d+\.\d{2}x",
+                  r"max marginal deviation: \d\.\d{2}e[+-]\d{2}"]
+        lines = out.split("\n")
+        assert lines[-1] == "" and len(lines) == len(shapes) + 1
+        for shape, line in zip(shapes, lines):
+            assert re.fullmatch(shape, line), (shape, line)
 
     def test_zero_tolerance_exit_2(self, capsys):
         code, out, err = invoke(capsys, "bench", "models/mining.cn", "--tol", "0")
