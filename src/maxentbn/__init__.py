@@ -31,7 +31,7 @@ _EXPORTS = {
                  "decompose", "fill_in_anneal", "fill_in_greedy", "graham_acyclic",
                  "maximal_cliques", "parse_graph_text", "rip_order"),
     "dist": ("JointTable", "ResidualEntry", "ResidualReport", "check_ci", "check_mrf",
-             "marginalize", "probability", "residuals", "serialize_table", "uniform"),
+             "marginalize", "probability", "residuals", "uniform"),
     "mce": ("UpdateTrace", "conditional_update", "mce_dual_solve", "successive_solve"),
     "consistency": ("ConsistencyReport", "LinearSystem", "global_consistent", "local_check",
                     "to_linear"),

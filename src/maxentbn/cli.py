@@ -1,8 +1,9 @@
-"""Command-line front end.
+"""Command-line front end, and every text format of a result.
 
 Verbs: validate, check, decompose, dsep, solve, query, bench.
 Exit codes: 0 success, 1 detected inconsistency or non-convergence,
-2 usage or parse errors.
+2 usage or parse errors.  The library returns data; the `format_*`
+functions here write it as the verbs print it.
 """
 
 from __future__ import annotations
@@ -53,16 +54,70 @@ def _solver_opts(args) -> options.SolverOptions:
         schedule=args.schedule)
 
 
-def _print_table(table: dist.JointTable, fmt: str, label: str = "") -> None:
+def _state_row(table: dist.JointTable, s: int, sep: str) -> str:
+    """State `s` of `table`: its bits, `sep`, then its probability."""
+    return f"{s:0{len(table.scope)}b}{sep}{table.probs[s]:.6f}"
+
+
+def _clique_label(clique) -> str:
+    """`{A,B}`: a clique's names, sorted."""
+    return "{" + ",".join(sorted(clique)) + "}"
+
+
+def format_table(table: dist.JointTable, fmt: str = "text") -> str:
+    """A `scope` header, then one `<bits> <probability>` row per state; in
+    `tsv`, each row is the scope, the bits and the probability, tab-separated."""
+    scope = " ".join(table.scope)
     if fmt == "tsv":
-        scope = " ".join(table.scope)
-        for s in range(table.size):
-            bits = f"{s:0{len(table.scope)}b}"
-            print(f"{scope}\t{bits}\t{table.probs[s]:.6f}")
+        lines = [f"{scope}\t" + _state_row(table, s, "\t") for s in range(table.size)]
     else:
-        if label:
-            print(label)
-        print(dist.serialize_table(table), end="")
+        lines = [f"scope {scope}"] + [_state_row(table, s, " ") for s in range(table.size)]
+    return "\n".join(lines) + "\n"
+
+
+def format_trace(trace: mce.UpdateTrace) -> str:
+    """One `<cycle> <constraint> <residual before>` line per update, tab-separated."""
+    lines = []
+    for e in trace.events:
+        r = "undefined" if e.residual_before is None else f"{e.residual_before:.6g}"
+        lines.append(f"{e.cycle}\t{e.constraint}\t{r}")
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def format_decomposition(d: graphops.Decomposition) -> str:
+    fill = sorted(tuple(sorted(e)) for e in d.fill_in)
+    lines = ["fill-in: " + (", ".join("(%s,%s)" % e for e in fill) if fill else "none"),
+             "cliques: " + "; ".join(map(_clique_label, d.cliques))]
+    rip_bits = [_clique_label(s) + ("" if a is None else f"<-{a}")
+                for s, a in zip(d.rip.order, d.rip.anchors)]
+    lines.append("rip order: " + " ".join(rip_bits))
+    lines.append(f"cost: {d.cost}")
+    return "\n".join(lines) + "\n"
+
+
+def format_report(report: consistency.ConsistencyReport, m: model.Model,
+                  show_witnesses: bool = False) -> str:
+    lines = ["consistent" if report.consistent else "inconsistent"]
+    for clique, _ in report.witnesses:
+        scope = ",".join(m.ordered_scope(clique))
+        count = sum(1 for c in m.constraints if c.scope <= clique)
+        lines.append(f"clique {{{scope}}}: {count} constraints")
+    if report.culprit is not None:
+        # a clique that fails alone is a culprit pair of itself
+        lines.append("culprit: " + " vs ".join(map(_clique_label, dict.fromkeys(report.culprit))))
+    if report.note:
+        lines.append(f"note: {report.note}")
+    if show_witnesses:
+        lines += [format_table(table).rstrip("\n") for _, table in report.witnesses]
+    return "\n".join(lines) + "\n"
+
+
+def format_bench(b: engine.BenchReport) -> str:
+    return (f"tolerance: {b.tolerance:g}\n"
+            f"dual solve: {b.dual_seconds * 1e3:.3f} ms\n"
+            f"decomposed successive: {b.successive_seconds * 1e3:.3f} ms\n"
+            f"speedup: {b.speedup:.2f}x\n"
+            f"max marginal deviation: {b.max_marginal_deviation:.2e}\n")
 
 
 def _cmd_validate(args) -> int:
@@ -79,13 +134,13 @@ def _cmd_check(args) -> int:
         report = consistency.local_check(m, _decompose(args, m))
     else:
         report = consistency.global_consistent(m)
-    print(consistency.format_report(report, m, show_witnesses=args.witness), end="")
+    print(format_report(report, m, show_witnesses=args.witness), end="")
     return 0 if report.consistent else 1
 
 
 def _cmd_decompose(args) -> int:
     d = _decompose(args, None if args.graph else _load_model(args.model))
-    print(graphops.format_decomposition(d), end="")
+    print(format_decomposition(d), end="")
     return 0
 
 
@@ -105,25 +160,27 @@ def _cmd_solve(args) -> int:
     opts = _solver_opts(args)
     if args.method == "dual":
         table = mce.mce_dual_solve(dist.uniform(m.names), m.constraints, opts)
-        _print_table(table, args.format)
+        print(format_table(table, args.format), end="")
         print("converged: yes")
         return 0
     if args.method == "successive":
         table, trace = mce.successive_solve(dist.uniform(m.names), m.constraints, opts)
-        _print_table(table, args.format)
+        print(format_table(table, args.format), end="")
         print(f"converged: {'yes' if trace.converged else 'no'} "
               f"({trace.cycles} cycles, {len(trace.events)} updates)")
         if args.trace:
-            print(trace.to_tsv(), end="")
+            print(format_trace(trace), end="")
         return 0 if trace.converged else 1
     report = engine.solve_decomposed(m, _decompose(args, m), opts, record=args.trace)
     for state in report.cliques:
-        _print_table(state.table, args.format, label="clique " + ",".join(state.scope))
+        if args.format == "text":
+            print("clique " + ",".join(state.scope))
+        print(format_table(state.table, args.format), end="")
     print(_outcome(report))
     if report.error:
         return 1
     if args.trace:
-        print(report.trace.to_tsv(), end="")
+        print(format_trace(report.trace), end="")
     return 0 if report.converged else 1
 
 
@@ -164,7 +221,7 @@ def _cmd_bench(args) -> int:
     if not report.converged:  # a speedup to an unfinished solve means nothing
         print(_outcome(report))
         return 1
-    print(engine.format_bench(timing), end="")
+    print(format_bench(timing), end="")
     return 0
 
 

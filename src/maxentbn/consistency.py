@@ -175,10 +175,6 @@ class ConsistencyReport:
     culprit: tuple[frozenset[str], frozenset[str]] | None = None
     note: str = ""
 
-    @property
-    def verdict(self) -> str:
-        return "consistent" if self.consistent else "inconsistent"
-
 
 def global_consistent(model: Model) -> ConsistencyReport:
     """Global check over the full state space: rank pre-test first,
@@ -208,8 +204,9 @@ def local_check(model: Model, d: Decomposition) -> ConsistencyReport:
     When it is infeasible, the culprit is the first failing relaxation of
     it: the first clique alone, then each later clique paired with its
     anchor.  All of these pass only when the chain of pairwise checks
-    misses a longer-range contradiction.  Each clique is encoded once, and
-    its rows serve every one of these problems.
+    misses a longer-range contradiction.  Each of these LPs writes its rows
+    from the constraints (`dist.constraint_sides`) as it is built, so a
+    clique is encoded once for each LP that holds it; the LP costs far more.
     """
     constraint_homes(model, d)
     order, anchors = d.rip.order, d.rip.anchors
@@ -229,22 +226,3 @@ def local_check(model: Model, d: Decomposition) -> ConsistencyReport:
         False, rank_ok=None, feasible=False, witnesses=(), culprit=culprit,
         note="" if culprit else "anchor-pairwise checks passed but no jointly "
                                 "calibrated per-clique tables exist")
-
-
-def format_report(report: ConsistencyReport, model: Model,
-                  show_witnesses: bool = False) -> str:
-    lines = [report.verdict]
-    for clique, _ in report.witnesses:
-        scope = ",".join(model.ordered_scope(clique))
-        count = sum(1 for c in model.constraints if c.scope <= clique)
-        lines.append(f"clique {{{scope}}}: {count} constraints")
-    if report.culprit is not None:
-        # a clique that fails alone is a culprit pair of itself
-        lines.append("culprit: " + " vs ".join(
-            "{%s}" % ",".join(sorted(c)) for c in dict.fromkeys(report.culprit)))
-    if report.note:
-        lines.append(f"note: {report.note}")
-    if show_witnesses:
-        for _, table in report.witnesses:
-            lines.append(dist.serialize_table(table).rstrip("\n"))
-    return "\n".join(lines) + "\n"

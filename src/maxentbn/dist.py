@@ -247,12 +247,3 @@ def check_mrf(table: JointTable, ng: NeighborGraph, tol: float = DEFAULT_CHECK_T
         if diff[tot > PROB_FLOOR].size and diff[tot > PROB_FLOOR].max() > tol:
             return False
     return True
-
-
-def serialize_table(table: JointTable) -> str:
-    """One `<bits> <probability>` line per state after a scope header."""
-    k = len(table.scope)
-    lines = ["scope " + " ".join(table.scope)]
-    for s in range(table.size):
-        lines.append(f"{s:0{k}b} {table.probs[s]:.6f}")
-    return "\n".join(lines) + "\n"

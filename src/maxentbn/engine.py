@@ -226,11 +226,3 @@ def bench(model: Model, d: Decomposition, opts: SolverOptions | None = None,
         exact = marginalize(joint, state.scope)
         deviation = max(deviation, float(np.abs(exact.probs - state.table.probs).max()))
     return (BenchReport(dual_best, succ_best, deviation, timed_opts.tolerance), report, joint)
-
-
-def format_bench(b: BenchReport) -> str:
-    return (f"tolerance: {b.tolerance:g}\n"
-            f"dual solve: {b.dual_seconds * 1e3:.3f} ms\n"
-            f"decomposed successive: {b.successive_seconds * 1e3:.3f} ms\n"
-            f"speedup: {b.speedup:.2f}x\n"
-            f"max marginal deviation: {b.max_marginal_deviation:.2e}\n")

@@ -466,18 +466,3 @@ def parse_graph_text(text: str) -> GraphText:
     if missing:
         raise ValueError(f"nodes used but not declared: {sorted(missing)}")
     return GraphText(tuple(nodes), frozenset(edges))
-
-
-def format_decomposition(d: Decomposition) -> str:
-    lines = []
-    fill = sorted(map(_edge_key, d.fill_in))
-    lines.append("fill-in: " + (", ".join("(%s,%s)" % e for e in fill) if fill else "none"))
-    lines.append("cliques: " + "; ".join("{" + ",".join(sorted(c)) + "}" for c in d.cliques))
-    rip_bits = []
-    for i, s in enumerate(d.rip.order):
-        a = d.rip.anchors[i]
-        label = "{" + ",".join(sorted(s)) + "}"
-        rip_bits.append(label if a is None else f"{label}<-{a}")
-    lines.append("rip order: " + " ".join(rip_bits))
-    lines.append(f"cost: {d.cost}")
-    return "\n".join(lines) + "\n"

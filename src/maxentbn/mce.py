@@ -100,13 +100,6 @@ class UpdateTrace:
     converged: bool
     cycles: int
 
-    def to_tsv(self) -> str:
-        lines = []
-        for e in self.events:
-            r = "undefined" if e.residual_before is None else f"{e.residual_before:.6g}"
-            lines.append(f"{e.cycle}\t{e.constraint}\t{r}")
-        return "\n".join(lines) + ("\n" if lines else "")
-
 
 class Kernel:
     """One constraint on one table, held as the slice `lo:hi` of the

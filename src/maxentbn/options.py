@@ -42,7 +42,8 @@ class SolverOptions:
     schedule: str = SCHEDULE_GRADIENT
 
     def __post_init__(self):
-        if self.tolerance is not None and not 0 < self.tolerance < math.inf:
+        real = isinstance(self.tolerance, numbers.Real) and not isinstance(self.tolerance, bool)
+        if self.tolerance is not None and not (real and 0 < self.tolerance < math.inf):
             raise ValueError("tolerance must be positive and finite")
         for name in ("max_iterations", "max_cycles"):
             if not is_integer(getattr(self, name)):

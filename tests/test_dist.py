@@ -8,8 +8,9 @@ from helpers import conditional
 from maxentbn import (ConditionalConstraint, ConstraintSet, JointTable, Literal,
                       MarginalConstraint, NeighborGraph,
                       check_ci, check_mrf, marginalize,
-                      neighbor_graph, residuals, serialize_table, uniform)
+                      neighbor_graph, residuals, uniform)
 from maxentbn import SolverOptions, decompose, solve_decomposed
+from maxentbn.cli import format_table
 from maxentbn.dist import (constraint_sides, event_mask, join_layout, probability,
                            project_index)
 from maxentbn.engine import JoinEdge
@@ -348,7 +349,7 @@ class TestCheckMRF:
 class TestSerialize:
     def test_format(self):
         t = table("AB", [0.25, 0.25, 0.125, 0.375])
-        assert serialize_table(t) == (
+        assert format_table(t) == (
             "scope A B\n00 0.250000\n01 0.250000\n10 0.125000\n11 0.375000\n")
 
 

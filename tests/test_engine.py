@@ -13,6 +13,7 @@ from maxentbn import (JointTable, Literal, SolverOptions, bench, check_ci,
                       check_mrf, decompose, fill_in_greedy, global_consistent, marginalize,
                       mce_dual_solve, neighbor_graph, query, solve_decomposed,
                       successive_solve, uniform)
+from maxentbn.cli import format_trace
 from maxentbn.dist import residuals
 from maxentbn.engine import SOLVER_TABLE_VARS
 from maxentbn.graphops import constraint_homes, merge_cliques
@@ -563,7 +564,7 @@ class TestRecordedTrace:
         log.append(0, 0.5)  # two kernels, so the third update is in cycle 2
         assert list(log) == [TraceEvent(1, c2, None), TraceEvent(1, c1, -0.25),
                              TraceEvent(2, c1, 0.5)]
-        assert UpdateTrace(log, False, 2).to_tsv() == (
+        assert format_trace(UpdateTrace(log, False, 2)) == (
             f"1\t{c2}\tundefined\n1\t{c1}\t-0.25\n2\t{c1}\t0.5\n")
 
 

@@ -11,7 +11,8 @@ from maxentbn import (AnnealOptions, BeliefNetwork, Hypergraph, Literal, Neighbo
                       parse_graph_text, rip_order, uniform)
 from maxentbn import engine, graphops
 from maxentbn.consistency import global_consistent
-from maxentbn.graphops import clique_cost, format_decomposition
+from maxentbn.cli import format_decomposition
+from maxentbn.graphops import clique_cost
 from maxentbn.mce import SolverOptions
 
 

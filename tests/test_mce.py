@@ -10,6 +10,7 @@ from maxentbn import (ConstraintSet, ConvergenceError, JointTable, Literal,
                       SolverOptions, UnreachableConstraintError,
                       conditional_update, mce_dual_solve,
                       residuals, successive_solve, uniform)
+from maxentbn.cli import format_trace
 from maxentbn.dist import PROB_FLOOR, probability
 from maxentbn.mce import DualProblem, SCHEDULE_ROUND_ROBIN
 from maxentbn.model import ConditionalConstraint
@@ -169,6 +170,17 @@ class TestSolverOptions:
         # at an infinite tolerance every solve would stop before its first update
         with pytest.raises(ValueError, match="tolerance must be positive and finite"):
             SolverOptions(tolerance=tol)
+
+    # True would compare as 1.0, at which a solve stops before its first
+    # update, and a string would fail the comparison with a TypeError
+    @pytest.mark.parametrize("tol", [True, False, "0.1", float("nan"), float("inf")], ids=repr)
+    def test_tolerance_is_a_real_number(self, tol):
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+            SolverOptions(tolerance=tol)
+
+    @pytest.mark.parametrize("tol", [1, np.float64(1e-6), np.float32(1e-3)], ids=repr)
+    def test_tolerance_takes_any_positive_real(self, tol):
+        assert SolverOptions(tolerance=tol).tolerance == tol
 
 
 class TestDualProblem:
@@ -333,7 +345,7 @@ class TestSuccessive:
     def test_trace_tsv(self):
         cs = ConstraintSet((helpers.cc("A", "B", 0.7),))
         _, trace = successive_solve(uniform(("A", "B")), cs)
-        lines = trace.to_tsv().strip().split("\n")
+        lines = format_trace(trace).strip().split("\n")
         assert lines[0].split("\t")[:2] == ["1", "P(A|B)=0.7"]
 
 
@@ -470,7 +482,7 @@ class TestSuccessiveAgainstOracle:
         prior = uniform(m.names)
         t, trace = successive_solve(prior, m.constraints, opts)
         t_ref, trace_ref = helpers.successive_solve_oracle(prior, m.constraints, opts)
-        assert trace.to_tsv() == trace_ref.to_tsv()
+        assert format_trace(trace) == format_trace(trace_ref)
         assert (trace.converged, trace.cycles) == (trace_ref.converged, trace_ref.cycles)
         np.testing.assert_allclose(t.probs, t_ref.probs, rtol=0, atol=1e-12)
 
@@ -506,7 +518,7 @@ class TestSuccessiveAgainstOracle:
                     continue
                 (t, trace), (t_ref, trace_ref) = got, want
                 # residuals near zero may differ from the oracle's in the
-                # last bit, and in sign, so to_tsv() is compared by field
+                # last bit, and in sign, so format_trace() is compared by field
                 assert ([(e.cycle, str(e.constraint), e.residual_before is None)
                          for e in trace.events]
                         == [(e.cycle, str(e.constraint), e.residual_before is None)
