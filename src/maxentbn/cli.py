@@ -30,7 +30,7 @@ def _names(spec: str | None) -> list[str]:
 
 
 def _literals(spec: str | None) -> list[model.Literal]:
-    return [model.Literal(p[1:], False) if p.startswith("~") else model.Literal(p, True)
+    return [model.Literal(p[1:].strip(), False) if p.startswith("~") else model.Literal(p, True)
             for p in _names(spec)]
 
 
@@ -99,9 +99,8 @@ def format_report(report: consistency.ConsistencyReport, m: model.Model,
                   show_witnesses: bool = False) -> str:
     lines = ["consistent" if report.consistent else "inconsistent"]
     for clique, _ in report.witnesses:
-        scope = ",".join(m.ordered_scope(clique))
         count = sum(1 for c in m.constraints if c.scope <= clique)
-        lines.append(f"clique {{{scope}}}: {count} constraints")
+        lines.append(f"clique {_clique_label(clique)}: {count} constraints")
     if report.culprit is not None:
         # a clique that fails alone is a culprit pair of itself
         lines.append("culprit: " + " vs ".join(map(_clique_label, dict.fromkeys(report.culprit))))
@@ -341,7 +340,7 @@ def run(argv: list[str] | None = None) -> int:
     except model.ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (options.ConvergenceError, options.UnreachableConstraintError) as exc:

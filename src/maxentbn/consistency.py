@@ -141,14 +141,13 @@ def _tree_witnesses(systems: Sequence[LinearSystem], anchors: Sequence[int | Non
         sums.append(float(ls.size))
         b_eq.append(1.0)
     for i, j, sep, sub_i, sub_j in edges:
-        if sep:
-            for t, sub, sign in ((i, sub_i, 1.0), (j, sub_j, -1.0)):
-                rows.append(len(b_eq) + sub)
-                cols.append(offs[t] + np.arange(sub.size))
-                vals.append(np.full(sub.size, sign))
-            # each separator state has the same count of entries in each table
-            sums += [(systems[i].size - systems[j].size) / (1 << len(sep))] * (1 << len(sep))
-            b_eq += [0.0] * (1 << len(sep))
+        for t, sub, sign in ((i, sub_i, 1.0), (j, sub_j, -1.0)):
+            rows.append(len(b_eq) + sub)
+            cols.append(offs[t] + np.arange(sub.size))
+            vals.append(np.full(sub.size, sign))
+        # each separator state has the same count of entries in each table
+        sums += [(systems[i].size - systems[j].size) / (1 << len(sep))] * (1 << len(sep))
+        b_eq += [0.0] * (1 << len(sep))
     at = np.flatnonzero(sums)  # dense-to-sparse drops zero coefficients
     rows.append(at)
     cols.append(np.full(at.size, offs[-1]))

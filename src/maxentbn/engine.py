@@ -108,13 +108,11 @@ def solve_decomposed(model: Model, d: Decomposition,
     # At the end of every pass each stored entry is a sum of current
     # entries of p, so while p has no entry below PROB_FLOOR no stored
     # entry has one either and the zero-mass check can be skipped.
-    stored: list[np.ndarray] = []
+    stored = [dist.uniform(sep).probs for _, _, sep, _, _ in edges]
     adjacency: dict[int, list[tuple[int, int, np.ndarray, np.ndarray]]] = {}
-    for child, parent, sep, sub_c, sub_p in edges:
-        if sep:
-            adjacency.setdefault(child, []).append((parent, len(stored), sub_c, sub_p))
-            adjacency.setdefault(parent, []).append((child, len(stored), sub_p, sub_c))
-            stored.append(dist.uniform(sep).probs.copy())
+    for e, (child, parent, _, sub_c, sub_p) in enumerate(edges):
+        adjacency.setdefault(child, []).append((parent, e, sub_c, sub_p))
+        adjacency.setdefault(parent, []).append((child, e, sub_p, sub_c))
 
     # per start table, the directed edges (edge, sender, receiver,
     # sub_sender, sub_receiver, separator states) in depth-first order
@@ -132,20 +130,17 @@ def solve_decomposed(model: Model, d: Decomposition,
     def propagate(start: int, floor_free: bool) -> None:
         """Hugin pass from `start`: each receiver is scaled by the ratio
         of the sender's separator marginal to the stored one."""
-        if floor_free:
-            for e, send, recv, sub_n, sub_o, ns in passes[start]:
-                new = np.bincount(sub_n, send, ns)
-                recv *= (new / stored[e])[sub_o]
-                stored[e] = new
-            return
         for e, send, recv, sub_n, sub_o, ns in passes[start]:
             new = np.bincount(sub_n, send, ns)
-            old = stored[e]
-            if np.any((new > PROB_FLOOR) & (old < PROB_FLOOR)):
-                raise UnreachableConstraintError(
-                    "separator marginal is positive where the "
-                    "receiving clique has zero mass")
-            recv *= np.divide(new, old, out=np.zeros(ns), where=old > 0.0)[sub_o]
+            if floor_free:
+                recv *= (new / stored[e])[sub_o]
+            else:
+                old = stored[e]
+                if np.any((new > PROB_FLOOR) & (old < PROB_FLOOR)):
+                    raise UnreachableConstraintError(
+                        "separator marginal is positive where the "
+                        "receiving clique has zero mass")
+                recv *= np.divide(new, old, out=np.zeros(ns), where=old > 0.0)[sub_o]
             stored[e] = new
 
     trace, magnitudes, error = mce._successive(p, kernels, opts, record, propagate)
@@ -155,7 +150,8 @@ def solve_decomposed(model: Model, d: Decomposition,
         m = np.bincount(dist.project_index(scopes[g], s), views[g], 1 << len(s))
         states.append(CliqueState(s, JointTable(s, m / m.sum()),
                                   tuple(c for c, h in zip(model.constraints, homes) if h == i)))
-    join_edges = tuple(JoinEdge(*e[:3]) for e in dist.join_layout(cliques, d.rip.anchors)[1])
+    join_edges = tuple(JoinEdge(i, j, model.ordered_scope(d.rip.separator(i)))
+                       for i, j in enumerate(d.rip.anchors) if j is not None)
     return SolveReport(states, join_edges, magnitudes, trace.converged,
                        trace.cycles, trace, None if error is None else str(error))
 

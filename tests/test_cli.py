@@ -42,6 +42,12 @@ class TestValidate:
         code, _, err = invoke(capsys, "validate", "models/nonexistent.cn")
         assert code == 2
 
+    def test_directory_exit_2(self, capsys):
+        # it used to end in an IsADirectoryError traceback and exit 1
+        code, out, err = invoke(capsys, "validate", "models")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "models" in err
+
     def test_scope_warning_printed(self, tmp_path, capsys):
         f = tmp_path / "warn.cn"
         f.write_text("vars A B C\nP(A|B)=0.7\nP(C)=0.5\n")
@@ -82,6 +88,15 @@ class TestCheck:
         assert out.splitlines() == [
             "inconsistent", "note: anchor-pairwise checks passed but no jointly "
                             "calibrated per-clique tables exist"]
+
+    def test_local_clique_label_matches_decompose(self, tmp_path, capsys):
+        # declared B before A: the clique line used to read {B,A}
+        f = tmp_path / "ba.cn"
+        f.write_text("vars B A\nP(A|B)=0.5\nP(B)=0.4\n")
+        code, out, _ = invoke(capsys, "check", str(f), "--local")
+        assert (code, out) == (0, "consistent\nclique {A,B}: 2 constraints\n")
+        code, out, _ = invoke(capsys, "decompose", str(f))
+        assert (code, "cliques: {A,B}") == (0, out.splitlines()[1])
 
     def test_local_mining_with_witness(self, capsys):
         code, out, _ = invoke(capsys, "check", "models/mining.cn", "--local",
@@ -395,6 +410,14 @@ class TestQueryVerb:
                               "--event", "A", "--given", "B")
         assert code == 0
         assert out.startswith("P(A|B) = 0.70")
+
+    def test_space_after_negation(self, capsys):
+        # a model file allows "~ A"; the literal list used to read ' A'
+        code, out, err = invoke(capsys, "query", "models/mining.cn", "--event", "~ A",
+                                "--given", "~ C")
+        assert (code, err) == (0, "") and out.startswith("P(~A|~C) = ")
+        assert out == invoke(capsys, "query", "models/mining.cn", "--event", "~A",
+                             "--given", "~C")[1]
 
     def test_cross_clique_exit_2(self, capsys):
         code, _, err = invoke(capsys, "query", "models/mining.cn",
