@@ -8,33 +8,35 @@ checks constraint consistency globally or clique-locally, and computes
 the constrained max-entropy distribution either exactly (convex dual) or
 by successive single-constraint updating, full-joint or decomposed.
 
-Importing the package loads no numpy.  `model` and `options` are
-imported at once; `graphops`, `dist`, `mce`, `consistency` and `engine`
-are in `sys.modules` from the start but run their code on the first
-access to one of their attributes, through the package or directly, and
-all but `graphops` import numpy then.  The package resolves each
-exported name in its home module when it is read.
+Importing the package loads no numpy and executes only `model`, which
+parses both text formats: a constraint file to a `Model`, a graph file
+to a `NeighborGraph`.  `options`, `graphops`, `dist`, `mce`,
+`consistency` and `engine` are in `sys.modules` from the start but run
+their code on the first access to one of their attributes, through the
+package or directly; `dist`, `mce`, `consistency` and `engine` import
+numpy then.  The package resolves each exported name in its home module
+when it is read.
 """
 
 import importlib.util
 import sys
 
-from . import model, options  # what parsing a model reads, so imported at once
+from . import model  # what parsing reads, so imported at once
 
 # every exported name, by the submodule it comes from
 _EXPORTS = {
     "model": ("BeliefNetwork", "ConditionalConstraint", "Constraint", "ConstraintSet", "Literal",
               "MarginalConstraint", "Model", "NeighborGraph", "ParseError", "build_network",
-              "neighbor_graph", "parse_model", "validate_scope_rule"),
+              "neighbor_graph", "parse_graph_text", "parse_model", "validate_scope_rule"),
     "options": ("ConvergenceError", "SolverOptions", "UnreachableConstraintError"),
     "graphops": ("AnnealOptions", "Decomposition", "Hypergraph", "RipOrder", "d_separated",
                  "decompose", "fill_in_anneal", "fill_in_greedy", "graham_acyclic",
-                 "maximal_cliques", "parse_graph_text", "rip_order"),
+                 "maximal_cliques", "rip_order"),
     "dist": ("JointTable", "ResidualEntry", "ResidualReport", "check_ci", "check_mrf",
              "marginalize", "probability", "residuals", "uniform"),
     "mce": ("UpdateTrace", "conditional_update", "mce_dual_solve", "successive_solve"),
-    "consistency": ("ConsistencyReport", "LinearSystem", "global_consistent", "local_check",
-                    "to_linear"),
+    "consistency": ("ConsistencyReport", "LinearSystem", "UndecidedLPError", "global_consistent",
+                    "local_check", "to_linear"),
     "engine": ("BenchReport", "SolveReport", "bench", "query", "solve_decomposed"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
@@ -53,8 +55,8 @@ def _lazy_module(name: str):
     return module
 
 
-graphops, dist, mce, consistency, engine = map(
-    _lazy_module, ("graphops", "dist", "mce", "consistency", "engine"))
+options, graphops, dist, mce, consistency, engine = map(
+    _lazy_module, ("options", "graphops", "dist", "mce", "consistency", "engine"))
 
 
 def __getattr__(name: str):

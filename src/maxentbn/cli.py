@@ -2,8 +2,8 @@
 
 Verbs: validate, check, decompose, dsep, solve, query, bench.
 Exit codes: 0 success, 1 detected inconsistency or non-convergence,
-2 usage or parse errors.  The library returns data; the `format_*`
-functions here write it as the verbs print it.
+2 usage, parse or undecided-LP errors.  The library returns data; the
+`format_*` functions here write it as the verbs print it.
 """
 
 from __future__ import annotations
@@ -23,22 +23,25 @@ def _load_model(path: str) -> model.Model:
     return model.parse_model(_read(path))
 
 
-def _names(spec: str | None) -> list[str]:
-    if not spec:
-        return []
-    return [p.strip() for p in spec.split(",") if p.strip()]
+def _names(flag: str, spec: str | None, what: str = "variable") -> list[str]:
+    """The comma-separated items of `flag`'s value `spec`, none if it is
+    absent; an empty item is refused, as a model file refuses one."""
+    items = [] if spec is None else [p.strip() for p in spec.split(",")]
+    if "" in items:
+        raise ValueError(f"{flag} {spec!r} names no {what} in item {items.index('') + 1}")
+    return items
 
 
-def _literals(spec: str | None) -> list[model.Literal]:
+def _literals(flag: str, spec: str | None) -> list[model.Literal]:
     return [model.Literal(p[1:].strip(), False) if p.startswith("~") else model.Literal(p, True)
-            for p in _names(spec)]
+            for p in _names(flag, spec, "literal")]
 
 
 def _decompose(args, m: model.Model | None = None) -> graphops.Decomposition:
     """The decomposition --fill and --seed choose: of model `m`, or, with
     none, of the graph file the model argument names.  The input is read
     first, so a missing or malformed one is reported before a bad seed."""
-    g = graphops.parse_graph_text(_read(args.model)).as_neighbor_graph() if m is None else None
+    g = model.parse_graph_text(_read(args.model)) if m is None else None
     seed = {} if args.seed is None else {"seed": args.seed}
     opts = graphops.AnnealOptions(**seed) if args.fill == "anneal" else None
     if g is None:
@@ -144,9 +147,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_dsep(args) -> int:
-    given = _names(args.given)
-    if args.given is not None and not given:
-        raise ValueError(f"--given {args.given!r} names no variable")
+    given = _names("--given", args.given)
     m = _load_model(args.model)
     net = model.build_network(m)
     sep = graphops.d_separated(net, args.x, args.y, given)
@@ -192,12 +193,8 @@ def _outcome(report: engine.SolveReport) -> str:
 
 
 def _cmd_query(args) -> int:
-    event = _literals(args.event)
-    if not event:
-        raise ValueError(f"--event {args.event!r} names no literal")
-    given = _literals(args.given)
-    if args.given is not None and not given:
-        raise ValueError(f"--given {args.given!r} names no literal")
+    event = _literals("--event", args.event)
+    given = _literals("--given", args.given)
     m = _load_model(args.model)
     report = engine.solve_decomposed(m, _decompose(args, m), _solver_opts(args), record=False)
     if not report.converged:

@@ -28,6 +28,10 @@ from .model import Constraint, ConstraintSet, Model
 NULLSPACE_TOL = 1e-10
 
 
+class UndecidedLPError(ValueError):
+    """HiGHS found a feasibility LP neither feasible nor infeasible."""
+
+
 def _write_row(out: np.ndarray, scope: tuple[str, ...], c: Constraint) -> None:
     """Write c's row, (1-v)*sum(a) - v*sum(b) = 0, into the zeros of `out`,
     with (a, b) from `dist.constraint_sides`: a = E&x, b = E&~x for P(x|E)=v."""
@@ -100,7 +104,7 @@ def _solve_feasible(a_aug, b_eq: np.ndarray, presolve: bool) -> np.ndarray | Non
         return np.maximum(res.x[:n] + res.x[-1], 0.0)
     if res.status == 2:
         return None
-    raise RuntimeError(f"feasibility solve failed: {res.message}")
+    raise UndecidedLPError(res.message)  # neither optimal nor infeasible: near-degenerate rows
 
 
 def nonneg_feasible(ls: LinearSystem) -> np.ndarray | None:
@@ -158,7 +162,11 @@ def _tree_witnesses(systems: Sequence[LinearSystem], anchors: Sequence[int | Non
                                     shape=(len(b_eq), offs[-1] + 1))
     del rows, cols, vals  # freed before HiGHS runs, which lowers the peak RSS
     # presolve pays only where separator rows couple tables
-    x = _solve_feasible(a_aug, np.array(b_eq), presolve=len(systems) > 1)
+    try:
+        x = _solve_feasible(a_aug, np.array(b_eq), presolve=len(systems) > 1)
+    except UndecidedLPError as exc:
+        tables = " ".join("{" + ",".join(ls.scope) + "}" for ls in systems)
+        raise UndecidedLPError(f"the consistency LP over {tables} is undecided: {exc}") from None
     if x is None:
         return None
     parts = [x[offs[i]:offs[i + 1]] for i in range(len(systems))]

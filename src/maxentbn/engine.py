@@ -205,17 +205,16 @@ def bench(model: Model, d: Decomposition, opts: SolverOptions | None = None,
     timed_opts = replace(opts, tolerance=opts.tolerance or DEFAULT_SUCCESSIVE_TOL)
     prior = dist.uniform(model.names)
 
-    dual_best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        joint = mce.mce_dual_solve(prior, model.constraints, timed_opts)
-        dual_best = min(dual_best, time.perf_counter() - t0)
+    def best(run):  # the least wall time of `repeats` calls of `run`, and the last result
+        times = []
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            out = run()
+            times.append(time.perf_counter() - t0)
+        return min(times), out
 
-    succ_best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        report = solve_decomposed(model, d, timed_opts, record=False)
-        succ_best = min(succ_best, time.perf_counter() - t0)
+    dual_best, joint = best(lambda: mce.mce_dual_solve(prior, model.constraints, timed_opts))
+    succ_best, report = best(lambda: solve_decomposed(model, d, timed_opts, record=False))
 
     deviation = 0.0
     for state in report.cliques:

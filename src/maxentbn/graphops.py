@@ -21,7 +21,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
-from .model import BeliefNetwork, Model, NeighborGraph, neighbor_graph
+# parse_graph_text is bound here for benchmark/tracing.py to wrap, until ROADMAP item 5B
+from .model import BeliefNetwork, Model, NeighborGraph, neighbor_graph, parse_graph_text
 from .options import is_integer
 
 
@@ -426,43 +427,3 @@ def constraint_homes(model: Model, d: Decomposition) -> list[int]:
                 "see the marginal scope-rule warnings")
         homes.append(home)
     return homes
-
-
-@dataclass(frozen=True)
-class GraphText:
-    """Parsed graph description: an undirected graph."""
-
-    nodes: tuple[str, ...]
-    edges: frozenset[frozenset[str]]
-
-    def as_neighbor_graph(self) -> NeighborGraph:
-        return NeighborGraph(self.nodes, self.edges)
-
-
-def parse_graph_text(text: str) -> GraphText:
-    """Line format: `nodes A B C`, `edge A B`; '#' starts a comment."""
-    nodes: list[str] = []
-    edges: set[frozenset[str]] = set()
-    for i, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        kind, args = parts[0], parts[1:]
-        if kind == "nodes":
-            for v in args:
-                if v in nodes:
-                    raise ValueError(f"line {i}: node {v!r} declared twice")
-                nodes.append(v)
-        elif kind == "edge":
-            if len(args) != 2 or args[0] == args[1]:
-                raise ValueError(f"line {i}: 'edge' takes two distinct nodes")
-            edges.add(frozenset(args))
-        else:
-            raise ValueError(f"line {i}: unknown directive {kind!r}")
-    if not nodes:
-        raise ValueError("graph declares no nodes")
-    missing = set().union(*edges) - set(nodes)
-    if missing:
-        raise ValueError(f"nodes used but not declared: {sorted(missing)}")
-    return GraphText(tuple(nodes), frozenset(edges))

@@ -143,6 +143,9 @@ class NeighborGraph:
             raise ValueError(f"unknown variable {x!r}")
         return {next(iter(e - {x})) for e in self.edges if x in e}
 
+    def as_neighbor_graph(self) -> NeighborGraph:  # benchmark/workloads.py calls it; ROADMAP 5B
+        return self
+
 
 _NAME = r"[A-Za-z_][A-Za-z_0-9]*"
 _LITERALS = rf"\s*(?:~\s*)?{_NAME}(?:\s*,\s*(?:~\s*)?{_NAME})*"  # one way to match spaces
@@ -308,6 +311,35 @@ def parse_model(text: str) -> Model:
             constraints.append(MarginalConstraint(lits, value))
 
     return Model(tuple(names), ConstraintSet(tuple(constraints)))
+
+
+def parse_graph_text(text: str) -> NeighborGraph:
+    """A graph file: the neighbor graph as `nodes A B C` and `edge A B` lines, '#' a comment."""
+    nodes: list[str] = []
+    edges: set[frozenset[str]] = set()
+    for i, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        kind, args = parts[0], parts[1:]
+        if kind == "nodes":
+            for v in args:
+                if v in nodes:
+                    raise ValueError(f"line {i}: node {v!r} declared twice")
+                nodes.append(v)
+        elif kind == "edge":
+            if len(args) != 2 or args[0] == args[1]:
+                raise ValueError(f"line {i}: 'edge' takes two distinct nodes")
+            edges.add(frozenset(args))
+        else:
+            raise ValueError(f"line {i}: unknown directive {kind!r}")
+    if not nodes:
+        raise ValueError("graph declares no nodes")
+    missing = set().union(*edges) - set(nodes)
+    if missing:
+        raise ValueError(f"nodes used but not declared: {sorted(missing)}")
+    return NeighborGraph(tuple(nodes), frozenset(edges))
 
 
 def build_network(model: Model) -> BeliefNetwork:

@@ -6,14 +6,18 @@ import subprocess
 import sys
 
 import pytest
+import scipy.optimize
 
 import helpers
-from maxentbn import decompose, engine, parse_model
+from maxentbn import (ConvergenceError, UndecidedLPError, consistency, decompose, engine,
+                      parse_model)
 from maxentbn.cli import run
 from maxentbn.graphops import merge_cliques
 
 # the package source, for subprocesses that import it under another hash seed
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+# helpers.ring_model(6, 0) with one value raised by 1e-5, which HiGHS leaves undecided
+NEAR_DEGENERATE = "tests/near-degenerate-ring-6.cn"
 
 
 def invoke(capsys, *argv):
@@ -97,6 +101,52 @@ class TestCheck:
         assert (code, out) == (0, "consistent\nclique {A,B}: 2 constraints\n")
         code, out, _ = invoke(capsys, "decompose", str(f))
         assert (code, "cliques: {A,B}") == (0, out.splitlines()[1])
+
+    def test_near_degenerate_file_is_the_raised_ring(self):
+        with open(NEAR_DEGENERATE, encoding="utf-8") as fh:
+            got = parse_model(fh.read()).constraints.constraints
+        want = helpers.ring_model(6, 0).constraints.constraints
+        assert got[1:] == want[1:]
+        assert str(got[0]).startswith("P(X0|X5,X1)=")
+        assert got[0].value - want[0].value == pytest.approx(1e-5, abs=1e-12)
+
+    @pytest.mark.parametrize("flags", [(), ("--local",)], ids=["global", "local"])
+    def test_undecided_lp_exit_2(self, capsys, flags):
+        # HiGHS ends this model's LP with status 15, its model status Unknown;
+        # it used to escape as a RuntimeError, a traceback and exit 1
+        code, out, err = invoke(capsys, "check", NEAR_DEGENERATE, *flags)
+        assert (code, out) == (2, "")
+        assert re.fullmatch(r"error: the consistency LP over (\{[X0-9,]+\} ?)+ is undecided: "
+                            r".*\n", err), err
+
+    @pytest.mark.parametrize("status, code", [(1, 2), (2, 1), (3, 2), (4, 2)])
+    @pytest.mark.parametrize("flags, tables", [((), "{A,B,C,D}"),
+                                               (("--local",), "{A,C,D} {B,C,D}")],
+                             ids=["global", "local"])
+    def test_lp_status_exit_code(self, monkeypatch, capsys, flags, tables, status, code):
+        # linprog's statuses: 2 is infeasible, so inconsistent; 1 (iteration
+        # limit), 3 (unbounded) and 4 (numerical difficulties) decide nothing
+        result = scipy.optimize.OptimizeResult(status=status, message=f"stub status {status}")
+        monkeypatch.setattr(scipy.optimize, "linprog", lambda *args, **kwargs: result)
+        got, out, err = invoke(capsys, "check", "models/mining.cn", *flags)
+        assert got == code
+        if code == 2:
+            assert (out, err) == ("", f"error: the consistency LP over {tables} is undecided: "
+                                      f"stub status {status}\n")
+
+    @pytest.mark.parametrize("error, code", [(UndecidedLPError, 2), (ConvergenceError, 1)])
+    def test_check_error_exit_code(self, monkeypatch, capsys, error, code):
+        def fail(*args):
+            raise error("stub")
+        monkeypatch.setattr(consistency, "global_consistent", fail)
+        assert invoke(capsys, "check", "models/mining.cn") == (code, "", "error: stub\n")
+
+    def test_other_runtime_error_is_not_swallowed(self, monkeypatch, capsys):
+        def fail(*args):
+            raise RuntimeError("stub")
+        monkeypatch.setattr(consistency, "global_consistent", fail)
+        with pytest.raises(RuntimeError, match="stub"):
+            run(["check", "models/mining.cn"])
 
     def test_local_mining_with_witness(self, capsys):
         code, out, _ = invoke(capsys, "check", "models/mining.cn", "--local",
@@ -193,6 +243,15 @@ class TestDsep:
         assert code == 2
         assert out == ""
         assert "--given" in err and "names no variable" in err
+
+    @pytest.mark.parametrize("spec", ["C,,D", "C,D,", ",C"])
+    def test_empty_item_exit_2(self, capsys, spec):
+        # it used to drop the empty item and answer for the rest
+        code, out, err = invoke(capsys, "dsep", "models/mining.cn",
+                                "--x", "A", "--y", "B", "--given", spec)
+        item = spec.split(",").index("") + 1
+        assert (code, out, err) == (
+            2, "", f"error: --given {spec!r} names no variable in item {item}\n")
 
 
 class TestSolve:
@@ -467,6 +526,16 @@ class TestQueryVerb:
         assert code == 2
         assert out == ""
         assert "--given" in err and "names no literal" in err
+
+    @pytest.mark.parametrize("spec", ["C,,D", "C,D,", ",C"])
+    @pytest.mark.parametrize("flag", ["--event", "--given"])
+    def test_empty_item_exit_2(self, capsys, flag, spec):
+        # it used to drop the empty item: --event C,,D printed P(C,D) = 0.115799
+        argv = {"--event": ("--event", spec), "--given": ("--event", "A", "--given", spec)}
+        code, out, err = invoke(capsys, "query", "models/mining.cn", *argv[flag])
+        item = spec.split(",").index("") + 1
+        assert (code, out, err) == (
+            2, "", f"error: {flag} {spec!r} names no literal in item {item}\n")
 
     def test_infinite_tolerance_exit_2(self, capsys):
         # at --tol inf the solve stopped before any update and printed the

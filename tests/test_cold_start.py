@@ -55,7 +55,7 @@ def structural_routes():
     models = [_load(name) for name in MODELS]
     yield "parse_model", None
     with open(os.path.join(REPO, "models", "sixring.graph"), encoding="utf-8") as fh:
-        g = parse_graph_text(fh.read()).as_neighbor_graph()
+        g = parse_graph_text(fh.read())
     yield "parse_graph_text", None
     for m in models:
         validate_scope_rule(m)
@@ -122,6 +122,23 @@ def test_parsing_and_validate_leave_graphops_unexecuted():
         f"steps += [executed(), {_loaded('numpy')}]\n"
         "print(json.dumps(steps))\n")
     assert steps == [[0] * len(MODELS), False, False, True, False]
+
+
+def test_parsing_both_formats_executes_only_model():
+    # type() reads no attribute, so it does not execute a lazy module
+    executed, lazy = _child(
+        "import json, types\n"
+        "import maxentbn\n"
+        "for name, parse in (('mining.cn', maxentbn.parse_model),\n"
+        "                    ('sixring.graph', maxentbn.parse_graph_text)):\n"
+        "    with open(f'models/{name}', encoding='utf-8') as fh:\n"
+        "        parse(fh.read())\n"
+        "mods = {n: type(m) is types.ModuleType for n, m in sys.modules.items()\n"
+        "        if n.startswith('maxentbn.')}\n"
+        "print(json.dumps([sorted(n for n in mods if mods[n]),\n"
+        "                  sorted(n for n in mods if not mods[n])]))\n")
+    assert executed == ["maxentbn.model"]
+    assert lazy == sorted(f"maxentbn.{m}" for m in SUBMODULES + ("options",) if m != "model")
 
 
 def test_exports_are_their_home_modules_objects():

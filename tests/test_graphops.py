@@ -691,7 +691,7 @@ class TestDecompose:
 
 class TestGraphText:
     def test_parse_and_convert(self):
-        g = parse_graph_text("nodes A B C\nedge A B\n").as_neighbor_graph()
+        g = parse_graph_text("nodes A B C\nedge A B\n")
         assert g.nodes == ("A", "B", "C") and g.edges == {fs("A", "B")}
         # a graph file holds an undirected graph: no arcs, no hyperedges
         for line in ("arc B C", "hedge A B C"):
@@ -723,7 +723,12 @@ class TestGraphText:
     def test_sixring_file_matches(self):
         with open("models/sixring.graph", encoding="utf-8") as fh:
             g = parse_graph_text(fh.read())
-        assert g.as_neighbor_graph().edges == sixring().edges
+        assert g.edges == sixring().edges
+
+    def test_parses_to_the_neighbor_graph_itself(self):
+        g = parse_graph_text("nodes A B C\nedge A B\nedge C B\n")
+        assert g == NeighborGraph(("A", "B", "C"), frozenset({fs("A", "B"), fs("B", "C")}))
+        assert g.as_neighbor_graph() is g
 
     def test_decomposition_report(self):
         d = fill_in_greedy(sixring())
