@@ -23,18 +23,28 @@ def _load_model(path: str) -> model.Model:
     return model.parse_model(_read(path))
 
 
-def _names(flag: str, spec: str | None, what: str = "variable") -> list[str]:
+def _names(flag: str, spec: str | None, what: str = "variable", ok=bool) -> list[str]:
     """The comma-separated items of `flag`'s value `spec`, none if it is
-    absent; an empty item is refused, as a model file refuses one."""
+    absent; an item that fails `ok`, by default an empty one, is refused,
+    as a model file refuses one."""
     items = [] if spec is None else [p.strip() for p in spec.split(",")]
-    if "" in items:
-        raise ValueError(f"{flag} {spec!r} names no {what} in item {items.index('') + 1}")
+    bad = [i for i, p in enumerate(items, 1) if not ok(p)]
+    if bad:
+        raise ValueError(f"{flag} {spec!r} names no {what} in item {bad[0]}")
     return items
 
 
 def _literals(flag: str, spec: str | None) -> list[model.Literal]:
+    items = _names(flag, spec, "literal",
+                   lambda p: model._NAME_RE.fullmatch(p.removeprefix("~").strip()))
     return [model.Literal(p[1:].strip(), False) if p.startswith("~") else model.Literal(p, True)
-            for p in _names(flag, spec, "literal")]
+            for p in items]
+
+
+def _given(**flags) -> dict:
+    """The flags the user gave: an unset one parses to None and is left
+    out, so the options record it feeds supplies its default."""
+    return {name: value for name, value in flags.items() if value is not None}
 
 
 def _decompose(args, m: model.Model | None = None) -> graphops.Decomposition:
@@ -42,19 +52,16 @@ def _decompose(args, m: model.Model | None = None) -> graphops.Decomposition:
     none, of the graph file the model argument names.  The input is read
     first, so a missing or malformed one is reported before a bad seed."""
     g = model.parse_graph_text(_read(args.model)) if m is None else None
-    seed = {} if args.seed is None else {"seed": args.seed}
-    opts = graphops.AnnealOptions(**seed) if args.fill == "anneal" else None
+    opts = graphops.AnnealOptions(**_given(seed=args.seed)) if args.fill == "anneal" else None
     if g is None:
-        return graphops.decompose(m, args.fill, opts)
+        return graphops.decompose(m, **_given(method=args.fill), opts=opts)
     return graphops.fill_in_anneal(g, opts) if opts else graphops.fill_in_greedy(g)
 
 
 def _solver_opts(args) -> options.SolverOptions:
-    return options.SolverOptions(
-        tolerance=args.tol,
-        max_iterations=getattr(args, "max_iterations", options.SolverOptions.max_iterations),
-        max_cycles=args.max_cycles,
-        schedule=args.schedule)
+    return options.SolverOptions(**_given(
+        tolerance=args.tol, max_iterations=getattr(args, "max_iterations", None),
+        max_cycles=args.max_cycles, schedule=args.schedule))
 
 
 def _state_row(table: dist.JointTable, s: int, sep: str) -> str:
@@ -171,7 +178,7 @@ def _cmd_solve(args) -> int:
         if args.trace:
             print(format_trace(trace), end="")
         return 0 if trace.converged else 1
-    report = engine.solve_decomposed(m, _decompose(args, m), opts, record=args.trace)
+    report = engine.solve_decomposed(m, _decompose(args, m), opts, record=bool(args.trace))
     for state in report.cliques:
         if args.format == "text":
             print("clique " + ",".join(state.scope))
@@ -221,12 +228,8 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-# Flags some mode leaves unread parse to None when absent, so that a given
-# one can be refused.  Their defaults, but --seed's, which `_decompose`
-# leaves to AnnealOptions, so importing this module executes no graphops.
-_DEFAULTS = {"trace": False, "schedule": options.SolverOptions.schedule, "fill": "greedy",
-             "max_cycles": options.SolverOptions.max_cycles,
-             "max_iterations": options.SolverOptions.max_iterations}
+# The flags each mode leaves unread; an unset flag parses to None, so a
+# given one can be refused.
 _UNREAD = {"solve --method dual": ("trace", "schedule", "max_cycles", "fill", "seed"),
            "solve --method successive": ("max_iterations", "fill", "seed"),
            "solve --method decomposed": ("max_iterations",),
@@ -236,8 +239,7 @@ _UNREAD = {"solve --method dual": ("trace", "schedule", "max_cycles", "fill", "s
 
 class _Parser(argparse.ArgumentParser):
     def parse_args(self, args=None, namespace=None):
-        """Parse, refuse the flags the chosen mode does not read, then fill
-        in the defaults of those left unset."""
+        """Parse, then refuse the flags the chosen mode does not read."""
         ns = super().parse_args(args, namespace)
         mode = (f"solve --method {ns.method}" if ns.verb == "solve" else
                 "check without --local" if ns.verb == "check" and not ns.local else "")
@@ -246,7 +248,6 @@ class _Parser(argparse.ArgumentParser):
             given = [f for f in _UNREAD.get(m, ()) if getattr(ns, f, None) is not None]
             if given:
                 self.error(f"{m} does not read --{', --'.join(given).replace('_', '-')}")
-        vars(ns).update((f, v) for f, v in _DEFAULTS.items() if getattr(ns, f, v) is None)
         return ns
 
 
@@ -319,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="time the dual solve against decomposed updating")
     p.add_argument("model")
-    p.add_argument("--tol", type=float, default=options.DEFAULT_SUCCESSIVE_TOL)
+    p.add_argument("--tol", type=float, default=None)
     add_fill_flags(p)
     p.set_defaults(func=_cmd_bench)
 

@@ -141,6 +141,16 @@ def test_parsing_both_formats_executes_only_model():
     assert lazy == sorted(f"maxentbn.{m}" for m in SUBMODULES + ("options",) if m != "model")
 
 
+def test_importing_cli_executes_only_model():
+    # cli reads options when it builds its parser, not when it is imported
+    executed = _child(
+        "import json, types\n"
+        "import maxentbn.cli\n"
+        "print(json.dumps(sorted(n for n, m in sys.modules.items()\n"
+        "                        if n.startswith('maxentbn.') and type(m) is types.ModuleType)))\n")
+    assert executed == ["maxentbn.cli", "maxentbn.model"]
+
+
 def test_exports_are_their_home_modules_objects():
     import maxentbn
     modules = [importlib.import_module(f"maxentbn.{m}") for m in SUBMODULES + ("options",)]

@@ -5,7 +5,7 @@ import pytest
 
 import helpers
 from helpers import conditional, jeffrey_update
-from maxentbn import dist
+from maxentbn import dist, mce
 from maxentbn import (ConstraintSet, ConvergenceError, JointTable, Literal,
                       SolverOptions, UnreachableConstraintError,
                       conditional_update, mce_dual_solve,
@@ -287,6 +287,19 @@ class TestDualEvaluations:
         monkeypatch.setattr(dist, "constraint_sides", counted)
         mce_dual_solve(uniform(m.names), m.constraints)
         assert len(calls) == 2 * len(m.constraints)
+
+    def test_flat_objective_above_tolerance_stalls(self):
+        # draw 190 of default_rng(11) is consistent and forces no zero, yet
+        # Newton's objective goes flat at a max residual above 1e-8
+        rng = np.random.default_rng(11)
+        for _ in range(191):
+            m = helpers.random_model(rng)
+        prob = DualProblem(uniform(m.names), m.constraints)
+        assert mce._newton_polish(prob, np.zeros(len(m.constraints)), 1e-8, 500)[1] == "stalled"
+        with pytest.raises(ConvergenceError, match=r"^dual solve stalled at max residual \S+ "
+                           r"\(tolerance 1e-08\); the constraint set may contain boundary "
+                           r"constraints$"):
+            mce_dual_solve(uniform(m.names), m.constraints)
 
     def test_point_mass_at_the_bound_solves(self):
         # the solution puts all mass on one state of a uniform prior, so
