@@ -25,7 +25,7 @@ from . import model  # what parsing reads, so imported at once
 
 # every exported name, by the submodule it comes from
 _EXPORTS = {
-    "model": ("BeliefNetwork", "ConditionalConstraint", "Constraint", "ConstraintSet", "Literal",
+    "model": ("BeliefNetwork", "ConditionalConstraint", "Constraint", "Literal",
               "MarginalConstraint", "Model", "NeighborGraph", "ParseError", "build_network",
               "neighbor_graph", "parse_graph_text", "parse_model", "validate_scope_rule"),
     "options": ("ConvergenceError", "SolverOptions", "UnreachableConstraintError"),

@@ -23,7 +23,7 @@ import numpy as np
 from . import dist
 from .dist import SCOPE_CAP, JointTable
 from .graphops import Decomposition, constraint_homes
-from .model import Constraint, ConstraintSet, Model
+from .model import Constraint, Model
 
 NULLSPACE_TOL = 1e-10
 
@@ -60,7 +60,7 @@ class LinearSystem:
         return out
 
 
-def to_linear(cs: ConstraintSet, scope: Sequence[str]) -> LinearSystem:
+def to_linear(cs: Sequence[Constraint], scope: Sequence[str]) -> LinearSystem:
     """The system of every constraint whose variables fit in `scope`."""
     return LinearSystem(tuple(scope), tuple(c for c in cs if c.scope <= set(scope)))
 

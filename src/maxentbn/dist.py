@@ -16,8 +16,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .model import (ConditionalConstraint, Constraint, ConstraintSet, Literal,
-                    MarginalConstraint, NeighborGraph)
+from .model import ConditionalConstraint, Constraint, Literal, NeighborGraph
 
 SCOPE_CAP = 20          # 2^20 states; guards accidental state-space explosion
 PROB_FLOOR = 1e-12      # conditioning events below this are treated as empty
@@ -157,7 +156,7 @@ def side_scan(sides: Sequence[tuple[np.ndarray, np.ndarray]], values: Sequence[f
     return scan
 
 
-def constraint_scan(scope: Sequence[str], cs: ConstraintSet) -> Callable:
+def constraint_scan(scope: Sequence[str], cs: Sequence[Constraint]) -> Callable:
     """`side_scan` of a constraint set over the states of one table."""
     sides = [tuple(np.flatnonzero(s) for s in constraint_sides(scope, c)) for c in cs]
     return side_scan(sides, [c.value for c in cs])
@@ -187,7 +186,7 @@ class ResidualReport:
         return max(mags)
 
 
-def residuals(table: JointTable, cs: ConstraintSet) -> ResidualReport:
+def residuals(table: JointTable, cs: Sequence[Constraint]) -> ResidualReport:
     """Each constraint read as P(a | a or b) by its `constraint_scan`, as
     the successive solvers schedule by: P(x|E) for a conditional, P(E)
     over the table's total for a cell; None below PROB_FLOOR."""

@@ -44,7 +44,7 @@ from .dist import PROB_FLOOR, JointTable, marginalize
 from .graphops import Decomposition, constraint_homes, merge_cliques
 from .mce import UpdateTrace
 from .model import Constraint, Literal, Model
-from .options import DEFAULT_SUCCESSIVE_TOL, SolverOptions, UnreachableConstraintError
+from .options import DEFAULT_SUCCESSIVE_TOL, SolverOptions, UnreachableConstraintError, is_integer
 
 # The solver merges cliques into tables of at most this many variables
 # (64 states); see the module docstring for how it was chosen.
@@ -199,8 +199,8 @@ def bench(model: Model, d: Decomposition, opts: SolverOptions | None = None,
     marginals.  The returned SolveReport is the last timed run's, so it
     carries no trace.
     """
-    if repeats < 1:
-        raise ValueError(f"repeats must be at least 1, got {repeats}")
+    if not is_integer(repeats) or repeats < 1:  # a bool would run once, a float or str fail later
+        raise ValueError(f"repeats must be at least 1, got {repeats!r}")
     opts = opts or SolverOptions()
     timed_opts = replace(opts, tolerance=opts.tolerance or DEFAULT_SUCCESSIVE_TOL)
     prior = dist.uniform(model.names)

@@ -42,7 +42,7 @@ import numpy as np
 
 from . import consistency, dist
 from .dist import JointTable, PROB_FLOOR, residuals
-from .model import Constraint, ConstraintSet
+from .model import Constraint
 from .options import (DEFAULT_DUAL_TOL, DEFAULT_SUCCESSIVE_TOL, SCHEDULE_GRADIENT,
                       SCHEDULE_ROUND_ROBIN, ConvergenceError, SolverOptions,
                       UnreachableConstraintError)
@@ -161,19 +161,16 @@ def conditional_update(prior: JointTable, c: Constraint) -> JointTable:
 class DualProblem:
     """Dual of: minimize KL(p || prior) subject to the constraint set.
 
-    Each constraint is the homogeneous row of `consistency.to_linear`,
+    Each constraint is its homogeneous row in `consistency.LinearSystem`,
     (1-v)*sum(a) - v*sum(b) = 0.  Normalization is folded into the
     partition function, so the dual over the row multipliers is smooth
     and concave with gradient equal to the linear-scale constraint
     residual.
     """
 
-    def __init__(self, prior: JointTable, cs: ConstraintSet):
+    def __init__(self, prior: JointTable, cs: Sequence[Constraint]):
         self.prior = prior
-        ls = consistency.to_linear(cs, prior.scope)
-        if len(ls.constraints) != len(cs):
-            raise ValueError(f"constraints mention variables outside {prior.scope}")
-        self.matrix = ls.matrix
+        self.matrix = consistency.LinearSystem(prior.scope, tuple(cs)).matrix
         self.scan = dist.constraint_scan(prior.scope, cs)
         self.bound = float(-np.log(prior.probs.min()))
 
@@ -242,7 +239,7 @@ def _newton_polish(prob: DualProblem, lam: np.ndarray, tol: float,
     return p, f"reached its {max_iterations}-iteration cap"
 
 
-def mce_dual_solve(prior: JointTable, cs: ConstraintSet,
+def mce_dual_solve(prior: JointTable, cs: Sequence[Constraint],
                    opts: SolverOptions | None = None) -> JointTable:
     """Minimize cross-entropy to the prior subject to all constraints.
 
@@ -336,7 +333,7 @@ def _successive(p: np.ndarray, kernels: list[Kernel], opts: SolverOptions,
     return UpdateTrace(() if log is None else log, converged, cycles_used), mags, error
 
 
-def successive_solve(prior: JointTable, cs: ConstraintSet,
+def successive_solve(prior: JointTable, cs: Sequence[Constraint],
                      opts: SolverOptions | None = None) -> tuple[JointTable, UpdateTrace]:
     """Repeatedly apply single-constraint updates to the full joint until
     every residual is within tolerance or the cycle limit is hit.

@@ -76,34 +76,9 @@ Constraint = Union[ConditionalConstraint, MarginalConstraint]
 
 
 @dataclass(frozen=True)
-class ConstraintSet:
-    """All explicit constraints, in declaration order.
-
-    The universal (sum-to-one) constraint is implicit: it is always in
-    force and cannot be removed, so it is not stored as an entry.
-    """
-
-    constraints: tuple[Constraint, ...] = ()
-
-    @property
-    def conditionals(self) -> tuple[ConditionalConstraint, ...]:
-        return tuple(c for c in self.constraints if isinstance(c, ConditionalConstraint))
-
-    @property
-    def marginals(self) -> tuple[MarginalConstraint, ...]:
-        return tuple(c for c in self.constraints if isinstance(c, MarginalConstraint))
-
-    def __len__(self) -> int:
-        return len(self.constraints)
-
-    def __iter__(self):
-        return iter(self.constraints)
-
-
-@dataclass(frozen=True)
 class Model:
     names: tuple[str, ...]  # declaration order; fixes state indexing
-    constraints: ConstraintSet
+    constraints: tuple[Constraint, ...]  # declaration order; sum-to-one implied, not stored
 
     def ordered_scope(self, subset: Iterable[str]) -> tuple[str, ...]:
         """Names from `subset` in declaration order."""
@@ -310,7 +285,7 @@ def parse_model(text: str) -> Model:
             seen_cells.add(cell)
             constraints.append(MarginalConstraint(lits, value))
 
-    return Model(tuple(names), ConstraintSet(tuple(constraints)))
+    return Model(tuple(names), tuple(constraints))
 
 
 def parse_graph_text(text: str) -> NeighborGraph:
@@ -342,9 +317,13 @@ def parse_graph_text(text: str) -> NeighborGraph:
     return NeighborGraph(tuple(nodes), frozenset(edges))
 
 
+def _conditionals(model: Model) -> list[ConditionalConstraint]:
+    return [c for c in model.constraints if isinstance(c, ConditionalConstraint)]
+
+
 def build_network(model: Model) -> BeliefNetwork:
     edges = set()
-    for c in model.constraints.conditionals:
+    for c in _conditionals(model):
         for lit in c.condition:
             edges.add((lit.name, c.target.name))
     return BeliefNetwork(model.names, frozenset(edges))
@@ -352,7 +331,7 @@ def build_network(model: Model) -> BeliefNetwork:
 
 def neighbor_graph(model: Model) -> NeighborGraph:
     edges = set()
-    for c in model.constraints.conditionals:
+    for c in _conditionals(model):
         scope = sorted(c.scope)
         for i, u in enumerate(scope):
             for v in scope[i + 1:]:
@@ -364,10 +343,10 @@ def validate_scope_rule(model: Model) -> list[str]:
     """Warn for marginal constraints whose variables fit inside no
     conditional-constraint scope.  Such constraints are legal but may not
     be coverable by any clique of a decomposition."""
-    scopes = [c.scope for c in model.constraints.conditionals]
+    scopes = [c.scope for c in _conditionals(model)]
     warnings = []
-    for c in model.constraints.marginals:
-        if not any(c.scope <= s for s in scopes):
+    for c in model.constraints:
+        if isinstance(c, MarginalConstraint) and not any(c.scope <= s for s in scopes):
             warnings.append(
                 f"marginal constraint {c} lies outside every conditional-constraint scope")
     return warnings

@@ -20,7 +20,7 @@ import scipy.linalg
 import scipy.optimize
 import scipy.sparse
 
-from maxentbn import (AnnealOptions, BeliefNetwork, ConditionalConstraint, ConstraintSet,
+from maxentbn import (AnnealOptions, BeliefNetwork, ConditionalConstraint,
                       Decomposition, JointTable, Literal, MarginalConstraint,
                       Model, NeighborGraph, ParseError, RipOrder, SolverOptions,
                       UnreachableConstraintError, UpdateTrace, parse_model, uniform)
@@ -145,7 +145,12 @@ def homeless() -> Model:
 
 def model_of(names: str, *constraints) -> Model:
     """Short-hand model builder, e.g. model_of("AB", cc("A", "B", 0.7))."""
-    return Model(tuple(names), ConstraintSet(tuple(constraints)))
+    return Model(tuple(names), tuple(constraints))
+
+
+def conditionals(m: Model) -> tuple[ConditionalConstraint, ...]:
+    """The model's conditional constraints, in declaration order."""
+    return tuple(c for c in m.constraints if isinstance(c, ConditionalConstraint))
 
 
 def cc(target: str, condition: str, value: float) -> ConditionalConstraint:
@@ -327,7 +332,7 @@ def parse_model_cursor(text: str) -> Model:
             seen_cells.add(cell)
             constraints.append(MarginalConstraint(lits, value))
 
-    return Model(tuple(names), ConstraintSet(tuple(constraints)))
+    return Model(tuple(names), tuple(constraints))
 
 
 def random_positive_table(rng: np.random.Generator, k: int) -> np.ndarray:
@@ -368,7 +373,7 @@ def random_model(rng: np.random.Generator, n_vars: int | None = None,
             continue
         cells.add(cell)
         constraints.append(MarginalConstraint((lit,), float(rng.uniform(lo, hi))))
-    return Model(tuple(names), ConstraintSet(tuple(constraints)))
+    return Model(tuple(names), tuple(constraints))
 
 
 def random_hypergraph(rng: np.random.Generator, max_vertices: int = 8,
@@ -419,7 +424,7 @@ def ring_model(n: int, seed: int = 0) -> Model:
                 Literal(names[i]),
                 (Literal(names[left], s_left > 0), Literal(names[right], s_right > 0)),
                 1.0 / (1.0 + math.exp(-2.0 * field))))
-    return Model(tuple(names), ConstraintSet(tuple(constraints)))
+    return Model(tuple(names), tuple(constraints))
 
 
 def grid_model(height: int, seed: int = 0) -> Model:
@@ -445,7 +450,7 @@ def grid_model(height: int, seed: int = 0) -> Model:
             constraints.append(ConditionalConstraint(
                 Literal(name), tuple(Literal(names[k], s > 0) for (k, _), s in zip(nbrs[i], signs)),
                 1.0 / (1.0 + math.exp(-2.0 * field))))
-    return Model(tuple(names), ConstraintSet(tuple(constraints)))
+    return Model(tuple(names), tuple(constraints))
 
 
 def rip_order_bfs(h):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import helpers
-from maxentbn import (AnnealOptions, ConstraintSet, Hypergraph, JointTable,
+from maxentbn import (AnnealOptions, Hypergraph, JointTable,
                       SolverOptions, bench, build_network, check_ci, check_mrf,
                       conditional_update, d_separated, decompose,
                       fill_in_anneal, fill_in_greedy, global_consistent,
@@ -189,7 +189,7 @@ def test_c12_oracle_equivalence():
                         for v in rng.choice(others, size=size, replace=False))
         cc = helpers.cc(target, cond, float(rng.uniform(0.05, 0.95)))
         via_rule = conditional_update(prior, cc)
-        via_dual = mce_dual_solve(prior, ConstraintSet((cc,)), opts)
+        via_dual = mce_dual_solve(prior, (cc,), opts)
         np.testing.assert_allclose(via_rule.probs, via_dual.probs, atol=1e-8,
                                    err_msg=f"trial {trial}: {cc}")
 

@@ -9,7 +9,7 @@ import scipy.optimize
 import helpers
 from maxentbn import consistency
 from helpers import marginalization_matrix, project_space, solution_space
-from maxentbn import (ConstraintSet, Decomposition, JointTable, RipOrder, decompose,
+from maxentbn import (Decomposition, JointTable, RipOrder, decompose,
                       fill_in_greedy, global_consistent, local_check, neighbor_graph,
                       parse_model, to_linear)
 from maxentbn.consistency import LinearSystem, nonneg_feasible, rank_nontrivial
@@ -48,20 +48,20 @@ class TestToLinear:
             np.array([0, 0, 0, 0, 1.0, 0, -4.0, 0]),   # P(C|A,~D)=0.2
             np.array([0, 0, 0, 0, 0, 3.0, 0, -2.0]),   # P(C|A,D)=0.6
         ]
-        cs = ConstraintSet(helpers.mining().constraints.conditionals[:4])
+        cs = helpers.conditionals(helpers.mining())[:4]
         ls = to_linear(cs, ("A", "C", "D"))
         assert len(ls.matrix) == 4
         for target in reference:
             assert any(rows_parallel(r, target) for r in ls.matrix)
 
     def test_marginal_row_homogeneous(self):
-        cs = ConstraintSet((helpers.mc("A", 0.2),))
+        cs = (helpers.mc("A", 0.2),)
         ls = to_linear(cs, ("A", "B"))
         np.testing.assert_allclose(ls.matrix[0], [-0.2, -0.2, 0.8, 0.8],
                                    atol=1e-15)
 
     def test_empty_constraints(self):
-        ls = to_linear(ConstraintSet(), ("A",))
+        ls = to_linear((), ("A",))
         assert ls.constraints == () and ls.matrix.shape == (0, 2)
 
     def test_scope_filtering(self):
@@ -78,7 +78,7 @@ class TestToLinear:
             t = JointTable(("A", "B"), helpers.random_positive_table(rng, 2))
             cc = helpers.cc("A", "B", float(rng.uniform(0.1, 0.9)))
             sat = conditional_update(t, cc)
-            ls = to_linear(ConstraintSet((cc,)), ("A", "B"))
+            ls = to_linear((cc,), ("A", "B"))
             assert abs(ls.matrix[0] @ sat.probs) < 1e-12
 
     def test_system_is_its_scope_and_constraints(self):
@@ -147,7 +147,7 @@ class TestGlobalConsistent:
 
 class TestSolutionSpace:
     def cs_acd(self):
-        return ConstraintSet(helpers.mining().constraints.conditionals[:4])
+        return helpers.conditionals(helpers.mining())[:4]
 
     def test_reference_dimension_and_member(self):
         ss = solution_space(to_linear(self.cs_acd(), ("A", "C", "D")))
@@ -163,7 +163,7 @@ class TestSolutionSpace:
         assert not ss.contains(np.array([1.0, 0, 1, 0, 0, 0, 0, 0]))
 
     def test_no_rows_full_dimension(self):
-        ss = solution_space(to_linear(ConstraintSet(), ("A",)))
+        ss = solution_space(to_linear((), ("A",)))
         assert ss.dimension == 2
 
     def test_dimension_is_rank_arithmetic(self):
@@ -183,7 +183,7 @@ class TestProjectSpace:
         # 3k4) onto (C, D) gives (9k1+4k3, 4k2+2k4, k1+k3, k2+3k4), so the
         # arbitrary constants stay linearly recoverable from the projected
         # entries.
-        cs = ConstraintSet(helpers.mining().constraints.conditionals[:4])
+        cs = helpers.conditionals(helpers.mining())[:4]
         ss = solution_space(to_linear(cs, ("A", "C", "D")))
         k1, k2, k3, k4 = 0.5, 0.25, 0.125, 0.0625
         vec = np.array([9 * k1, 4 * k2, k1, k2, 4 * k3, 2 * k4, k3, 3 * k4])
@@ -203,7 +203,7 @@ class TestProjectSpace:
         assert ps.contains(proj)
 
     def test_identity_projection(self):
-        cs = ConstraintSet((helpers.cc("A", "B", 0.7),))
+        cs = (helpers.cc("A", "B", 0.7),)
         ss = solution_space(to_linear(cs, ("A", "B")))
         ps = project_space(ss, ("A", "B"))
         assert ps.dimension == ss.dimension
@@ -218,7 +218,7 @@ class TestProjectSpace:
         # projecting basis vectors equals marginalizing distributions
         # built from them
         rng = np.random.default_rng(42)
-        cs = ConstraintSet((helpers.cc("A", "B", 0.6),))
+        cs = (helpers.cc("A", "B", 0.6),)
         ss = solution_space(to_linear(cs, ("A", "B", "C")))
         m = marginalization_matrix(("A", "B", "C"), ("B", "C"))
         for _ in range(5):
@@ -245,9 +245,8 @@ class TestPairwise:
         wi, wj = self.pair(helpers.mining(), fs("A", "C", "D"), fs("B", "C", "D"))
         np.testing.assert_allclose(marginalize(wi, ("C", "D")).probs,
                                    marginalize(wj, ("C", "D")).probs, atol=1e-8)
-        assert residuals(wi, ConstraintSet(tuple(
-            c for c in helpers.mining().constraints
-            if c.scope <= fs("A", "C", "D")))).max_magnitude < 1e-8
+        assert residuals(wi, tuple(c for c in helpers.mining().constraints
+                                   if c.scope <= fs("A", "C", "D"))).max_magnitude < 1e-8
 
     def test_forced_contradiction(self):
         assert self.pair(helpers.contradiction(), fs("A", "B"), fs("B", "C")) is None
@@ -352,7 +351,7 @@ class TestLocalCheck:
         report = local_check(m, decompose(m))
         tables = dict(report.witnesses)
         for clique, table in report.witnesses:
-            own = ConstraintSet(tuple(c for c in m.constraints if c.scope <= clique))
+            own = tuple(c for c in m.constraints if c.scope <= clique)
             assert residuals(table, own).max_magnitude < 1e-8
         acd = tables[fs("A", "C", "D")]
         bcd = tables[fs("B", "C", "D")]

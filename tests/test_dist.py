@@ -5,7 +5,7 @@ import pytest
 
 import helpers
 from helpers import conditional
-from maxentbn import (ConditionalConstraint, ConstraintSet, JointTable, Literal,
+from maxentbn import (ConditionalConstraint, JointTable, Literal,
                       MarginalConstraint, NeighborGraph,
                       check_ci, check_mrf, marginalize,
                       neighbor_graph, residuals, uniform)
@@ -52,6 +52,16 @@ class TestJointTable:
         with pytest.raises(ValueError, match="non-finite"):
             table("AB", [0.5, 0.5, 0.0, bad])
 
+    @pytest.mark.parametrize("scope, probs, message", [
+        ((), [1.0], "empty scope"),
+        (("A", "B", "A"), [0.125] * 8, "repeated variables"),
+        (tuple(f"v{i}" for i in range(21)), [1.0], "21 variables exceeds cap 20"),
+        (("A", "B"), [0.5, 0.5], r"expected 4 probabilities, got \(2,\)"),
+    ], ids=["empty", "repeated", "over-cap", "shape"])
+    def test_rejects_bad_scope_or_shape(self, scope, probs, message):
+        with pytest.raises(ValueError, match=message):
+            JointTable(scope, np.array(probs))
+
     def test_state_order_last_var_lsb(self):
         # index 1 flips only the last scope variable
         t = table("AB", [0.1, 0.2, 0.3, 0.4])
@@ -89,6 +99,10 @@ class TestMarginalize:
     def test_unknown_variable(self):
         with pytest.raises(ValueError, match="not in scope"):
             marginalize(uniform(("A",)), ("B",))
+
+    def test_empty_subscope(self):
+        with pytest.raises(ValueError, match="empty subscope"):
+            marginalize(uniform(("A",)), ())
 
     def test_normalization_preserved(self):
         rng = np.random.default_rng(3)
@@ -209,7 +223,7 @@ class TestResiduals:
         assert [e.magnitude for e in rep.entries] == pytest.approx([0.2, 0.3], abs=1e-12)
 
     def test_marginal_gradient_at_uniform(self):
-        cs = ConstraintSet((helpers.mc("A", 0.2),))
+        cs = (helpers.mc("A", 0.2),)
         rep = residuals(uniform(("A", "C", "D")), cs)
         assert rep.entries[0].residual == pytest.approx(0.3, abs=1e-12)
 
@@ -228,10 +242,10 @@ class TestResiduals:
         rng = np.random.default_rng(5)
         for _ in range(10):
             t = JointTable(("A", "B"), helpers.random_positive_table(rng, 2))
-            cs = ConstraintSet((
+            cs = (
                 helpers.cc("A", "B", conditional(t, Literal("A"), [Literal("B")])),
                 helpers.mc("B", probability(t, [Literal("B")])),
-            ))
+            )
             assert residuals(t, cs).max_magnitude < 1e-9
 
     def test_matches_mask_oracle(self):
@@ -260,8 +274,8 @@ class TestResiduals:
                 else:
                     cs.append(ConditionalConstraint(lits[0], lits[1:], v))
                     seen["conditional"] += 1
-            got = residuals(t, ConstraintSet(tuple(cs)))
-            want = helpers.residuals_masks(t, ConstraintSet(tuple(cs)))
+            got = residuals(t, tuple(cs))
+            want = helpers.residuals_masks(t, tuple(cs))
             for g, w in zip(got.entries, want.entries):
                 assert (g.current is None) == (w.current is None)
                 if w.current is None:
@@ -308,6 +322,12 @@ class TestCheckCI:
         with pytest.raises(ValueError, match="variable 'Z' not in scope"):
             check_ci(uniform(("A", "B")), "A", "B", ("Z",))
 
+    def test_sets_must_be_disjoint(self):
+        t = uniform(("A", "B", "C"))
+        for x, y, given in (("A", "A", ()), ("A", "B", ("A",)), ("A", "B", ("C", "B"))):
+            with pytest.raises(ValueError, match="must be disjoint"):
+                check_ci(t, x, y, given)
+
     def test_agrees_with_brute_force(self):
         rng = np.random.default_rng(6)
         hits = 0
@@ -342,6 +362,12 @@ class TestCheckMRF:
         g = neighbor_graph(helpers.fig21())
         assert check_mrf(t, g, tol=1e-6)
 
+    def test_scope_must_be_the_nodes(self):
+        g = neighbor_graph(helpers.fig21())
+        for scope in ("A", "ABC"):
+            with pytest.raises(ValueError, match="cover exactly the graph nodes"):
+                check_mrf(uniform(tuple(scope)), g)
+
     def test_edgeless_graph_fails(self):
         t = table("ABCD", helpers.MINING_JOINT)
         g = NeighborGraph(("A", "B", "C", "D"), frozenset())
@@ -359,3 +385,7 @@ class TestEventMask:
     def test_contradiction_is_empty(self):
         m = event_mask(("A", "B"), [Literal("A"), Literal("A", False)])
         assert not m.any()
+
+    def test_unknown_variable(self):
+        with pytest.raises(ValueError, match=r"variable 'C' not in scope \('A', 'B'\)"):
+            event_mask(("A", "B"), [Literal("A"), Literal("C", False)])

@@ -19,7 +19,6 @@ from maxentbn.engine import SOLVER_TABLE_VARS
 from maxentbn.graphops import constraint_homes, merge_cliques
 from maxentbn.mce import (SCHEDULE_ROUND_ROBIN, TraceEvent, UnreachableConstraintError,
                          UpdateLog, UpdateTrace, conditional_update)
-from maxentbn.model import ConstraintSet
 
 
 def fs(*names):
@@ -166,7 +165,7 @@ class TestSolveDecomposed:
         report = solve_decomposed(self.model, self.d)
         assert max(report.final_residuals) <= 1e-4
         for state in report.cliques:
-            own = ConstraintSet(state.constraints)
+            own = tuple(state.constraints)
             assert residuals(state.table, own).max_magnitude <= 1e-4
 
     def test_single_clique_equals_successive(self):
@@ -268,9 +267,7 @@ class TestSolveDecomposed:
         for ev, table in zip(report.trace.events, updated):
             mags = {}
             for key, i in home.items():
-                cs = ConstraintSet(tuple(
-                    c for c in report.cliques[i].constraints))
-                rep = residuals(states[i], cs)
+                rep = residuals(states[i], tuple(report.cliques[i].constraints))
                 for entry in rep.entries:
                     mags[str(entry.constraint)] = entry.magnitude
             applied = str(ev.constraint)
@@ -427,7 +424,7 @@ class TestDecomposedAgainstOracle:
                 cs = list(m.constraints)
                 j = int(rng.integers(len(cs)))
                 cs[j] = dataclasses.replace(cs[j], value=float(rng.integers(2)))
-                m = helpers.Model(m.names, ConstraintSet(tuple(cs)))
+                m = helpers.Model(m.names, tuple(cs))
             for schedule in ("gradient", SCHEDULE_ROUND_ROBIN):
                 opts = SolverOptions(schedule=schedule, max_cycles=20)
                 report = self.agree(m, opts)
@@ -461,7 +458,7 @@ class TestMergedAgainstFineTree:
         assert (report.cycles, report.converged) == (trace.cycles, trace.converged)
         np.testing.assert_allclose([e.residual_before for e in got],
                                    [e.residual_before for e in want], rtol=0, atol=1e-12)
-        final = [residuals(tables[h], ConstraintSet((c,))).max_magnitude
+        final = [residuals(tables[h], (c,)).max_magnitude
                  for c, h in zip(m.constraints, constraint_homes(m, d))]
         np.testing.assert_allclose(report.final_residuals, final, rtol=0, atol=1e-12)
         for state, table in zip(report.cliques, tables):
@@ -556,6 +553,14 @@ class TestRecordedTrace:
             events[len(got)]
         assert events == tuple(got) and tuple(got) == events
 
+    def test_recorded_trace_compares_and_hashes_as_its_events(self):
+        m = helpers.mining()
+        trace = solve_decomposed(m, decompose(m)).trace
+        plain = UpdateTrace(tuple(trace.events), trace.converged, trace.cycles)
+        assert isinstance(trace.events, UpdateLog)
+        assert trace == plain and plain == trace and hash(trace) == hash(plain)
+        assert trace.events != list(trace.events)  # a list is no tuple of events
+
     def test_undefined_residual_reads_none(self):
         c1, c2 = helpers.cc("B", "A", 0.8), helpers.mc("A,~B", 0.1)
         log = UpdateLog([c1, c2])
@@ -638,8 +643,9 @@ class TestBench:
 
     def test_needs_a_timed_run(self):
         m = helpers.mining()
-        with pytest.raises(ValueError, match="repeats must be at least 1"):
-            bench(m, decompose(m), repeats=0)
+        for repeats in (0, True, 2.0, "3"):  # a bool would run once
+            with pytest.raises(ValueError, match="repeats must be at least 1"):
+                bench(m, decompose(m), repeats=repeats)
 
     def test_mining_reports_ratio(self):
         m = helpers.mining()

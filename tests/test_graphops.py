@@ -84,6 +84,12 @@ class TestGraham:
     def test_empty_hypergraph(self):
         assert graham_acyclic(Hypergraph((), ()))
 
+    def test_refuses_bad_hyperedges(self):
+        with pytest.raises(ValueError, match="empty hyperedge"):
+            Hypergraph(("A",), (fs("A"), fs()))
+        with pytest.raises(ValueError, match=r"hyperedge \['A', 'Z'\] not within vertices"):
+            Hypergraph(("A", "B"), (fs("A", "Z"),))
+
 
 class TestRipOrder:
     def test_mining_cliques(self):
@@ -662,6 +668,10 @@ class TestDecompose:
     def test_unknown_method(self):
         with pytest.raises(ValueError, match="unknown fill-in method 'bogus'"):
             decompose(helpers.mining(), method="bogus")
+
+    def test_refuses_a_model_with_no_variables(self):
+        with pytest.raises(ValueError, match="model has no variables"):
+            decompose(helpers.Model((), ()))
 
     def test_constraint_homes_first_fit(self):
         rng = np.random.default_rng(37)

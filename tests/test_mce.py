@@ -6,7 +6,7 @@ import pytest
 import helpers
 from helpers import conditional, jeffrey_update
 from maxentbn import dist, mce
-from maxentbn import (ConstraintSet, ConvergenceError, JointTable, Literal,
+from maxentbn import (ConvergenceError, JointTable, Literal,
                       SolverOptions, UnreachableConstraintError,
                       conditional_update, mce_dual_solve,
                       residuals, successive_solve, uniform)
@@ -107,10 +107,10 @@ class TestDualSolve:
 
     def test_empty_constraints_returns_prior(self):
         t = uniform(("A", "B"))
-        assert mce_dual_solve(t, ConstraintSet()) is t
+        assert mce_dual_solve(t, ()) is t
 
     def test_single_constraint_matches_closed_form(self):
-        cs = ConstraintSet((helpers.cc("A", "B", 0.7),))
+        cs = (helpers.cc("A", "B", 0.7),)
         t = mce_dual_solve(uniform(("A", "B")), cs)
         np.testing.assert_allclose(t.probs, helpers.COND_UPDATE_07, atol=1e-6)
 
@@ -131,10 +131,21 @@ class TestDualSolve:
         assert "stalled" not in str(exc.value)
         mce_dual_solve(uniform(m.names), m.constraints, SolverOptions(max_iterations=4))
 
+    def test_out_of_scope_constraint_refused_alike(self):
+        # the dual, successive updating and the residual reader all read
+        # the constraint's sides over the prior's scope, so all refuse it
+        prior, cs = uniform(("A",)), (helpers.cc("B", "A", 0.7),)
+        messages = []
+        for route in (mce_dual_solve, successive_solve, residuals):
+            with pytest.raises(ValueError) as exc:
+                route(prior, cs)
+            messages.append(str(exc.value))
+        assert messages == ["variable 'B' not in scope ('A',)"] * 3
+
     def test_requires_positive_prior(self):
         t = JointTable(("A",), np.array([1.0, 0.0]))
         with pytest.raises(ValueError, match="positive"):
-            mce_dual_solve(t, ConstraintSet((helpers.mc("A", 0.4),)))
+            mce_dual_solve(t, (helpers.mc("A", 0.4),))
 
     def test_nonuniform_prior_cross_entropy(self):
         # single-constraint projection from a random prior equals the
@@ -142,7 +153,7 @@ class TestDualSolve:
         rng = np.random.default_rng(24)
         prior = JointTable(("A", "B"), helpers.random_positive_table(rng, 2))
         cc = helpers.cc("B", "A", 0.6)
-        via_dual = mce_dual_solve(prior, ConstraintSet((cc,)),
+        via_dual = mce_dual_solve(prior, (cc,),
                                   SolverOptions(tolerance=1e-11))
         via_rule = conditional_update(prior, cc)
         np.testing.assert_allclose(via_dual.probs, via_rule.probs, atol=1e-9)
@@ -331,14 +342,14 @@ class TestSuccessive:
         np.testing.assert_allclose(t.probs, exact.probs, atol=1e-4)
 
     def test_single_constraint_one_application(self):
-        cs = ConstraintSet((helpers.cc("A", "B", 0.7),))
+        cs = (helpers.cc("A", "B", 0.7),)
         t, trace = successive_solve(uniform(("A", "B")), cs)
         assert trace.converged
         assert len(trace.events) == 1
         np.testing.assert_allclose(t.probs, helpers.COND_UPDATE_07, atol=1e-12)
 
     def test_empty_constraints(self):
-        t, trace = successive_solve(uniform(("A",)), ConstraintSet())
+        t, trace = successive_solve(uniform(("A",)), ())
         assert trace.converged and len(trace.events) == 0
 
     def test_gradient_schedule_picks_max(self):
@@ -356,7 +367,7 @@ class TestSuccessive:
         assert t.probs.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_trace_tsv(self):
-        cs = ConstraintSet((helpers.cc("A", "B", 0.7),))
+        cs = (helpers.cc("A", "B", 0.7),)
         _, trace = successive_solve(uniform(("A", "B")), cs)
         lines = format_trace(trace).strip().split("\n")
         assert lines[0].split("\t")[:2] == ["1", "P(A|B)=0.7"]
@@ -378,7 +389,7 @@ class TestOracleEquivalence:
                             for v in rng.choice(others, size=size, replace=False))
             cc = helpers.cc(target, cond, float(rng.uniform(0.05, 0.95)))
             via_rule = conditional_update(prior, cc)
-            via_dual = mce_dual_solve(prior, ConstraintSet((cc,)), opts)
+            via_dual = mce_dual_solve(prior, (cc,), opts)
             np.testing.assert_allclose(via_rule.probs, via_dual.probs, atol=1e-8,
                                        err_msg=f"trial {trial}: {cc}")
 
@@ -415,7 +426,7 @@ class TestOracleEquivalence:
             out = conditional_update(prior, c)
             assert out.probs.min() >= 0.0
             assert out.probs.sum() == pytest.approx(1.0, abs=1e-12)
-            assert residuals(out, ConstraintSet((c,))).max_magnitude <= 1e-12
+            assert residuals(out, (c,)).max_magnitude <= 1e-12
 
 
 class TestKernelAgainstOracle:
@@ -518,7 +529,7 @@ class TestSuccessiveAgainstOracle:
                 cs = list(m.constraints)
                 j = int(rng.integers(len(cs)))
                 cs[j] = dataclasses.replace(cs[j], value=float(rng.integers(2)))
-                m = helpers.Model(m.names, ConstraintSet(tuple(cs)))
+                m = helpers.Model(m.names, tuple(cs))
             prior = uniform(m.names)
             for schedule in ("gradient", SCHEDULE_ROUND_ROBIN):
                 opts = SolverOptions(schedule=schedule, max_cycles=20)
@@ -567,4 +578,4 @@ class TestSuccessiveAgainstOracle:
         # a directly built conditional whose condition holds in no state:
         # its residual is undefined even on a positive joint
         empty = ConditionalConstraint(Literal("A"), (Literal("B"), Literal("B", False)), 0.5)
-        self.raise_alike(("A", "B"), ConstraintSet((helpers.mc("B", 0.3), empty)))
+        self.raise_alike(("A", "B"), (helpers.mc("B", 0.3), empty))

@@ -20,7 +20,7 @@ class TestParse:
     def test_two_cycle_model(self):
         m = parse_model("vars A B\nP(A|B)=0.7\nP(B|A)=0.8")
         assert m.names == ("A", "B")
-        assert len(m.constraints) == 2
+        assert type(m.constraints) is tuple and len(m.constraints) == 2  # declaration order
         c0, c1 = m.constraints
         assert isinstance(c0, ConditionalConstraint)
         assert c0.target == Literal("A") and c0.value == 0.7
@@ -131,12 +131,16 @@ class TestGraphs:
                     if x != y:
                         assert (y in g.neighbors(x)) == (x in g.neighbors(y))
 
+    def test_neighbors_of_unknown_variable(self):
+        with pytest.raises(ValueError, match="unknown variable 'Z'"):
+            neighbor_graph(helpers.mining()).neighbors("Z")
+
     def test_moralization_scopes_complete(self):
         rng = np.random.default_rng(12)
         for _ in range(25):
             m = helpers.random_model(rng)
             g = neighbor_graph(m)
-            for c in m.constraints.conditionals:
+            for c in helpers.conditionals(m):
                 scope = sorted(c.scope)
                 for i, u in enumerate(scope):
                     for v in scope[i + 1:]:
