@@ -29,9 +29,9 @@ _EXPORTS = {
               "MarginalConstraint", "Model", "NeighborGraph", "ParseError", "build_network",
               "neighbor_graph", "parse_graph_text", "parse_model", "validate_scope_rule"),
     "options": ("ConvergenceError", "SolverOptions", "UnreachableConstraintError"),
-    "graphops": ("AnnealOptions", "Decomposition", "Hypergraph", "RipOrder", "d_separated",
-                 "decompose", "fill_in_anneal", "fill_in_greedy", "graham_acyclic",
-                 "maximal_cliques", "rip_order"),
+    "graphops": ("AnnealOptions", "Decomposition", "RipOrder", "d_separated", "decompose",
+                 "fill_in_anneal", "fill_in_greedy", "graham_acyclic", "maximal_cliques",
+                 "rip_order"),
     "dist": ("JointTable", "ResidualEntry", "ResidualReport", "check_ci", "check_mrf",
              "marginalize", "probability", "residuals", "uniform"),
     "mce": ("UpdateTrace", "conditional_update", "mce_dual_solve", "successive_solve"),

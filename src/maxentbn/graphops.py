@@ -27,20 +27,6 @@ from .options import is_integer
 
 
 @dataclass(frozen=True)
-class Hypergraph:
-    vertices: tuple[str, ...]
-    hyperedges: tuple[frozenset[str], ...]
-
-    def __post_init__(self):
-        vs = set(self.vertices)
-        for e in self.hyperedges:
-            if not e:
-                raise ValueError("empty hyperedge")
-            if not e <= vs:
-                raise ValueError(f"hyperedge {sorted(e)} not within vertices")
-
-
-@dataclass(frozen=True)
 class RipOrder:
     """Ordering of hyperedges where each set's overlap with all earlier
     ones fits inside a single earlier set (its anchor)."""
@@ -65,7 +51,7 @@ class Decomposition:
     cost: int = field(init=False)  # sum over cliques of 2^|clique|
 
     def __post_init__(self):
-        rip = rip_order(Hypergraph(tuple(sorted(set().union(*self.cliques))), self.cliques))
+        rip = rip_order(self.cliques)
         if rip is None:
             raise ValueError("clique cover is not acyclic: it has no running-intersection order")
         object.__setattr__(self, "rip", rip)
@@ -122,11 +108,18 @@ def maximal_cliques(g: NeighborGraph) -> list[frozenset[str]]:
     return sorted(found, key=_edge_key)
 
 
-def graham_acyclic(h: Hypergraph) -> bool:
+def _nonempty(cliques: Sequence[frozenset[str]]) -> Sequence[frozenset[str]]:
+    """`cliques`, refused if one of them is empty."""
+    if not all(cliques):
+        raise ValueError("empty hyperedge")
+    return cliques
+
+
+def graham_acyclic(cliques: Sequence[frozenset[str]]) -> bool:
     """True iff alternately deleting vertices that occur in exactly one
-    hyperedge and hyperedges contained in another empties the
-    hypergraph."""
-    edges = [set(e) for e in h.hyperedges]
+    clique and cliques contained in another empties the hypergraph of
+    `cliques`."""
+    edges = [set(e) for e in _nonempty(cliques)]
     changed = True
     while changed and edges:
         changed = False
@@ -155,19 +148,19 @@ def graham_acyclic(h: Hypergraph) -> bool:
     return not edges
 
 
-def rip_order(h: Hypergraph) -> RipOrder | None:
+def rip_order(cliques: Sequence[frozenset[str]]) -> RipOrder | None:
     """An ordering with the running-intersection property, or None.
 
-    Maximum cardinality search over hyperedges (Tarjan & Yannakakis 1984,
-    SIAM J. Comput. 13(3)): repeatedly take the unchosen hyperedge with
-    the most vertices already covered by the chosen ones, ties going to
-    input position.  The order is then checked: each hyperedge's overlap
-    with the earlier ones must lie inside an earlier hyperedge, the first
-    such being its anchor.  The search finds a running-intersection order
-    exactly when the hypergraph is acyclic, so None coincides with Graham
-    irreducibility.
+    Maximum cardinality search over the cliques, as hyperedges (Tarjan &
+    Yannakakis 1984, SIAM J. Comput. 13(3)): repeatedly take the unchosen
+    clique with the most vertices already covered by the chosen ones, ties
+    going to input position.  The order is then checked: each clique's
+    overlap with the earlier ones must lie inside an earlier clique, the
+    first such being its anchor.  The search finds a running-intersection
+    order exactly when the hypergraph is acyclic, so None coincides with
+    Graham irreducibility.
     """
-    left = list(h.hyperedges)
+    left = list(_nonempty(cliques))
     order: list[frozenset[str]] = []
     covered: set[str] = set()
     while left:

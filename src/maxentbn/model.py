@@ -290,7 +290,7 @@ def parse_model(text: str) -> Model:
 
 def parse_graph_text(text: str) -> NeighborGraph:
     """A graph file: the neighbor graph as `nodes A B C` and `edge A B` lines, '#' a comment."""
-    nodes: list[str] = []
+    nodes: dict[str, None] = {}  # the declared nodes in order, as keys: a set that keeps order
     edges: set[frozenset[str]] = set()
     for i, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -302,7 +302,7 @@ def parse_graph_text(text: str) -> NeighborGraph:
             for v in args:
                 if v in nodes:
                     raise ValueError(f"line {i}: node {v!r} declared twice")
-                nodes.append(v)
+                nodes[v] = None
         elif kind == "edge":
             if len(args) != 2 or args[0] == args[1]:
                 raise ValueError(f"line {i}: 'edge' takes two distinct nodes")
@@ -311,7 +311,7 @@ def parse_graph_text(text: str) -> NeighborGraph:
             raise ValueError(f"line {i}: unknown directive {kind!r}")
     if not nodes:
         raise ValueError("graph declares no nodes")
-    missing = set().union(*edges) - set(nodes)
+    missing = set().union(*edges) - nodes.keys()
     if missing:
         raise ValueError(f"nodes used but not declared: {sorted(missing)}")
     return NeighborGraph(tuple(nodes), frozenset(edges))

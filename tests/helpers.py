@@ -378,10 +378,10 @@ def random_model(rng: np.random.Generator, n_vars: int | None = None,
 
 def random_hypergraph(rng: np.random.Generator, max_vertices: int = 8,
                       max_edges: int = 6):
-    """Random hypergraph; mixes raw random subsets with clique covers of
-    random chordal-ish graphs so both acyclic and cyclic cases are
-    common."""
-    from maxentbn import Hypergraph, NeighborGraph, maximal_cliques
+    """Random hypergraph, as its tuple of hyperedges; mixes raw random
+    subsets with clique covers of random chordal-ish graphs so both
+    acyclic and cyclic cases are common."""
+    from maxentbn import NeighborGraph, maximal_cliques
 
     n = int(rng.integers(2, max_vertices + 1))
     names = tuple("ABCDEFGH"[:n])
@@ -391,13 +391,13 @@ def random_hypergraph(rng: np.random.Generator, max_vertices: int = 8,
         for _ in range(m):
             size = int(rng.integers(min(2, n), min(4, n) + 1))
             edges.append(frozenset(rng.choice(names, size=size, replace=False)))
-        return Hypergraph(names, tuple(edges))
+        return tuple(edges)
     # clique cover of a random graph (acyclic iff the graph is chordal)
     pairs = list(itertools.combinations(names, 2))
     chosen = frozenset(frozenset(p) for p in pairs if rng.random() < 0.45)
     g = NeighborGraph(names, chosen)
     cliques = tuple(maximal_cliques(g))[:max_edges]
-    return Hypergraph(names, cliques)
+    return cliques
 
 
 def ring_model(n: int, seed: int = 0) -> Model:
@@ -458,7 +458,7 @@ def rip_order_bfs(h):
     subsets of hyperedges, appending a set when its overlap with the
     union of the chosen ones lies inside a single chosen set.
     Exponential in the number of hyperedges."""
-    edges = list(h.hyperedges)
+    edges = list(h)
     n = len(edges)
     if n == 0:
         return RipOrder((), ())

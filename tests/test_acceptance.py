@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import helpers
-from maxentbn import (AnnealOptions, Hypergraph, JointTable,
+from maxentbn import (AnnealOptions, JointTable,
                       SolverOptions, bench, build_network, check_ci, check_mrf,
                       conditional_update, d_separated, decompose,
                       fill_in_anneal, fill_in_greedy, global_consistent,
@@ -89,8 +89,8 @@ def test_c05_mining_decomposition():
 def test_c06_sixring_decomposition():
     nodes = tuple("ABCDEF")
     g = NeighborGraph(nodes, frozenset(frozenset(e) for e in helpers.SIXRING_EDGES))
-    raw_cover = Hypergraph(nodes, (fs("A", "C", "F"), fs("B", "D", "E"),
-                                   fs("C", "D"), fs("E", "F")))
+    raw_cover = (fs("A", "C", "F"), fs("B", "D", "E"),
+                 fs("C", "D"), fs("E", "F"))
     assert not graham_acyclic(raw_cover)
     accepted_optima = {frozenset({fs("D", "F")}), frozenset({fs("C", "E")})}
     greedy = fill_in_greedy(g)
@@ -102,7 +102,7 @@ def test_c06_sixring_decomposition():
         assert d.fill_in in accepted_optima
         assert len(d.cliques) == 4 and all(len(c) == 3 for c in d.cliques)
         assert d.cost == 32
-        assert graham_acyclic(Hypergraph(nodes, d.cliques))
+        assert graham_acyclic(d.cliques)
     done(6)
 
 
