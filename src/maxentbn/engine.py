@@ -94,15 +94,15 @@ def solve_decomposed(model: Model, d: Decomposition,
     """
     opts = opts or SolverOptions()
     homes = constraint_homes(model, d)
-    tree = merge_cliques(d, SOLVER_TABLE_VARS)
-    scopes = [model.ordered_scope(c) for c in tree.rip.order]
-    offsets, edges = dist.join_layout(scopes, tree.rip.anchors)
+    rip, groups = merge_cliques(d, SOLVER_TABLE_VARS)
+    scopes = [model.ordered_scope(c) for c in rip.order]
+    offsets, edges = dist.join_layout(scopes, rip.anchors)
     p = np.concatenate([dist.uniform(s).probs for s in scopes])
     views = [p[lo:hi] for lo, hi in zip(offsets, offsets[1:])]
     # a constraint's table is its home clique's group, which is, by the
     # running intersection, the first group whose scope holds it
     kernels = [mce.Kernel(c, scopes[g], g, offsets[g])
-               for c, g in zip(model.constraints, (tree.groups[h] for h in homes))]
+               for c, g in zip(model.constraints, (groups[h] for h in homes))]
 
     # One stored marginal per join edge; the uniform start is calibrated.
     # At the end of every pass each stored entry is a sum of current
@@ -146,7 +146,7 @@ def solve_decomposed(model: Model, d: Decomposition,
     trace, magnitudes, error = mce._successive(p, kernels, opts, record, propagate)
     # each clique of d reads its marginal of its group's slice of p
     states, cliques = [], [model.ordered_scope(cl) for cl in d.rip.order]
-    for i, (s, g) in enumerate(zip(cliques, tree.groups)):
+    for i, (s, g) in enumerate(zip(cliques, groups)):
         m = np.bincount(dist.project_index(scopes[g], s), views[g], 1 << len(s))
         states.append(CliqueState(s, JointTable(s, m / m.sum()),
                                   tuple(c for c, h in zip(model.constraints, homes) if h == i)))

@@ -376,23 +376,15 @@ def decompose(model: Model, method: str = "greedy",
     return d
 
 
-@dataclass(frozen=True)
-class SolverTree:
-    """A join tree whose nodes are groups of a decomposition's cliques:
-    `rip` orders the groups' scopes, and `groups[i]` is the group of the
-    decomposition's i-th clique in running-intersection order."""
-
-    rip: RipOrder
-    groups: tuple[int, ...]
-
-
-def merge_cliques(d: Decomposition, max_vars: int) -> SolverTree:
-    """Walk `d`'s running-intersection order and merge each clique into
-    its anchor's group while the merged scope has at most `max_vars`
-    variables; a clique that does not fit starts a group anchored at its
-    anchor's group.  Each group is a connected subtree of the join tree,
-    so contracting them leaves a junction tree, ordered by first member,
-    in which a group's separator is its first member's separator."""
+def merge_cliques(d: Decomposition, max_vars: int) -> tuple[RipOrder, tuple[int, ...]]:
+    """The solver tree of `d` as the pair (rip, groups): `rip` orders the
+    groups' scopes, and `groups[i]` is the group of `d`'s i-th clique in
+    running-intersection order.  Walking that order, each clique joins its
+    anchor's group while the merged scope has at most `max_vars` variables,
+    or else starts a group anchored at its anchor's group.  Each group is a
+    connected subtree of the join tree, so contracting them leaves a junction
+    tree, ordered by first member, in which a group's separator is its first
+    member's separator."""
     scopes: list[frozenset[str]] = []
     anchors: list[int | None] = []
     groups: list[int] = []
@@ -405,7 +397,7 @@ def merge_cliques(d: Decomposition, max_vars: int) -> SolverTree:
             anchors.append(host)
             groups.append(len(scopes))
             scopes.append(clique)
-    return SolverTree(RipOrder(tuple(scopes), tuple(anchors)), tuple(groups))
+    return RipOrder(tuple(scopes), tuple(anchors)), tuple(groups)
 
 
 def constraint_homes(model: Model, d: Decomposition) -> list[int]:

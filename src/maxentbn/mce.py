@@ -88,6 +88,9 @@ class UpdateLog(Sequence):
     def __hash__(self) -> int:
         return hash(tuple(self))
 
+    def __repr__(self) -> str:  # no object address: equal logs print alike
+        return f"UpdateLog({len(self)} updates)"
+
     def _event(self, j: int) -> TraceEvent:
         r = self._residuals[j]
         return TraceEvent(j // len(self._constraints) + 1,

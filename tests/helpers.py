@@ -834,7 +834,7 @@ class _ListKernel:
         p[:] = [x * inv for x in p]
 
 
-def solve_decomposed_oracle(model, d, opts=None):
+def solve_decomposed_oracle(model, rip, opts=None):
     """Reference decomposed successive updating on lists of floats: every
     residual recomputed before each step, and after each update a
     depth-first pass that marginalizes both cliques of every separator
@@ -842,16 +842,16 @@ def solve_decomposed_oracle(model, d, opts=None):
     the subtree behind it), and renormalizes each receiving clique.  Each
     constraint's clique (the first in RIP order that holds it) and each
     separator (the overlap with all earlier cliques) are found here by
-    definition, not by the package's routines.  Only `d.rip` is read, so
-    `d` may be a Decomposition or the solver's merged `SolverTree`.
+    definition, not by the package's routines.  `rip` is the running-
+    intersection order of a decomposition or of the solver's merged tree.
     Returns (clique tables, UpdateTrace, error or None)."""
     opts = opts or SolverOptions()
     tol = opts.tolerance if opts.tolerance is not None else DEFAULT_SUCCESSIVE_TOL
-    scopes = [model.ordered_scope(c) for c in d.rip.order]
+    scopes = [model.ordered_scope(c) for c in rip.order]
     probs = [uniform(s).probs.tolist() for s in scopes]
     homes = []
     for c in model.constraints:
-        for h, clique in enumerate(d.rip.order):
+        for h, clique in enumerate(rip.order):
             if c.scope <= clique:
                 homes.append(h)
                 break
@@ -860,8 +860,8 @@ def solve_decomposed_oracle(model, d, opts=None):
     kernels = [_ListKernel(c, scopes[h], h) for c, h in zip(model.constraints, homes)]
     adjacency = {}
     for child in range(1, len(scopes)):
-        parent = d.rip.anchors[child]
-        sep = model.ordered_scope(separator_oracle(d.rip, child))
+        parent = rip.anchors[child]
+        sep = model.ordered_scope(separator_oracle(rip, child))
         if sep:
             sub_c = project_index(scopes[child], sep).tolist()
             sub_p = project_index(scopes[parent], sep).tolist()

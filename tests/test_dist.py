@@ -153,7 +153,7 @@ class TestJoinLayout:
         trees = left_out = 0
         for m in self._models():
             d = decompose(m)
-            for rip in (d.rip, merge_cliques(d, 6).rip):
+            for rip in (d.rip, merge_cliques(d, 6)[0]):
                 scopes = [m.ordered_scope(c) for c in rip.order]
                 offsets, edges = join_layout(scopes, rip.anchors)
                 assert offsets[0] == 0 and len(offsets) == len(scopes) + 1

@@ -124,7 +124,7 @@ class TestSolveDecomposed:
         for c in range(1, report.cycles + 1):
             cut = dataclasses.replace(opts, max_cycles=c)
             got = [s.table for s in solve_decomposed(m, d, cut).cliques]
-            tables = helpers.solve_decomposed_oracle(m, d, cut)[0]
+            tables = helpers.solve_decomposed_oracle(m, d.rip, cut)[0]
             assert [t.scope for t in got] == [t.scope for t in tables]
             for t, want in zip(got, tables):
                 np.testing.assert_allclose(t.probs, want.probs, rtol=0, atol=1e-12)
@@ -137,7 +137,7 @@ class TestSolveDecomposed:
     @pytest.mark.parametrize("schedule", ["gradient", SCHEDULE_ROUND_ROBIN])
     def test_snapshots_on_several_tables(self, schedule):
         m = helpers.ring_model(10, 10)
-        assert len(merge_cliques(decompose(m), SOLVER_TABLE_VARS).rip.order) >= 2
+        assert len(merge_cliques(decompose(m), SOLVER_TABLE_VARS)[0].order) >= 2
         report = self.cut_solves_match_oracle(
             m, SolverOptions(schedule=schedule, max_cycles=8))
         assert report.cycles == 8
@@ -238,7 +238,7 @@ class TestSolveDecomposed:
         # constraint's home clique, captured right after its update as
         # that clique's marginal of the solver's merged table
         m, d = self.model, self.d
-        tree = merge_cliques(d, SOLVER_TABLE_VARS)
+        rip = merge_cliques(d, SOLVER_TABLE_VARS)[0]
         home_scope = {c: m.ordered_scope(d.rip.order[h])
                       for c, h in zip(m.constraints, constraint_homes(m, d))}
         updated = []
@@ -246,7 +246,7 @@ class TestSolveDecomposed:
 
         def captured(kernel, p, s1, s0):
             apply(kernel, p, s1, s0)
-            merged = JointTable(m.ordered_scope(tree.rip.order[kernel.table]),
+            merged = JointTable(m.ordered_scope(rip.order[kernel.table]),
                                 p[kernel.lo:kernel.hi])
             updated.append(marginalize(merged, home_scope[kernel.constraint]).probs)
 
@@ -373,9 +373,9 @@ class TestDecomposedAgainstOracle:
     def agree(m, opts):
         d = decompose(m)
         report = solve_decomposed(m, d, opts)
-        tree = merge_cliques(d, SOLVER_TABLE_VARS)
-        merged, trace, error = helpers.solve_decomposed_oracle(m, tree, opts)
-        tables = [marginalize(merged[g], s.scope) for g, s in zip(tree.groups, report.cliques)]
+        rip, groups = merge_cliques(d, SOLVER_TABLE_VARS)
+        merged, trace, error = helpers.solve_decomposed_oracle(m, rip, opts)
+        tables = [marginalize(merged[g], s.scope) for g, s in zip(groups, report.cliques)]
         got, want = report.trace.events, trace.events
         assert [str(e.constraint) for e in got] == [str(e.constraint) for e in want]
         assert ((report.cycles, report.converged, report.error)
@@ -402,7 +402,7 @@ class TestDecomposedAgainstOracle:
             m = unreachable_model()
         elif name == "zero-chain":
             m = zero_chain_model()
-            assert len(merge_cliques(decompose(m), SOLVER_TABLE_VARS).rip.order) == 2
+            assert len(merge_cliques(decompose(m), SOLVER_TABLE_VARS)[0].order) == 2
         else:
             m = getattr(helpers, name)()
         report = self.agree(m, SolverOptions(schedule=schedule, max_cycles=max_cycles))
@@ -449,9 +449,9 @@ class TestMergedAgainstFineTree:
     @staticmethod
     def agree(m, opts):
         d = decompose(m)
-        assert len(merge_cliques(d, SOLVER_TABLE_VARS).rip.order) >= 2
+        assert len(merge_cliques(d, SOLVER_TABLE_VARS)[0].order) >= 2
         report = solve_decomposed(m, d, opts)
-        tables, trace, error = helpers.solve_decomposed_oracle(m, d, opts)
+        tables, trace, error = helpers.solve_decomposed_oracle(m, d.rip, opts)
         assert report.error is None and error is None
         got, want = report.trace.events, trace.events
         assert [e.constraint for e in got] == [e.constraint for e in want]
@@ -478,7 +478,7 @@ class TestMergedAgainstFineTree:
         agreed = 0
         while agreed < 12:
             m = helpers.random_model(rng, n_vars=int(rng.integers(7, 9)))
-            if len(merge_cliques(decompose(m), SOLVER_TABLE_VARS).rip.order) < 2:
+            if len(merge_cliques(decompose(m), SOLVER_TABLE_VARS)[0].order) < 2:
                 continue
             for schedule in ("gradient", SCHEDULE_ROUND_ROBIN):
                 self.agree(m, SolverOptions(schedule=schedule, max_cycles=20))
@@ -539,7 +539,7 @@ class TestRecordedTrace:
         d = decompose(m)
         opts = SolverOptions(schedule=schedule)
         trace = solve_decomposed(m, d, opts).trace
-        want = helpers.solve_decomposed_oracle(m, d, opts)[1].events
+        want = helpers.solve_decomposed_oracle(m, d.rip, opts)[1].events
         events = trace.events
         got = list(events)
         assert len(events) == len(got) == len(want) > 10

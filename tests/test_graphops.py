@@ -214,8 +214,7 @@ class TestMergeCliques:
 
     @staticmethod
     def check(d, max_vars):
-        tree = graphops.merge_cliques(d, max_vars)
-        r, groups = tree.rip, tree.groups
+        r, groups = graphops.merge_cliques(d, max_vars)
         assert len(groups) == len(d.rip.order)
         first = {}
         for i, g in enumerate(groups):
@@ -234,7 +233,7 @@ class TestMergeCliques:
             # lies in the anchor group, and is the first member's separator
             assert (r.separator(g) == helpers.separator_oracle(r, g)
                     == d.rip.separator(first[g]))
-        return tree
+        return r
 
     def test_random_decompositions(self):
         rng = np.random.default_rng(71)
@@ -243,10 +242,10 @@ class TestMergeCliques:
             g = helpers.random_graph(rng, int(rng.integers(3, 13)), float(rng.uniform(0.05, 0.7)))
             d = fill_in_greedy(g)
             for max_vars in range(1, 9):
-                tree = self.check(d, max_vars)
-                merged += len(tree.rip.order) < len(d.rip.order)
-                empty += sum(not tree.rip.separator(i) for i in range(1, len(tree.rip.order)))
-                oversized += any(len(s) > max_vars for s in tree.rip.order)
+                r = self.check(d, max_vars)
+                merged += len(r.order) < len(d.rip.order)
+                empty += sum(not r.separator(i) for i in range(1, len(r.order)))
+                oversized += any(len(s) > max_vars for s in r.order)
         assert merged >= 300 and empty >= 100 and oversized >= 100
 
     def test_benchmark_shapes(self):
@@ -254,9 +253,9 @@ class TestMergeCliques:
         # 6-variable tables; grid 3x3's cliques of 6, 7 and 6 stay apart
         budget = engine.SOLVER_TABLE_VARS
         ring = self.check(decompose(helpers.ring_model(16)), budget)
-        assert [len(s) for s in ring.rip.order] == [6] * 6
+        assert [len(s) for s in ring.order] == [6] * 6
         grid = decompose(helpers.grid_model(3))
-        assert self.check(grid, budget).rip.order == grid.rip.order
+        assert self.check(grid, budget).order == grid.rip.order
 
     def test_home_clique_group_is_first_holding_group(self):
         # the decomposed solver puts each constraint on its home clique's
@@ -271,12 +270,12 @@ class TestMergeCliques:
                 d = decompose(m, "anneal" if opts else "greedy", opts)
                 homes = graphops.constraint_homes(m, d)
                 for max_vars in range(3, 9):
-                    tree = graphops.merge_cliques(d, max_vars)
+                    r, groups = graphops.merge_cliques(d, max_vars)
                     for c, h in zip(m.constraints, homes):
-                        first = next(g for g, s in enumerate(tree.rip.order) if c.scope <= s)
-                        assert tree.groups[h] == first
+                        first = next(g for g, s in enumerate(r.order) if c.scope <= s)
+                        assert groups[h] == first
                         checked += 1
-                        joined += tree.groups.index(first) != h  # not its group's first
+                        joined += groups.index(first) != h  # not its group's first
         assert checked >= 15000 and joined >= 2000, (checked, joined)
 
     def test_disconnected_components(self):
@@ -286,9 +285,9 @@ class TestMergeCliques:
                              helpers.cc("H", "E,F,G", 0.6))
         d = decompose(m)
         assert d.rip.separator(1) == frozenset()
-        assert self.check(d, 8).rip.order == (frozenset("ABCDEFGH"),)
-        tree = self.check(d, 6)
-        assert tree.rip.order == d.rip.order and tree.rip.anchors == (None, 0)
+        assert self.check(d, 8).order == (frozenset("ABCDEFGH"),)
+        r = self.check(d, 6)
+        assert r.order == d.rip.order and r.anchors == (None, 0)
 
 
 def temperature_steps(t0: float, cooling: float) -> int:

@@ -8,8 +8,8 @@ from helpers import conditional, jeffrey_update
 from maxentbn import dist, mce
 from maxentbn import (ConvergenceError, JointTable, Literal,
                       SolverOptions, UnreachableConstraintError,
-                      conditional_update, mce_dual_solve,
-                      residuals, successive_solve, uniform)
+                      conditional_update, decompose, mce_dual_solve,
+                      residuals, solve_decomposed, successive_solve, uniform)
 from maxentbn.cli import format_trace
 from maxentbn.dist import PROB_FLOOR, probability
 from maxentbn.mce import DualProblem, SCHEDULE_ROUND_ROBIN
@@ -371,6 +371,16 @@ class TestSuccessive:
         _, trace = successive_solve(uniform(("A", "B")), cs)
         lines = format_trace(trace).strip().split("\n")
         assert lines[0].split("\t")[:2] == ["1", "P(A|B)=0.7"]
+
+    def test_recorded_trace_repr_is_stable(self):
+        # a recorded trace, and a decomposed report holding one, print
+        # the same on every run: no object address in their reprs
+        m = helpers.fig21()
+        traces = [successive_solve(uniform(("A", "B")), m.constraints)[1] for _ in range(2)]
+        reports = [solve_decomposed(m, decompose(m)) for _ in range(2)]
+        for a, b in (traces, reports):
+            assert repr(a) == repr(b) and "0x" not in repr(a)
+        assert f"events=UpdateLog({len(traces[0].events)} updates)" in repr(traces[0])
 
 
 class TestOracleEquivalence:
