@@ -4,13 +4,14 @@ A constraint set is satisfiable iff its homogeneous linear encoding (a
 `LinearSystem`, one row per constraint) has a nonnegative, normalized
 solution.  Globally: a null-space rank test as a fast necessary filter,
 then one LP over all 2^n states.  Locally, on an acyclic decomposition:
-one LP over the clique tables joined on their separators.  The LP
-writes each row from `dist.constraint_sides` into one reused buffer;
-only the rank test (K >= 2^n) and `mce.DualProblem` read the dense rows.
+one LP over the clique tables joined on their separators, the global
+LP being its one-table case.  `_tree_lp` builds that LP's equality
+system, writing each row from `dist.constraint_sides` into one reused
+buffer; `_tree_witnesses` adds the objective and solves it.  Only the
+rank test (K >= 2^n) and `mce.DualProblem` read the dense rows.
 
-scipy is imported on first use, by the LP alone (`_tree_witnesses`
-builds its sparse matrix, `_solve_feasible` runs it); the rank test's
-SVD is numpy's, so a check that the rank test settles loads no scipy.
+scipy is imported on first use, by `_tree_witnesses` alone; the rank
+test's SVD is numpy's, so a check that the rank test settles loads no scipy.
 """
 
 from __future__ import annotations
@@ -76,55 +77,20 @@ def rank_nontrivial(ls: LinearSystem) -> bool:
     return int(np.sum(s > NULLSPACE_TOL * np.amax(s, initial=0.0))) < ls.size
 
 
-def _solve_feasible(a_aug, b_eq: np.ndarray, presolve: bool) -> np.ndarray | None:
-    """Nonnegative solution of a_eq x = b_eq, or None, from the sparse
-    augmented matrix a_aug = (a_eq | a_eq 1).
-
-    Among feasible points, maximizes the smallest entry t so witnesses
-    stay interior whenever the constraints allow it (a pure vertex
-    solution may park whole conditioning events at zero mass).  Written
-    as x = y + t*1 with y >= 0, the bounds t <= x_j need no rows: the LP
-    is a_eq y + (a_eq 1) t = b_eq with 0 <= t <= 1, and x is y + t.
-
-    `presolve` switches HiGHS's presolve; the LP handed over, its status
-    and its optimal t are the same either way.  It pays on tables coupled
-    through separator rows.  On one table, whose rows are each a quarter
-    to half dense over all its states, it costs more time and memory
-    than the simplex solve it prepares (README gives the timings).
-    """
-    import scipy.optimize
-    n = a_aug.shape[1] - 1
-    c = np.zeros(n + 1)
-    c[-1] = -1.0
-    res = scipy.optimize.linprog(
-        c=c, A_eq=a_aug, b_eq=b_eq,
-        bounds=[(0.0, None)] * n + [(0.0, 1.0)], method="highs",
-        options={"presolve": presolve})
-    if res.status == 0:
-        return np.maximum(res.x[:n] + res.x[-1], 0.0)
-    if res.status == 2:
-        return None
-    raise UndecidedLPError(res.message)  # neither optimal nor infeasible: near-degenerate rows
-
-
 def nonneg_feasible(ls: LinearSystem) -> np.ndarray | None:
     """A probability vector satisfying all rows, found by the LP, or None."""
     sol = _tree_witnesses([ls], [None])
     return None if sol is None else sol[0]
 
 
-def _tree_witnesses(systems: Sequence[LinearSystem], anchors: Sequence[int | None]
-                    ) -> list[np.ndarray] | None:
-    """One feasibility problem over several tables jointly: table i is a
-    distribution over `systems[i].scope` satisfying that system's rows,
-    and agrees with table `anchors[i]` (None for none) on their shared
-    variables.  Along a running-intersection order solutions glue into a
-    full joint distribution, so existence matches global consistency.
-    Returns the normalized tables, or None when infeasible."""
-    import scipy.sparse
+def _tree_lp(systems: Sequence[LinearSystem], anchors: Sequence[int | None]) -> tuple:
+    """The equality system a_eq x = b_eq of the tree LP over the tables of
+    `systems`, back to back in x, each table anchored as `_tree_witnesses`
+    says.  Table by table its constraint rows and normalization row, then
+    the separator blocks, as triplets: int32 `rows` and `cols`, float `vals`.
+    Returns those, each row's sum in the order a dense a_eq adds it up,
+    `b_eq` and the tables' offsets from `dist.join_layout`."""
     offs, edges = dist.join_layout([ls.scope for ls in systems], anchors)
-    # (a_eq | a_eq 1) as triplets: table by table its rows and normalization row,
-    # then separator blocks; sums is the last column
     rows, cols, vals, sums, b_eq = [], [], [], [], []
     dense_row = np.zeros(offs[-1])  # sums a row in the order a dense a_eq does
     for i, ls in enumerate(systems):
@@ -152,25 +118,54 @@ def _tree_witnesses(systems: Sequence[LinearSystem], anchors: Sequence[int | Non
         # each separator state has the same count of entries in each table
         sums += [(systems[i].size - systems[j].size) / (1 << len(sep))] * (1 << len(sep))
         b_eq += [0.0] * (1 << len(sep))
-    at = np.flatnonzero(sums)  # dense-to-sparse drops zero coefficients
-    rows.append(at)
-    cols.append(np.full(at.size, offs[-1]))
-    vals.append(np.asarray(sums)[at])
     # int32 indices, as the CSC arrays take, so that no int64 copy is kept
     rows, cols = (np.concatenate(x, dtype=np.int32) for x in (rows, cols))
-    a_aug = scipy.sparse.csc_matrix((np.concatenate(vals), (rows, cols)),
-                                    shape=(len(b_eq), offs[-1] + 1))
+    return rows, cols, np.concatenate(vals), np.array(sums), np.array(b_eq), offs
+
+
+def _tree_witnesses(systems: Sequence[LinearSystem], anchors: Sequence[int | None]
+                    ) -> list[np.ndarray] | None:
+    """One feasibility problem over several tables jointly: table i is a
+    distribution over `systems[i].scope` satisfying that system's rows,
+    and agrees with table `anchors[i]` (None for none) on their shared
+    variables.  Along a running-intersection order solutions glue into a
+    full joint distribution, so existence matches global consistency.
+    Returns the normalized tables, or None when infeasible.
+
+    Among feasible points, the LP maximizes the smallest entry t so
+    witnesses stay interior whenever the constraints allow it (a pure
+    vertex solution may park whole conditioning events at zero mass).
+    Written as x = y + t*1 with y >= 0, the bounds t <= x_j need no rows:
+    the LP is a_eq y + (a_eq 1) t = b_eq with 0 <= t <= 1, and x is y + t.
+
+    HiGHS's presolve is on only where separator rows couple tables; the
+    LP, its status and its optimal t are the same either way.  On one
+    table, whose rows are each a quarter to half dense over all its
+    states, it costs more time and memory than the simplex solve it
+    prepares (README gives the timings).
+    """
+    import scipy.optimize
+    import scipy.sparse
+    rows, cols, vals, sums, b_eq, offs = _tree_lp(systems, anchors)
+    n = offs[-1]
+    at = np.flatnonzero(sums)  # the column a_eq 1; dense-to-sparse drops zeros
+    rows = np.concatenate([rows, at], dtype=np.int32)
+    cols = np.concatenate([cols, np.full(at.size, n, dtype=np.int32)])
+    vals = np.concatenate([vals, sums[at]])
+    a_aug = scipy.sparse.csc_matrix((vals, (rows, cols)), shape=(b_eq.size, n + 1))
     del rows, cols, vals  # freed before HiGHS runs, which lowers the peak RSS
-    # presolve pays only where separator rows couple tables
-    try:
-        x = _solve_feasible(a_aug, np.array(b_eq), presolve=len(systems) > 1)
-    except UndecidedLPError as exc:
-        tables = " ".join("{" + ",".join(ls.scope) + "}" for ls in systems)
-        raise UndecidedLPError(f"the consistency LP over {tables} is undecided: {exc}") from None
-    if x is None:
+    c = np.zeros(n + 1)
+    c[-1] = -1.0
+    res = scipy.optimize.linprog(
+        c=c, A_eq=a_aug, b_eq=b_eq, bounds=[(0.0, None)] * n + [(0.0, 1.0)],
+        method="highs", options={"presolve": len(systems) > 1})
+    if res.status == 2:
         return None
-    parts = [x[offs[i]:offs[i + 1]] for i in range(len(systems))]
-    return [p / p.sum() for p in parts]
+    if res.status != 0:  # neither optimal nor infeasible: near-degenerate rows
+        tables = " ".join("{" + ",".join(ls.scope) + "}" for ls in systems)
+        raise UndecidedLPError(f"the consistency LP over {tables} is undecided: {res.message}")
+    x = np.maximum(res.x[:n] + res.x[-1], 0.0)
+    return [p / p.sum() for p in np.split(x, offs[1:-1])]
 
 
 @dataclass(frozen=True)
@@ -189,7 +184,7 @@ def global_consistent(model: Model) -> ConsistencyReport:
     if len(model.names) > SCOPE_CAP:
         raise ValueError(
             f"{len(model.names)} variables exceed the global-check cap "
-            f"{SCOPE_CAP}; use a decomposition and local_check")
+            f"{SCOPE_CAP}; use a decomposition and local_check (check --local)")
     ls = to_linear(model.constraints, model.names)
     if not rank_nontrivial(ls):
         return ConsistencyReport(False, rank_ok=False, feasible=None, witnesses=())
@@ -210,8 +205,9 @@ def local_check(model: Model, d: Decomposition) -> ConsistencyReport:
     order decides, and yields witnesses that calibrate on the separators.
     When it is infeasible, the culprit is the first failing relaxation of
     it: the first clique alone, then each later clique paired with its
-    anchor.  All of these pass only when the chain of pairwise checks
-    misses a longer-range contradiction.  Each of these LPs writes its rows
+    anchor.  One that HiGHS leaves undecided names no culprit, and the
+    note lists it; all pass only when the chain of pairwise checks misses
+    a longer-range contradiction.  Each of these LPs writes its rows
     from the constraints (`dist.constraint_sides`) as it is built, so a
     clique is encoded once for each LP that holds it; the LP costs far more.
     """
@@ -223,13 +219,17 @@ def local_check(model: Model, d: Decomposition) -> ConsistencyReport:
         return ConsistencyReport(True, rank_ok=None, feasible=True, witnesses=tuple(
             (c, JointTable(ls.scope, p)) for c, ls, p in zip(order, systems, sol)))
     # with one clique, the first relaxation is the LP that just failed
-    if len(systems) == 1 or nonneg_feasible(systems[0]) is None:
-        culprit = (order[0], order[0])
-    else:
-        culprit = next(((order[i], order[j]) for i, j in enumerate(anchors)
-                        if i and _tree_witnesses([systems[i], systems[j]], (None, 0)) is None),
-                       None)
-    return ConsistencyReport(
-        False, rank_ok=None, feasible=False, witnesses=(), culprit=culprit,
-        note="" if culprit else "anchor-pairwise checks passed but no jointly "
-                                "calibrated per-clique tables exist")
+    culprit, undecided = None, []
+    for i, j in enumerate((0,) + anchors[1:]):
+        tables = [systems[i]] if i == j else [systems[i], systems[j]]
+        try:
+            if len(systems) == 1 or _tree_witnesses(tables, (None, 0)[:len(tables)]) is None:
+                culprit = (order[i], order[j])
+                break
+        except UndecidedLPError as exc:  # proves nothing, so names no culprit
+            undecided.append(str(exc))
+    note = ("" if culprit else
+            f"no relaxation was proven infeasible: {'; '.join(undecided)}" if undecided else
+            "anchor-pairwise checks passed but no jointly calibrated per-clique tables exist")
+    return ConsistencyReport(False, rank_ok=None, feasible=False, witnesses=(),
+                             culprit=culprit, note=note)

@@ -1063,8 +1063,8 @@ def solve_feasible_dense(a_eq: np.ndarray, b_eq: np.ndarray) -> np.ndarray | Non
 
 
 def tree_lp_dense(systems, anchors):
-    """Reference equality system (a_eq, b_eq) of
-    `consistency._tree_witnesses`, in its first form: every constraint row
+    """Reference equality system (a_eq, b_eq) of the tree LP, which
+    `consistency._tree_lp` builds, in its first form: every constraint row
     encoded on its own from event masks, and each table's rows, its
     normalization row and each separator-agreement block built as a
     full-width block matrix, then stacked."""
@@ -1104,9 +1104,10 @@ def tree_lp_dense(systems, anchors):
 
 
 def tree_lp_csc(systems, anchors):
-    """Reference LP input as the dense build handed it to HiGHS: the
-    dense a_eq of `tree_lp_dense` as csc_matrix, with the column a_eq 1
-    appended."""
+    """Reference `A_eq` and `b_eq` of the max-min witness LP, as the dense
+    build handed them to HiGHS: the dense a_eq of `tree_lp_dense` as
+    csc_matrix, with the column a_eq 1 appended, which
+    `consistency._tree_witnesses` adds to `_tree_lp`'s rows."""
     a_eq, b_eq = tree_lp_dense(systems, anchors)
     return scipy.sparse.hstack([scipy.sparse.csc_matrix(a_eq),
                                 scipy.sparse.csc_matrix(a_eq.sum(axis=1, keepdims=True))],

@@ -134,6 +134,29 @@ class TestCheck:
             assert (out, err) == ("", f"error: the consistency LP over {tables} is undecided: "
                                       f"stub status {status}\n")
 
+    def test_undecided_relaxation_keeps_the_verdict(self, monkeypatch, capsys):
+        # the stubbed joint LP finds mining infeasible and both relaxations
+        # of the culprit search come back undecided: no culprit, exit 1
+        statuses = []
+
+        def stub(*args, **kwargs):
+            statuses.append(4 if statuses else 2)
+            return scipy.optimize.OptimizeResult(status=statuses[-1], message="stub")
+
+        monkeypatch.setattr(scipy.optimize, "linprog", stub)
+        assert invoke(capsys, "check", "models/mining.cn", "--local") == (
+            1, "inconsistent\nnote: no relaxation was proven infeasible: "
+               "the consistency LP over {A,C,D} is undecided: stub; "
+               "the consistency LP over {B,C,D} {A,C,D} is undecided: stub\n", "")
+        assert statuses == [2, 4, 4]
+
+    def test_global_cap_names_the_local_check(self, capsys, tmp_path):
+        f = tmp_path / "ring-21.cn"
+        f.write_text(helpers.serialize_model(helpers.ring_model(21, 0)))
+        assert invoke(capsys, "check", str(f)) == (
+            2, "", "error: 21 variables exceed the global-check cap 20; "
+                   "use a decomposition and local_check (check --local)\n")
+
     @pytest.mark.parametrize("error, code", [(UndecidedLPError, 2), (ConvergenceError, 1)])
     def test_check_error_exit_code(self, monkeypatch, capsys, error, code):
         def fail(*args):

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
@@ -12,11 +13,14 @@ from helpers import marginalization_matrix, project_space, solution_space
 from maxentbn import (Decomposition, JointTable, RipOrder, decompose,
                       fill_in_greedy, global_consistent, local_check, neighbor_graph,
                       parse_model, to_linear)
-from maxentbn.consistency import LinearSystem, nonneg_feasible, rank_nontrivial
+from maxentbn.consistency import (LinearSystem, UndecidedLPError, nonneg_feasible,
+                                  rank_nontrivial)
 from maxentbn.dist import SCOPE_CAP, marginalize, residuals
 
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
+# helpers.ring_model(6, 0) with one value raised by 1e-5, which HiGHS leaves undecided
+NEAR_DEGENERATE = Path(__file__).resolve().parent / "near-degenerate-ring-6.cn"
 
 
 def fs(*names):
@@ -304,6 +308,25 @@ class TestLocalCheck:
         assert report.note.startswith("anchor-pairwise checks passed")
         assert not global_consistent(m).consistent
 
+    def test_undecided_relaxations_name_no_culprit(self, monkeypatch):
+        # the joint LP proves the set infeasible; relaxations that HiGHS
+        # leaves undecided prove nothing, so the search goes on past them
+        # and the verdict stands, with a note naming them
+        statuses = []
+
+        def stub(*args, **kwargs):
+            statuses.append(4 if statuses else 2)
+            return scipy.optimize.OptimizeResult(status=statuses[-1], message="stub")
+
+        monkeypatch.setattr(scipy.optimize, "linprog", stub)
+        m = helpers.mining()
+        report = local_check(m, decompose(m))
+        assert (report.consistent, report.feasible, report.culprit) == (False, False, None)
+        assert report.note == ("no relaxation was proven infeasible: "
+                               "the consistency LP over {A,C,D} is undecided: stub; "
+                               "the consistency LP over {B,C,D} {A,C,D} is undecided: stub")
+        assert statuses == [2, 4, 4]
+
     def test_constraint_without_home_raises(self, monkeypatch):
         # P(A,C) fits in no clique; leaving it out of every clique's rows
         # would call this inconsistent set consistent
@@ -486,14 +509,89 @@ class TestDenseOracles:
         out += [helpers.random_model(rng) for _ in range(80)]
         return out
 
+    @staticmethod
+    def edge_cases():
+        """Sets at the edge of what HiGHS decides, and a decomposition with
+        an empty separator: the near-degenerate file; ring-6 sets with one
+        value moved by 1e-5, proven inconsistent (0 lowered), caught only
+        by the joint LP (4 raised), or with an undecided culprit LP (11
+        raised, 21 lowered); and two independent components, consistent
+        and not."""
+        ring = helpers.ring_model(6, 0)
+
+        def nudged(k, step):
+            cs = list(ring.constraints)
+            cs[k] = dataclasses.replace(cs[k], value=cs[k].value + step)
+            return dataclasses.replace(ring, constraints=tuple(cs))
+
+        apart = [helpers.cc("B", "A", 0.3), helpers.cc("D", "C", 0.6)]
+        out = [parse_model(NEAR_DEGENERATE.read_text())]
+        out += [nudged(k, step) for k, step in ((0, -1e-5), (4, 1e-5), (11, 1e-5), (21, -1e-5))]
+        out += [helpers.model_of("ABCD", *apart),
+                helpers.model_of("ABCD", *apart, helpers.cc("D", "C", 0.2))]
+        d = decompose(out[-1])
+        assert len(d.cliques) == 2 and d.rip.separator(1) == frozenset()
+        return out
+
+    @staticmethod
+    def capture(monkeypatch):
+        """Per tree LP, [its systems, its anchors, the keyword arguments
+        `scipy.optimize.linprog` is called with], in call order."""
+        calls = []
+        tree, linprog = consistency._tree_witnesses, scipy.optimize.linprog
+
+        def tree_captured(systems, anchors):
+            calls.append([systems, anchors])
+            return tree(systems, anchors)
+
+        def linprog_captured(*args, **kwargs):
+            assert not args
+            calls[-1].append(kwargs)
+            return linprog(**kwargs)
+
+        monkeypatch.setattr(consistency, "_tree_witnesses", tree_captured)
+        monkeypatch.setattr(scipy.optimize, "linprog", linprog_captured)
+        return calls
+
+    @staticmethod
+    def assert_objective(kwargs, systems):
+        """Everything but the rows, as the reference implies: maximize t,
+        the last of n + 1 columns, with x = y + t*1, y >= 0, 0 <= t <= 1;
+        HiGHS with its presolve only where separator rows couple tables."""
+        assert sorted(kwargs) == ["A_eq", "b_eq", "bounds", "c", "method", "options"]
+        n = sum(ls.size for ls in systems)
+        c = np.zeros(n + 1)
+        c[-1] = -1.0
+        assert kwargs["c"].dtype == c.dtype and kwargs["c"].tobytes() == c.tobytes()
+        assert kwargs["bounds"] == [(0.0, None)] * n + [(0.0, 1.0)]
+        assert kwargs["method"] == "highs"
+        assert kwargs["options"] == {"presolve": len(systems) > 1}
+
+    @staticmethod
+    def checked(check):
+        """Run a check; an LP that HiGHS leaves undecided was captured first."""
+        try:
+            check()
+        except UndecidedLPError:
+            pass
+
     def test_reports_and_witnesses_match(self, monkeypatch):
+        linprog = scipy.optimize.linprog
+
+        def dense(*args, **kwargs):
+            if "A_ub" in kwargs:  # the reference's own LP, with its -I block
+                return linprog(*args, **kwargs)
+            x = helpers.solve_feasible_dense(kwargs["A_eq"][:, :-1].toarray(), kwargs["b_eq"])
+            if x is None:
+                return scipy.optimize.OptimizeResult(status=2)
+            return scipy.optimize.OptimizeResult(status=0, x=np.append(x, 0.0))
+
         verdicts = {True: 0, False: 0}
         for m in self.models():
             d = decompose(m)
             got = [global_consistent(m), local_check(m, d)]
             with monkeypatch.context() as mp:
-                mp.setattr(consistency, "_solve_feasible", lambda a_aug, b_eq, presolve:
-                           helpers.solve_feasible_dense(a_aug[:, :-1].toarray(), b_eq))
+                mp.setattr(scipy.optimize, "linprog", dense)
                 mp.setattr(consistency, "rank_nontrivial", helpers.rank_nontrivial_nullspace)
                 want = [global_consistent(m), local_check(m, d)]
             for g, w in zip(got, want):
@@ -516,22 +614,10 @@ class TestDenseOracles:
         assert verdicts[True] >= 20 and verdicts[False] >= 20
 
     def test_lp_input_matches_block_builder(self, monkeypatch):
-        # every equality system handed to the LP, for the global, the
-        # joint-tree and the culprit problems, equals the one the former
-        # block-matrix builder stacks from the same tables
-        calls = []
-        tree, solve = consistency._tree_witnesses, consistency._solve_feasible
-
-        def tree_captured(systems, anchors):
-            calls.append([systems, anchors])
-            return tree(systems, anchors)
-
-        def solve_captured(a_aug, b_eq, presolve):
-            calls[-1] += [a_aug, b_eq]
-            return solve(a_aug, b_eq, presolve)
-
-        monkeypatch.setattr(consistency, "_tree_witnesses", tree_captured)
-        monkeypatch.setattr(consistency, "_solve_feasible", solve_captured)
+        # every LP handed to HiGHS, for the global, the joint-tree and the
+        # culprit problems, has the equality system the former block-matrix
+        # builder stacks from the same tables
+        calls = self.capture(monkeypatch)
         # chains whose last variable is held at 0.9 by its left neighbour
         # and at 0.1 by its right one: the culprit search pairs every
         # clique with its anchor up to the last
@@ -545,54 +631,45 @@ class TestDenseOracles:
                                            helpers.cc(y, "~" + x, 0.9), helpers.cc(y, z, 0.1),
                                            helpers.cc(y, "~" + z, 0.1)))
         kinds = {"global": 0, "tree": 0, "culprit": 0}
-        for m in self.models() + chains:
+        for m in self.models() + chains + self.edge_cases():
             for kind, check in (("global", lambda: global_consistent(m)),
                                 ("tree", lambda: local_check(m, decompose(m)))):
                 calls.clear()
-                check()
-                for n, (systems, anchors, a_aug, b_eq) in enumerate(calls):
+                self.checked(check)
+                for n, (systems, anchors, kwargs) in enumerate(calls):
                     want_a, want_b = helpers.tree_lp_dense(systems, anchors)
-                    assert np.array_equal(a_aug[:, :-1].toarray(), want_a)
-                    assert np.array_equal(b_eq, want_b)
+                    assert np.array_equal(kwargs["A_eq"][:, :-1].toarray(), want_a)
+                    assert np.array_equal(kwargs["b_eq"], want_b)
+                    self.assert_objective(kwargs, systems)
                     kinds["culprit" if n else kind] += 1
         assert kinds["global"] >= 80 and kinds["tree"] >= 80 and kinds["culprit"] >= 20, kinds
 
     def test_sparse_lp_input_matches_dense_csc(self, monkeypatch):
-        # the augmented LP matrix built from triplets is, array for array
-        # and byte for byte, the CSC form of the former dense build, so
-        # HiGHS is handed the same input (zero coefficients dropped too)
-        calls = []
-        tree, solve = consistency._tree_witnesses, consistency._solve_feasible
-
-        def tree_captured(systems, anchors):
-            calls.append([systems, anchors])
-            return tree(systems, anchors)
-
-        def solve_captured(a_aug, b_eq, presolve):
-            calls[-1] += [a_aug, b_eq]
-            return solve(a_aug, b_eq, presolve)
-
-        monkeypatch.setattr(consistency, "_tree_witnesses", tree_captured)
-        monkeypatch.setattr(consistency, "_solve_feasible", solve_captured)
+        # the LP handed to HiGHS is, array for array and byte for byte, the
+        # CSC form of the former dense build (zero coefficients dropped too)
+        calls = self.capture(monkeypatch)
         rng = np.random.default_rng(46)
         shipped = [parse_model(p.read_text()) for p in sorted(MODELS.glob("*.cn"))]
         generated = ([helpers.ring_model(n, n) for n in (6, 9, 12)]
                      + [helpers.grid_model(h, h) for h in (2, 3, 4)]
                      + [helpers.random_model(rng) for _ in range(40)])
         checked = 0
-        for m in shipped + generated:
+        for m in shipped + generated + self.edge_cases():
             calls.clear()
-            global_consistent(m)
-            local_check(m, decompose(m))
-            for systems, anchors, a_aug, b_eq in calls:
+            self.checked(lambda: global_consistent(m))
+            self.checked(lambda: local_check(m, decompose(m)))
+            for systems, anchors, kwargs in calls:
                 want_a, want_b = helpers.tree_lp_csc(systems, anchors)
+                a_aug = kwargs["A_eq"]
                 assert a_aug.format == "csc" and a_aug.shape == want_a.shape
                 for name in ("data", "indices", "indptr"):
                     got, want = getattr(a_aug, name), getattr(want_a, name)
                     assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
-                assert np.array_equal(b_eq, want_b)
+                b_eq = kwargs["b_eq"]
+                assert b_eq.dtype == want_b.dtype and b_eq.tobytes() == want_b.tobytes()
+                self.assert_objective(kwargs, systems)
                 checked += 1
-        assert checked >= 2 * len(shipped + generated)
+        assert checked >= 2 * len(shipped + generated + self.edge_cases())
 
     def test_rank_pretest_matches_null_space(self):
         # row matrices of every rank, with as many rows as states or more
