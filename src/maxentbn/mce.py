@@ -21,8 +21,8 @@ Two routes to the same distribution:
 
 The tables are small (8 to 128 states on the benchmark's models), so a
 step costs what its numpy calls cost, and each step makes a fixed few:
-the scan, the argmax that picks the kernel, one `min` that tells the
-scan whether it may skip its zero-mass guard, and the update.  An
+the scan, the argmax that picks the kernel, one `argmin` whose entry
+tells the scan whether it may skip its zero-mass guard, and the update.  An
 interior update is one multiply of the table's slice by a three-entry
 factor, indexed by each state's side, that also renormalizes it.
 
@@ -306,7 +306,7 @@ def _successive(p: np.ndarray, kernels: list[Kernel], opts: SolverOptions,
     converged = n == 0
     error = None
     cycle = updates = 0
-    floor_free = bool(np.minimum.reduce(p) >= PROB_FLOOR)
+    floor_free = p.item(p.argmin()) >= PROB_FLOOR
     while cycle < opts.max_cycles and not converged and error is None:
         cycle += 1
         for step in range(n):
@@ -325,7 +325,7 @@ def _successive(p: np.ndarray, kernels: list[Kernel], opts: SolverOptions,
             except UnreachableConstraintError as exc:
                 error = exc
                 break
-            floor_free = bool(np.minimum.reduce(p) >= PROB_FLOOR)
+            floor_free = p.item(p.argmin()) >= PROB_FLOOR
             updates += 1
             if log is not None:
                 log.append(best, r.item(best))

@@ -129,19 +129,10 @@ _NAME_RE = re.compile(_NAME)
 _CONSTRAINT_RE = re.compile(rf"\s*P\s*\(({_LITERALS})(?:\s*\|({_LITERALS}))?\s*\)\s*=\s*(.*)")
 _TOKEN_RE = re.compile(rf"{_NAME}|\S")  # a name, or one other non-space character
 _EXPECT_NAME = "expected a variable name"
-# The same grammar up to "=", for locating errors: state -> (the error at
-# any other token, {token: next state}); "name" stands for every name.
-_STATES = {
-    "P": ("expected 'P'", {"P": "("}),
-    "(": ("expected '('", {"(": "left"}),
-    "left": (_EXPECT_NAME, {"~": "left~", "name": "left,"}),
-    "left~": (_EXPECT_NAME, {"name": "left,"}),
-    "left,": ("expected ')'", {",": "left", "|": "cond", ")": "="}),
-    "cond": (_EXPECT_NAME, {"~": "cond~", "name": "cond,"}),
-    "cond~": (_EXPECT_NAME, {"name": "cond,"}),
-    "cond,": ("expected ')'", {",": "cond", ")": "="}),
-    "=": ("expected '='", {"=": "value"}),
-}
+# Endings that complete, under _CONSTRAINT_RE, every start of a constraint
+# line, each with the token that start wants next; a leading space ends a name.
+_ENDINGS = (("P(X)=0", "expected 'P'"), (" (X)=0", "expected '('"), (" X)=0", _EXPECT_NAME),
+            (" )=0", "expected ')'"), (" =0", "expected '='"))
 
 
 def _tokens(line: str) -> list[tuple[str, int]]:
@@ -149,22 +140,20 @@ def _tokens(line: str) -> list[tuple[str, int]]:
     return [(m.group(), m.start() + 1) for m in _TOKEN_RE.finditer(line)] + [("", len(line) + 1)]
 
 
+def _wants(start: str) -> str | None:
+    """The error message for the token that `start` of a line wants next,
+    or None when no constraint line starts with `start`."""
+    return next((msg for end, msg in _ENDINGS if _CONSTRAINT_RE.fullmatch(start + end)), None)
+
+
 def _syntax_error(line: str, lineno: int) -> ParseError:
     """The error in a constraint line that `_CONSTRAINT_RE` rejects, at the
-    first token that a left-to-right reading of the grammar refuses."""
-    tokens = _tokens(line)
-    head, col = tokens[0]
-    if head[:1] == "P" and len(head) > 1:  # "Px(": the 'P' is read, then '(' is missing
-        tokens[:1] = [("P", col), (head[1:], col + 1)]
-    state = "P"
-    for token, col in tokens:
-        message, moves = _STATES[state]
-        state = moves.get(token) or (_NAME_RE.match(token) and moves.get("name"))
-        if state is None:
-            return ParseError(message, lineno, col)
-        if state == "value":
-            break
-    raise AssertionError(f"line {lineno} is a valid constraint: {line!r}")
+    character after its longest start that some constraint line shares."""
+    lo, hi = 0, len(line) + 1  # line[:lo] is such a start; none is longer than line[:hi - 1]
+    while hi - lo > 1:  # every start of such a start is one too, so bisect
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if _wants(line[:mid]) else (lo, mid)
+    return ParseError(_wants(line[:lo]), lineno, lo + 1)
 
 
 def _column(m: re.Match, group: int, i: int) -> int:

@@ -12,6 +12,7 @@ from helpers import serialize_model
 from maxentbn import (ConditionalConstraint, Literal, MarginalConstraint,
                       ParseError, build_network, neighbor_graph, parse_model,
                       validate_scope_rule)
+from maxentbn.model import _CONSTRAINT_RE, _wants
 
 MODELS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "models")
 
@@ -277,3 +278,60 @@ class TestParserOracle:
             outcomes[isinstance(got, tuple)] += 1
         # both kinds of outcome are exercised
         assert min(outcomes.values()) >= 500
+
+    def test_multi_edit_lines(self):
+        # random token strings, and valid lines two or three edits away
+        rng = np.random.default_rng(73)
+        tokens = ["P", "(", ")", "~", "|", ",", "=", "X", "Y", "PA", "0", ".5", "$", "\t", " ", "  "]
+        texts = [[line for line in t.splitlines() if line.split("#", 1)[0].strip()]
+                 for t in self.texts()]
+        outcomes = {True: 0, False: 0}
+        start = time.perf_counter()
+        for i in range(3000):
+            if i % 2:  # every other one opens with "P(", to reach past the first states
+                line = "P(" * (i % 4 == 3) + "".join(rng.choice(tokens, rng.integers(1, 12)))
+                head = "vars X Y PA"
+            else:
+                head, *lines = texts[rng.integers(len(texts))]
+                line = lines[rng.integers(len(lines))]
+                for _ in range(rng.integers(2, 4)):
+                    at, kind = int(rng.integers(len(line) + 1)), rng.integers(3)
+                    token = "" if kind == 2 else tokens[rng.integers(len(tokens))]
+                    line = line[:at] + token + line[at + (kind != 1):]
+            text = f"{head}\n{line}\n"
+            got = _outcome(parse_model, text)
+            assert got == _outcome(helpers.parse_model_cursor, text), line
+            outcomes[isinstance(got, tuple)] += 1
+        assert time.perf_counter() - start < 1.0
+        assert min(outcomes.values()) >= 50  # both kinds of outcome are exercised
+
+
+class TestSyntaxErrors:
+    """A rejected constraint line's error is found by completing its starts."""
+
+    def test_endings_complete_every_start(self):
+        paths = glob.glob(os.path.join(MODELS, "*.cn"))
+        paths += glob.glob(os.path.join(os.path.dirname(os.path.abspath(__file__)), "*.cn"))
+        texts = [open(path, encoding="utf-8").read() for path in sorted(paths)]
+        lines = []
+        for text in texts + [_respaced(t, " \t ") for t in texts]:
+            content = [raw.split("#", 1)[0] for raw in text.splitlines()]
+            lines += [line for line in content if line.strip()][1:]  # after the 'vars' line
+        assert len(lines) > 50
+        for line in lines:
+            assert _CONSTRAINT_RE.fullmatch(line), line
+            for k in range(len(line) + 1):
+                assert _wants(line[:k]) is not None, (line, k)
+
+    @pytest.mark.parametrize("line, message, column", [
+        ("Q(A)=0.5", "expected 'P'", 1),
+        ("PA(B)=0.5", "expected '('", 2),
+        ("P(~~A)=1", "expected a variable name", 4),
+        ("P(A|B=0.5", "expected ')'", 6),
+        ("P(A|B) 0.5", "expected '='", 8),
+        ("P (A, ~", "expected a variable name", 8),  # at the end of the line
+    ])
+    def test_one_line_per_message(self, line, message, column):
+        text = f"vars A B\n{line}\n"
+        want = (f"line 2, column {column}: {message}", 2, column)
+        assert _outcome(parse_model, text) == _outcome(helpers.parse_model_cursor, text) == want
