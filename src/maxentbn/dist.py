@@ -229,8 +229,9 @@ def check_mrf(table: JointTable, ng: NeighborGraph, tol: float = DEFAULT_CHECK_T
     if set(scope) != set(ng.nodes):
         raise ValueError("table scope must cover exactly the graph nodes")
     arr = table.probs.reshape((2,) * len(scope))
+    adjacency = ng.adjacency()
     for i, x in enumerate(scope):
-        nbrs = ng.neighbors(x)
+        nbrs = adjacency[x]
         p = np.moveaxis(arr, i, -1)  # axes: scope minus x (order kept), then x
         rest = [n for n in scope if n != x]
         tot = p.sum(axis=-1)

@@ -285,17 +285,17 @@ def _successive(p: np.ndarray, kernels: list[Kernel], opts: SolverOptions,
                 ) -> tuple[UpdateTrace, tuple[float, ...], UnreachableConstraintError | None]:
     """The successive-updating loop over the state vector `p`, in place.
 
-    One cycle is one update per kernel.  Before each step one
-    `dist.side_scan` of the kernels' sides gives every residual, and the
-    applied kernel its masses.  The gradient schedule applies the kernel
-    with the largest residual magnitude (ties by kernel order);
-    round-robin applies kernel s at step s of each cycle.  After each update
-    `propagate(table, floor_free)` may re-calibrate the other tables,
-    where `floor_free` says that no entry of `p` was below `PROB_FLOOR`
-    before the update.  Returns the trace (with `record`, an `UpdateLog`
-    of the updates; else no events), the final residual magnitudes in
-    kernel order and the error: an unreachable constraint stops the loop
-    and is returned, not raised.
+    A cycle is K steps for K kernels, and the loop runs at most
+    `max_cycles` cycles.  Each step first sets `floor_free`, that no
+    entry of `p` is below `PROB_FLOOR`; then one `dist.side_scan` of the
+    kernels' sides gives every residual, and the applied kernel its
+    masses.  The gradient schedule applies the kernel with the largest
+    residual magnitude (ties by kernel order); round-robin applies kernel
+    `step % K`.  After each update `propagate(table, floor_free)` may
+    re-calibrate the other tables.  Returns the trace (with `record`, an
+    `UpdateLog` of the updates; else no events), the final residual
+    magnitudes in kernel order and the error: an unreachable constraint
+    stops the loop and is returned, not raised.
     """
     tol = opts.tolerance if opts.tolerance is not None else DEFAULT_SUCCESSIVE_TOL
     round_robin = opts.schedule == SCHEDULE_ROUND_ROBIN
@@ -305,30 +305,27 @@ def _successive(p: np.ndarray, kernels: list[Kernel], opts: SolverOptions,
     log = UpdateLog(k.constraint for k in kernels) if record else None
     converged = n == 0
     error = None
-    cycle = updates = 0
-    floor_free = p.item(p.argmin()) >= PROB_FLOOR
-    while cycle < opts.max_cycles and not converged and error is None:
-        cycle += 1
-        for step in range(n):
-            mass, r, mags = scan(p, floor_free)
-            best = int(mags.argmax())
-            if mags[best] <= tol:
-                converged = True
-                break
-            if round_robin:
-                best = step
-            k = kernels[best]
-            try:
-                k.apply(p, mass.item(best), mass.item(n + best))
-                if propagate is not None:
-                    propagate(k.table, floor_free)
-            except UnreachableConstraintError as exc:
-                error = exc
-                break
-            floor_free = p.item(p.argmin()) >= PROB_FLOOR
-            updates += 1
-            if log is not None:
-                log.append(best, r.item(best))
+    updates = 0
+    for step in range(opts.max_cycles * n):
+        floor_free = p.item(p.argmin()) >= PROB_FLOOR
+        mass, r, mags = scan(p, floor_free)
+        best = int(mags.argmax())
+        if mags[best] <= tol:
+            converged = True
+            break
+        if round_robin:
+            best = step % n
+        k = kernels[best]
+        try:
+            k.apply(p, mass.item(best), mass.item(n + best))
+            if propagate is not None:
+                propagate(k.table, floor_free)
+        except UnreachableConstraintError as exc:
+            error = exc
+            break
+        updates += 1
+        if log is not None:
+            log.append(best, r.item(best))
     cycles_used = -(-updates // (n or 1))  # every cycle but the last applies n updates
     mags = tuple(scan(p)[2].tolist())
     if error is None and not converged:

@@ -116,7 +116,7 @@ class NeighborGraph:
     def neighbors(self, x: str) -> set[str]:
         if x not in self.nodes:
             raise ValueError(f"unknown variable {x!r}")
-        return {next(iter(e - {x})) for e in self.edges if x in e}
+        return self.adjacency()[x]
 
     def as_neighbor_graph(self) -> NeighborGraph:  # benchmark/workloads.py calls it; ROADMAP 5B
         return self

@@ -148,6 +148,16 @@ def model_of(names: str, *constraints) -> Model:
     return Model(tuple(names), tuple(constraints))
 
 
+def one_update_models() -> list[Model]:
+    """Models with K = 1 and K = 2 constraints that one update per
+    constraint solves from the uniform start: P(A|B)=0.7, then
+    P(C|B)=0.4, which leaves P(A|B) as it is.  With max_cycles=1 the
+    steps run out before a scan sees every residual within tolerance, so
+    only the re-check at the cycle cap reports convergence."""
+    return [model_of("AB", cc("A", "B", 0.7)),
+            model_of("ABC", cc("A", "B", 0.7), cc("C", "B", 0.4))]
+
+
 def conditionals(m: Model) -> tuple[ConditionalConstraint, ...]:
     """The model's conditional constraints, in declaration order."""
     return tuple(c for c in m.constraints if isinstance(c, ConditionalConstraint))

@@ -311,6 +311,15 @@ class TestSolve:
         assert code == 1
         assert "converged: no" in out
 
+    def test_converged_at_the_cycle_cap(self, tmp_path, capsys):
+        # one constraint, one cycle: only the re-check at the cap sees convergence
+        model = tmp_path / "one.cn"
+        model.write_text("vars A B\nP(A|B)=0.7\n")
+        code, out, _ = invoke(capsys, "solve", str(model), "--method", "successive",
+                              "--max-cycles", "1")
+        assert code == 0
+        assert "converged: yes (1 cycles, 1 updates)" in out.splitlines()
+
     def test_decomposed_schedules_differ(self, capsys):
         outs = {}
         for schedule in ("gradient", "round-robin"):

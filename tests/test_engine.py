@@ -231,6 +231,14 @@ class TestSolveDecomposed:
         assert not report.converged
         assert report.cycles == 1
 
+    @pytest.mark.parametrize("schedule", ["gradient", SCHEDULE_ROUND_ROBIN])
+    @pytest.mark.parametrize("m", helpers.one_update_models(), ids=["K=1", "K=2"])
+    def test_converged_at_the_cycle_cap(self, m, schedule):
+        report = solve_decomposed(m, decompose(m), SolverOptions(max_cycles=1, schedule=schedule))
+        assert report.converged and report.error is None
+        assert report.cycles == 1 and len(report.trace.events) == len(m.constraints)
+        assert max(report.final_residuals) <= 1e-12
+
     def test_monotone_greedy_schedule_replay(self, monkeypatch):
         # replay the trace with reference operations: the applied
         # constraint must carry the largest residual magnitude each step,

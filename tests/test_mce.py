@@ -366,6 +366,15 @@ class TestSuccessive:
         assert not trace.converged
         assert t.probs.sum() == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("schedule", ["gradient", SCHEDULE_ROUND_ROBIN])
+    @pytest.mark.parametrize("m", helpers.one_update_models(), ids=["K=1", "K=2"])
+    def test_converged_at_the_cycle_cap(self, m, schedule):
+        t, trace = successive_solve(uniform(m.names), m.constraints,
+                                    SolverOptions(max_cycles=1, schedule=schedule))
+        assert trace.converged
+        assert trace.cycles == 1 and len(trace.events) == len(m.constraints)
+        assert residuals(t, m.constraints).max_magnitude <= 1e-12
+
     def test_trace_tsv(self):
         cs = (helpers.cc("A", "B", 0.7),)
         _, trace = successive_solve(uniform(("A", "B")), cs)
